@@ -457,36 +457,32 @@ def _edit_distance_ids(src: np.ndarray, out: tuple[int, ...]) -> int:
     return int(row[m])
 
 
-def _forward_rows(src: np.ndarray, seq: tuple[int, ...]) -> np.ndarray:
-    """rows[p][q] = edit distance between src[:q] and seq[:p]."""
-    m = len(src)
-    idx = np.arange(m + 1)
-    rows = np.empty((len(seq) + 1, m + 1), dtype=np.int64)
+def _step_rows(rows: np.ndarray, mismatch: np.ndarray,
+               idx: np.ndarray) -> np.ndarray:
+    """One edit-distance DP step for a batch of rows.
+
+    rows[r][q] is the distance between src[:q] and some sequence; the
+    result extends row r's sequence by one token, where mismatch[r][q] is
+    1 if src[q] differs from that token and 0 if it equals it.
+    """
+    new = np.empty_like(rows)
+    new[:, 0] = rows[:, 0] + 1
+    np.minimum(rows[:, :-1] + mismatch, rows[:, 1:] + 1, out=new[:, 1:])
+    new -= idx
+    np.minimum.accumulate(new, axis=1, out=new)
+    new += idx
+    return new
+
+
+def _dp_rows(mismatch: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """rows[p][r] = DP row of the first p tokens of sequence r, where
+    mismatch[t][r] is the mismatch row of token t of sequence r."""
+    rows = np.empty((len(mismatch) + 1, mismatch.shape[1], len(idx)),
+                    dtype=idx.dtype)
     rows[0] = idx
-    for p, tok in enumerate(seq, start=1):
-        prev = rows[p - 1]
-        cur = rows[p]
-        cur[0] = prev[0] + 1
-        np.minimum(prev[:-1] + (src != tok), prev[1:] + 1, out=cur[1:])
-        np.minimum.accumulate(cur - idx, out=cur)
-        cur += idx
+    for p, step in enumerate(mismatch):
+        rows[p + 1] = _step_rows(rows[p], step, idx)
     return rows
-
-
-def _extend_rows(rows: np.ndarray, src: np.ndarray,
-                 block: tuple[int, ...]) -> np.ndarray:
-    """Extend every DP row in `rows` through the tokens of `block`."""
-    m = len(src)
-    idx = np.arange(m + 1)
-    cur = rows.copy()
-    for tok in block:
-        new = np.empty_like(cur)
-        new[:, 0] = cur[:, 0] + 1
-        np.minimum(cur[:, :-1] + (src != tok), cur[:, 1:] + 1, out=new[:, 1:])
-        np.minimum.accumulate(new - idx, axis=1, out=new)
-        new += idx
-        cur = new
-    return cur
 
 
 def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
@@ -515,10 +511,20 @@ class _ShiftSearch:
     still exceeds the lower bound, a bounded best-first search over move
     sequences closes the gap exactly; longer outputs keep the greedy
     result, which is the standard behavior for this metric family.
+
+    Each greedy step (`_best_moves`) scores every block move of an
+    n-token output against an m-token source. Every move swaps two
+    adjacent segments, so `_swap_distances` scores all ~n^3/6 swaps in
+    one batched DP: the prefix and suffix DP rows of the output are
+    computed once and reused, and the remaining rows of all swaps
+    advance together: about 3n vectorised row steps per greedy step, and
+    O(n^3 m) cell updates. The tie order of the moves, and so every
+    result, is that of scoring each move on its own.
     """
 
     EXACT_LIMIT = 7
     EXACT_NODE_BUDGET = 200_000
+    CHUNK_CELLS = 1 << 22  # backward-row cells _swap_distances keeps at once
 
     def __init__(self, src_ids: tuple[int, ...]):
         self.src = np.asarray(src_ids, dtype=np.int64)
@@ -593,36 +599,123 @@ class _ShiftSearch:
         return best
 
     def _best_moves(self, out: tuple[int, ...], ed: int):
-        """Best single-move reduction and all moves achieving it."""
+        """Best single-move reduction and all moves achieving it.
+
+        Moves are enumerated by block length descending, start ascending,
+        insertion point ascending, and stop at the first length whose
+        doubled value is below the best reduction (a block move never
+        changes the distance by more than twice its length). Each
+        distinct resulting sequence is kept once, in first-seen order.
+
+        Moving out[i:i+length] to insertion point j of the remaining
+        tokens swaps two adjacent segments of `out`: out[j:i] and the
+        block when j < i, the block and out[i+length:j+length] when
+        j > i. All distances are read from the table that
+        `_swap_distances` fills in one batched pass, so enumeration
+        costs a few array operations per length.
+        """
         n = len(out)
         best_delta = 0
         tied: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = {out}
+        if n < 2:
+            return best_delta, tied
+        swapped = self._swap_distances(out)
         for length in range(n - 1, 0, -1):
             if 2 * length < best_delta:
                 break  # delta of a block move never exceeds twice its length
-            for i in range(n - length + 1):
-                block = out[i:i + length]
-                rest = out[:i] + out[i + length:]
-                fwd = _forward_rows(self.src, rest)
-                bwd = _forward_rows(self.src[::-1], rest[::-1])[::-1, ::-1]
-                mid = _extend_rows(fwd, self.src, block)
-                dists = np.min(mid + bwd, axis=1)
-                dists[i] = ed  # inserting at i reproduces `out`
-                deltas = ed - dists
-                top = int(deltas.max())
+            k = n - length + 1
+            i = np.arange(k)[:, None]
+            j = np.arange(k)[None, :]
+            dists = np.where(j < i, swapped[j, i, i + length],
+                             swapped[i, i + length, j + length])
+            np.fill_diagonal(dists, ed)  # inserting at i reproduces `out`
+            deltas = ed - dists.astype(np.int64)
+            for start, top in enumerate(deltas.max(axis=1).tolist()):
                 if top < best_delta or top < 1:
                     continue
                 if top > best_delta:
                     best_delta = top
                     tied = []
                     seen = {out}
-                for j in np.flatnonzero(deltas == top):
-                    cand = rest[:j] + block + rest[j:]
+                block = out[start:start + length]
+                rest = out[:start] + out[start + length:]
+                for pos in np.flatnonzero(deltas[start] == top):
+                    cand = rest[:pos] + block + rest[pos:]
                     if cand not in seen:
                         seen.add(cand)
                         tied.append(cand)
         return best_delta, tied
+
+    def _swap_distances(self, out: tuple[int, ...]) -> np.ndarray:
+        """Edit distances of every adjacent-segment swap of `out`.
+
+        Returns d with d[a, b, c] = edit distance between the source and
+        out[:a] + out[b:c] + out[a:b] + out[c:] for 0 <= a < b < c <= n
+        (other entries are 0). The swap splits into a forward part,
+        the prefix row of out[:a] extended through out[b:c], and a
+        backward part, the suffix row of out[c:] (reversed-source
+        orientation) extended leftwards through out[a:b]; the distance
+        is the minimum over source split points of their sum.
+
+        Prefix and suffix rows of `out` are computed once. The forward
+        parts of all (a, b) pairs advance together, one vectorised DP
+        step per value of c - b, each row with its own token from a
+        precomputed src != out[t] mismatch table; the backward parts of
+        all (b, c) pairs advance together, one step per value of b - a.
+        With the n steps of the prefix and suffix rows, that is about 3n
+        array steps per call, over O(n^3 m) cells in total. Cells held
+        at once are capped by splitting the b values into chunks of
+        about CHUNK_CELLS stored cells, each chunk doing its own 2n
+        steps.
+        """
+        n, m = len(out), len(self.src)
+        idx = np.arange(m + 1, dtype=np.int32)
+        mis = (self.src[None, :] != np.asarray(out)[:, None]).astype(np.int32)
+        mis_rev = np.ascontiguousarray(mis[:, ::-1])
+        ends = _dp_rows(np.stack([mis, mis_rev[::-1]], axis=1), idx)
+        prefix, suffix = ends[:, 0], ends[::-1, 1]
+        swapped = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+        fb, fa = np.tril_indices(n, -1)        # (b, a), a < b, b ascending
+        gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c
+        gb, gc = gb[::-1], gc[::-1]            # b descending
+        for lo, hi in self._b_chunks(n, m):
+            # backward parts: the pairs with b >= t are a prefix of
+            # (cb, cc); steps[t - 1][r] is pair r extended to a = b - t
+            keep = (gb >= lo) & (gb < hi)
+            cb, cc = gb[keep], gc[keep]
+            pos = np.zeros((n + 1, n + 1), dtype=np.intp)
+            pos[cb, cc] = np.arange(len(cb))
+            rows = suffix[cc]
+            steps = []
+            for t in range(1, hi):
+                live = np.count_nonzero(cb >= t)
+                rows = _step_rows(rows[:live], mis_rev[cb[:live] - t], idx)
+                steps.append(rows)
+            offset = np.cumsum([0] + [len(r) for r in steps])
+            backward = np.concatenate(steps)
+            # forward parts: the pairs with b + s <= n are a prefix
+            keep = (fb >= lo) & (fb < hi)
+            cb, ca = fb[keep], fa[keep]
+            rows = prefix[ca]
+            for s in range(1, n - lo + 1):
+                live = np.count_nonzero(cb <= n - s)
+                a, b = ca[:live], cb[:live]
+                rows = _step_rows(rows[:live], mis[b + s - 1], idx)
+                back = backward[offset[b - a - 1] + pos[b, b + s]]
+                swapped[a, b, b + s] = (rows + back[:, ::-1]).min(axis=1)
+        return swapped
+
+    @classmethod
+    def _b_chunks(cls, n: int, m: int):
+        """Split b = 1..n-1 into ranges [lo, hi) whose stored backward rows
+        (b * (n - b) rows of m + 1 cells per b) stay near CHUNK_CELLS."""
+        lo, cells = 1, 0
+        for b in range(1, n):
+            cells += b * (n - b) * (m + 1)
+            if cells >= cls.CHUNK_CELLS or b == n - 1:
+                yield lo, b + 1
+                lo, cells = b + 1, 0
 
 
 def _decompose(src_ids: tuple[int, ...],

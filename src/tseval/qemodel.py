@@ -255,7 +255,8 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
                    max_iter: int = 5_000) -> LinearModel:
     """Multinomial logistic regression with an L2 penalty, trained by
     gradient descent with backtracking line search until the gradient
-    norm falls below tol or the iteration cap is reached."""
+    norm falls below tol or the iteration cap is reached; reaching the
+    cap first raises a RuntimeWarning."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[0] != y.shape[0]:
@@ -274,10 +275,14 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     b = np.zeros(C)
     loss, grad_w, grad_b = _nll_and_grad(W, b, X, Y, lam)
     step = 1.0
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         grad_norm = math.sqrt(float((grad_w * grad_w).sum()
                                     + (grad_b * grad_b).sum()))
         if grad_norm < tol:
+            break
+        if it == max_iter:
+            warnings.warn("logistic gradient descent hit the iteration cap "
+                          "before converging", RuntimeWarning, stacklevel=2)
             break
         # backtracking line search (Armijo), warm-started from last step
         step = min(step * 2.0, 1e4)

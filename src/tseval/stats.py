@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DegenerateDataError
 from .features import FeatureMatrix
@@ -66,7 +66,7 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     z = math.atanh(r)
-    half_width = float(norm.ppf(0.5 + level / 2)) / math.sqrt(n - 3)
+    half_width = NormalDist().inv_cdf(0.5 + level / 2) / math.sqrt(n - 3)
     return (math.tanh(z - half_width), math.tanh(z + half_width))
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tseval.mtmetrics import (
     BleuConfig,
+    EditBreakdown,
     MeteorConfig,
     SMOOTHING_METHODS,
     bleu,
@@ -19,6 +20,7 @@ from tseval.mtmetrics import (
     rouge,
     ter_align,
 )
+from tseval.mtmetrics import _ShiftSearch, _edit_distance_ids
 from tseval.textproc import porter_stem, tokenize
 
 
@@ -69,6 +71,40 @@ def block_moves(seq):
                 if cand not in seen:
                     seen.add(cand)
                     yield cand
+
+
+def best_moves_oracle(src, out, ed):
+    """One greedy step scored move by move: every block move in the order
+    length descending, start ascending, insertion point ascending, each
+    scored by its own edit distance; returns the best reduction and the
+    distinct sequences reaching it, in first-seen order."""
+    n = len(out)
+    best_delta = 0
+    tied, seen = [], {out}
+    dist = {out: ed}
+    for length in range(n - 1, 0, -1):
+        if 2 * length < best_delta:
+            break
+        for i in range(n - length + 1):
+            block = out[i:i + length]
+            rest = out[:i] + out[i + length:]
+            deltas = []
+            for j in range(len(rest) + 1):
+                cand = rest[:j] + block + rest[j:]
+                if cand not in dist:
+                    dist[cand] = _edit_distance_ids(src, cand)
+                deltas.append(ed - dist[cand])
+            top = max(deltas)
+            if top < best_delta or top < 1:
+                continue
+            if top > best_delta:
+                best_delta, tied, seen = top, [], {out}
+            for j, delta in enumerate(deltas):
+                cand = rest[:j] + block + rest[j:]
+                if delta == top and cand not in seen:
+                    seen.add(cand)
+                    tied.append(cand)
+    return best_delta, tied
 
 
 def ter_oracle(src, out):
@@ -401,6 +437,34 @@ class TestTerAlign:
         assert got.num_errors <= lev_oracle(src.words, out.words)
         assert (got.matches + got.substitutions + got.deletions
                 == src.word_count)
+
+    @pytest.mark.parametrize("chunk_cells,cases", [(None, 80), (1, 20)])
+    def test_greedy_step_matches_move_by_move_scoring(self, chunk_cells,
+                                                      cases, monkeypatch):
+        if chunk_cells is not None:  # one b value per chunk
+            monkeypatch.setattr(_ShiftSearch, "CHUNK_CELLS", chunk_cells)
+        rng = random.Random(31)
+        for _ in range(cases):
+            k = rng.randint(2, 6)
+            src = tuple(rng.randrange(k) for _ in range(rng.randint(2, 20)))
+            out = tuple(rng.randrange(k) for _ in range(rng.randint(2, 20)))
+            search = _ShiftSearch(src)
+            ed = _edit_distance_ids(search.src, out)
+            assert (search._best_moves(out, ed)
+                    == best_moves_oracle(search.src, out, ed)), (src, out)
+
+    def test_two_block_moves_in_44_distinct_words(self):
+        words = [f"w{i}" for i in range(44)]
+
+        def move(seq, at):  # three words from `at`, five places right
+            rest = seq[:at] + seq[at + 3:]
+            return rest[:at + 5] + seq[at:at + 3] + rest[at + 5:]
+
+        out = move(words[:22], 4) + move(words[22:], 8)
+        got = ter_align(T(" ".join(words)), T(" ".join(out)))
+        assert got == EditBreakdown(
+            insertions=0, deletions=0, substitutions=0, shifts=2,
+            matches=44, num_errors=2, normalized_score=2 / 44)
 
     @pytest.mark.parametrize("alphabet", ["ab", "abc", "abcdef"])
     def test_matches_exhaustive_shift_oracle(self, alphabet):

@@ -1,5 +1,7 @@
 """Standardizer, PCA, linear learners, pipeline, CV and persistence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,24 @@ class TestClassifier:
         model = fit_classifier(X, y, lam=0.5, n_classes=3)
         p = model.predict_proba(X)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
+
+    def test_converged_fit_does_not_warn(self):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 3, size=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_classifier(X, y, lam=0.5, n_classes=3)
+
+    def test_iteration_cap_warns(self):
+        # 200 rows, 6 columns, three overlapping classes, small penalty:
+        # the gradient norm is still ~1e-3 after 5 000 iterations
+        rng = np.random.default_rng(2016)
+        X = rng.standard_normal((200, 6))
+        y = np.argmax(X[:, :3] * 3.0 + 0.3 * rng.standard_normal((200, 3)),
+                      axis=1)
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            fit_classifier(X, y, lam=0.001)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(16)
