@@ -3,7 +3,14 @@
 # features -> rank -> train -> evaluate -> report.
 #
 #   bash demos/05_cli_workflow.sh [workdir]
+#
+# From a checkout without an installed package, put src/ on the path:
+#
+#   PYTHONPATH=$PWD/src bash demos/05_cli_workflow.sh [workdir]
 set -euo pipefail
+
+# The module entry point works with or without an installed console script.
+tseval() { python3 -m tseval.cli "$@"; }
 
 WORKDIR="${1:-$(mktemp -d)}"
 mkdir -p "$WORKDIR"

@@ -11,7 +11,8 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .features import FeatureMatrix, compute_matrix, registry
 from .qemodel import (
     DEFAULT_PCA_COMPONENTS,
     MODEL_KINDS,
+    IterationCapWarning,
     PipelineConfig,
     cross_validate,
     fit_pipeline,
@@ -99,18 +101,14 @@ class RunConfig:
     folds: int = 5
     seed: int = DEFAULT_SEED
     out: str = "."
-    jobs: int = 1
     resources: Resources = field(default_factory=Resources)
 
 
-_SETTING_KEYS = (
-    "train", "test", "freq_table", "concreteness", "vectors", "lm_corpus",
-    "features", "dimension", "model", "lam", "pca_k", "folds", "seed",
-    "out", "jobs",
-)
-_HARD_DEFAULTS = {
-    "model": "ridge", "pca_k": DEFAULT_PCA_COMPONENTS, "folds": 5,
-    "seed": DEFAULT_SEED, "out": ".", "jobs": 1,
+# Settings a flag or the config file may give, with the conversion of a
+# config-file value; field types are strings under postponed annotations.
+_SETTINGS = {
+    f.name: {"int": int, "float": float}.get(f.type.split(" | ")[0], str)
+    for f in fields(RunConfig) if f.name not in ("command", "resources")
 }
 
 
@@ -156,12 +154,13 @@ def _shared_flags() -> argparse.ArgumentParser:
     g.add_argument("--folds", type=int)
     g.add_argument("--seed", type=int)
     g.add_argument("--out", help="output directory (default: .)")
-    g.add_argument("--jobs", type=int)
     return shared
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    settings: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict:
+    """Settings from a key = value file, converted and checked like the
+    matching flags."""
+    settings: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -174,31 +173,25 @@ def _parse_config_file(path: str) -> dict[str, str]:
             raise TsevalError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _SETTING_KEYS:
+        if key not in _SETTINGS:
             raise TsevalError(f"{path}:{lineno}: unknown setting {key!r}")
-        settings[key] = value.strip().strip("\"'")
+        value = value.strip().strip("\"'")
+        try:
+            settings[key] = _SETTINGS[key](value)
+        except ValueError as exc:
+            raise TsevalError(f"{path}:{lineno}: {key}: {exc}") from None
+        if key == "model" and value not in MODEL_KINDS:
+            raise TsevalError(
+                f"{path}:{lineno}: model: unknown model kind {value!r} "
+                f"(choose from {', '.join(MODEL_KINDS)})")
     return settings
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    file_settings: dict[str, str] = {}
-    if args.config:
-        file_settings = _parse_config_file(args.config)
-    merged: dict = {}
-    for key in _SETTING_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        elif key in file_settings:
-            raw = file_settings[key]
-            if key in ("pca_k", "folds", "seed", "jobs"):
-                merged[key] = int(raw)
-            elif key == "lam":
-                merged[key] = float(raw)
-            else:
-                merged[key] = raw
-        elif key in _HARD_DEFAULTS:
-            merged[key] = _HARD_DEFAULTS[key]
+    merged = _parse_config_file(args.config) if args.config else {}
+    for key in _SETTINGS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     if isinstance(merged.get("features"), str):
         merged["features"] = [f.strip() for f in merged["features"].split(",")
                               if f.strip()]
@@ -280,17 +273,11 @@ def cmd_features(cfg: RunConfig) -> int:
     timing_total: dict[str, float] = {}
     for split, dataset in datasets:
         pairs = qats_io.to_pairs(dataset)
-        timings: dict[str, float] = {}
         start = time.perf_counter()
-        if cfg.jobs > 1:
-            matrix = compute_matrix(pairs, cfg.resources, names, jobs=cfg.jobs)
-        else:
-            matrix = compute_matrix(pairs, cfg.resources, names,
-                                    timings=timings)
+        matrix = compute_matrix(pairs, cfg.resources, names,
+                                timings=timing_total)
         elapsed = time.perf_counter() - start
         results.append((split, matrix))
-        for name, seconds in timings.items():
-            timing_total[name] = timing_total.get(name, 0.0) + seconds
         print(f"{split}: {len(pairs)} pairs x {len(names)} features "
               f"in {elapsed:.2f}s")
 
@@ -354,16 +341,27 @@ def cmd_train(cfg: RunConfig) -> int:
     encoded = qats_io.encode_labels(train_ds, dimension)
     y = encoded.astype(int) if cfg.model == "logistic" else encoded
     config = PipelineConfig(kind=cfg.model, pca_k=cfg.pca_k)
-    if cfg.lam is not None:
-        lam = 0.0 if cfg.model == "linreg" else cfg.lam
-        cv_results = {lam: cross_validate(
-            matrix, y, PipelineConfig(kind=cfg.model, lam=lam,
-                                      pca_k=cfg.pca_k),
-            folds=cfg.folds, seed=cfg.seed, jobs=cfg.jobs)}
-    else:
-        lam, cv_results = select_lambda(matrix, y, config, folds=cfg.folds,
-                                        seed=cfg.seed, jobs=cfg.jobs)
-    config = PipelineConfig(kind=cfg.model, lam=lam, pca_k=cfg.pca_k)
+    # Cap warnings of the CV and final fits are counted, not shown one by
+    # one; any other warning is shown as usual.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IterationCapWarning)
+        if cfg.lam is not None:
+            lam = 0.0 if cfg.model == "linreg" else cfg.lam
+            cv_results = {lam: cross_validate(
+                matrix, y, PipelineConfig(kind=cfg.model, lam=lam,
+                                          pca_k=cfg.pca_k),
+                folds=cfg.folds, seed=cfg.seed)}
+        else:
+            lam, cv_results = select_lambda(matrix, y, config,
+                                            folds=cfg.folds, seed=cfg.seed)
+        config = PipelineConfig(kind=cfg.model, lam=lam, pca_k=cfg.pca_k)
+        pipeline = fit_pipeline(matrix, y, dimension, config)
+    capped = []
+    for w in caught:
+        if isinstance(w.message, IterationCapWarning):
+            capped.append(w.message.lam)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
     print(f"cross-validation ({cfg.folds} folds, seed {cfg.seed}):")
     for grid_lam, result in cv_results.items():
@@ -372,7 +370,11 @@ def cmd_train(cfg: RunConfig) -> int:
         print(f"  lambda={grid_lam:<8g} mean {result.metric} "
               f"{result.mean:.4f}  [{folds_str}]{marker}")
 
-    pipeline = fit_pipeline(matrix, y, dimension, config)
+    if capped:
+        fits = sum(len(r.fold_scores) for r in cv_results.values()) + 1
+        lams = ", ".join(f"{x:g}" for x in dict.fromkeys(capped))
+        print(f"warning: {len(capped)} of {fits} logistic fits stopped at "
+              f"the iteration cap (lambda = {lams})")
     if cfg.model == "lasso" and not np.any(pipeline.model.weights):
         print("warning: lasso selected no features (all weights zero)")
     path = _model_path(out_dir, dimension, cfg.model)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -148,29 +147,16 @@ def _lm_feature(ctx: _PairContext, reduce) -> float:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """A named elementary metric.
-
-    direction_hint records the sign of correlation with human judgments
-    this feature is expected to show per dimension (metadata only; +1, -1
-    or 0 when no expectation is recorded).
-    """
+    """A named elementary metric."""
 
     name: str
     requires: frozenset[str]
     compute: callable = field(repr=False)
-    direction_hint: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def hint(self, dimension: str) -> int:
-        return self.direction_hint.get(dimension, 0)
 
 
-def _spec(name, compute, requires=(), hints=()):
-    return FeatureSpec(
-        name=name,
-        requires=frozenset(requires),
-        compute=compute,
-        direction_hint=dict(hints),
-    )
+def _spec(name, compute, requires=()):
+    return FeatureSpec(name=name, requires=frozenset(requires),
+                       compute=compute)
 
 
 _BLEU_UNSMOOTHED = {n: BleuConfig(max_order=n) for n in (1, 2, 3, 4)}
@@ -178,86 +164,47 @@ _BLEU_SMOOTHED = BleuConfig(max_order=4, smoothing="method7")
 
 
 _REGISTRY: tuple[FeatureSpec, ...] = (
-    _spec("NBSourcePunct",
-          lambda c: float(len(c.pair.source.punct_tokens)),
-          hints=(("S", -1),)),
-    _spec("NBSourceWords",
-          lambda c: float(c.pair.source.word_count),
-          hints=(("G", -1), ("M", -1), ("S", -1))),
-    _spec("NBOutputPunct",
-          lambda c: float(len(c.pair.output.punct_tokens)),
-          hints=(("S", -1),)),
-    _spec("TypeTokenRatio",
-          lambda c: _type_token_ratio(c.pair.output),
-          hints=(("S", -1),)),
-    _spec("TERp_Del",
-          lambda c: float(c.ter.deletions),
-          hints=(("G", -1), ("M", -1))),
-    _spec("TERp_NumEr",
-          lambda c: float(c.ter.num_errors),
-          hints=(("G", -1), ("M", -1))),
-    _spec("TERp_Sub",
-          lambda c: float(c.ter.substitutions),
-          hints=(("M", -1),)),
-    _spec("TERp",
-          lambda c: c.ter.normalized_score,
-          hints=(("G", -1), ("M", -1))),
+    _spec("NBSourcePunct", lambda c: float(len(c.pair.source.punct_tokens))),
+    _spec("NBSourceWords", lambda c: float(c.pair.source.word_count)),
+    _spec("NBOutputPunct", lambda c: float(len(c.pair.output.punct_tokens))),
+    _spec("TypeTokenRatio", lambda c: _type_token_ratio(c.pair.output)),
+    _spec("TERp_Del", lambda c: float(c.ter.deletions)),
+    _spec("TERp_NumEr", lambda c: float(c.ter.num_errors)),
+    _spec("TERp_Sub", lambda c: float(c.ter.substitutions)),
+    _spec("TERp", lambda c: c.ter.normalized_score),
     _spec("BLEU_1gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[1]),
-          hints=(("G", 1), ("M", 1))),
+          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[1])),
     _spec("BLEU_2gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[2]),
-          hints=(("G", 1), ("M", 1))),
+          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[2])),
     _spec("BLEU_3gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[3]),
-          hints=(("G", 1), ("M", 1))),
+          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[3])),
     _spec("BLEU_4gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[4]),
-          hints=(("G", 1), ("M", 1))),
-    _spec("METEOR",
-          lambda c: meteor(c.pair.source, c.pair.output),
-          hints=(("G", 1), ("M", 1))),
-    _spec("ROUGE",
-          lambda c: rouge(c.pair.source, c.pair.output),
-          hints=(("G", 1), ("M", 1))),
+          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[4])),
+    _spec("METEOR", lambda c: meteor(c.pair.source, c.pair.output)),
+    _spec("ROUGE", lambda c: rouge(c.pair.source, c.pair.output)),
     _spec("BLEUSmoothed",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_SMOOTHED),
-          hints=(("G", 1), ("M", 1))),
-    _spec("AvgCosineSim", _avg_cosine, requires=("vectors",),
-          hints=(("G", 1), ("M", 1))),
-    _spec("NBOutputChars",
-          lambda c: float(c.pair.output.char_count),
-          hints=(("S", -1),)),
+          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_SMOOTHED)),
+    _spec("AvgCosineSim", _avg_cosine, requires=("vectors",)),
+    _spec("NBOutputChars", lambda c: float(c.pair.output.char_count)),
     _spec("NBOutputCharsPerSent",
-          lambda c: _per_sentence(c.pair.output.char_count, c.pair.output),
-          hints=(("S", -1),)),
-    _spec("NBOutputSyllables",
-          lambda c: float(c.output_syllables),
-          hints=(("S", -1),)),
+          lambda c: _per_sentence(c.pair.output.char_count, c.pair.output)),
+    _spec("NBOutputSyllables", lambda c: float(c.output_syllables)),
     _spec("NBOutputSyllablesPerSent",
-          lambda c: _per_sentence(c.output_syllables, c.pair.output),
-          hints=(("S", -1),)),
-    _spec("NBOutputWords",
-          lambda c: float(c.pair.output.word_count),
-          hints=(("S", -1),)),
+          lambda c: _per_sentence(c.output_syllables, c.pair.output)),
+    _spec("NBOutputWords", lambda c: float(c.pair.output.word_count)),
     _spec("NBOutputWordsPerSent",
-          lambda c: _words_per_sentence(c.pair.output),
-          hints=(("S", -1),)),
+          lambda c: _words_per_sentence(c.pair.output)),
     _spec("AvgLMProbsOutput",
           lambda c: _lm_feature(c, lambda xs: sum(xs) / len(xs)),
-          requires=("lm",), hints=(("G", 1), ("M", 1))),
-    _spec("MinLMProbsOutput",
-          lambda c: _lm_feature(c, min),
-          requires=("lm",), hints=(("G", 1), ("S", 1))),
-    _spec("MaxPosInFreqTable", _max_freq_rank, requires=("freq_table",),
-          hints=(("S", -1),)),
-    _spec("AvgConcreteness", _avg_concreteness, requires=("concreteness",),
-          hints=(("M", -1), ("S", 1))),
-    _spec("OutputFKGL", _fkgl, hints=(("S", -1),)),
-    _spec("OutputFRE", _fre, hints=(("S", 1),)),
+          requires=("lm",)),
+    _spec("MinLMProbsOutput", lambda c: _lm_feature(c, min),
+          requires=("lm",)),
+    _spec("MaxPosInFreqTable", _max_freq_rank, requires=("freq_table",)),
+    _spec("AvgConcreteness", _avg_concreteness, requires=("concreteness",)),
+    _spec("OutputFKGL", _fkgl),
+    _spec("OutputFRE", _fre),
     _spec("WordsInCommon",
-          lambda c: _words_in_common(c.pair.source, c.pair.output),
-          hints=(("G", 1), ("M", 1))),
+          lambda c: _words_in_common(c.pair.source, c.pair.output)),
 )
 
 _BY_NAME = {spec.name: spec for spec in _REGISTRY}
@@ -273,30 +220,47 @@ def feature_names() -> tuple[str, ...]:
     return tuple(spec.name for spec in _REGISTRY)
 
 
-def _select(which: Sequence[str] | None) -> tuple[FeatureSpec, ...]:
+def _select(which: Sequence[str] | None,
+            resources: Resources) -> tuple[FeatureSpec, ...]:
+    """The named specs (all when which is None), each checked to have its
+    resources loaded."""
     if which is None:
-        return _REGISTRY
-    specs = []
-    for name in which:
-        if name not in _BY_NAME:
-            raise DataFormatError(f"unknown feature {name!r}")
-        specs.append(_BY_NAME[name])
-    return tuple(specs)
+        specs = _REGISTRY
+    else:
+        for name in which:
+            if name not in _BY_NAME:
+                raise DataFormatError(f"unknown feature {name!r}")
+        specs = tuple(_BY_NAME[name] for name in which)
+    for spec in specs:
+        for kind in spec.requires:
+            if not resources.has(kind):
+                raise ResourceMissingError(spec.name, kind)
+    return specs
+
+
+def _row(pair: SentencePair, specs: Sequence[FeatureSpec],
+         resources: Resources,
+         timings: dict[str, float] | None = None) -> list[float]:
+    """Feature values of one pair; per-feature wall time is added to
+    timings when it is given."""
+    ctx = _PairContext(pair, resources)
+    row = []
+    for spec in specs:
+        start = time.perf_counter()
+        row.append(float(spec.compute(ctx)))
+        if timings is not None:
+            timings[spec.name] = (timings.get(spec.name, 0.0)
+                                  + time.perf_counter() - start)
+    return row
 
 
 def compute_features(pair: SentencePair,
                      resources: Resources = EMPTY_RESOURCES,
                      which: Sequence[str] | None = None) -> dict[str, float]:
     """Compute the named features of one pair as an ordered name -> value map."""
-    specs = _select(which)
-    ctx = _PairContext(pair, resources)
-    values: dict[str, float] = {}
-    for spec in specs:
-        for kind in spec.requires:
-            if not resources.has(kind):
-                raise ResourceMissingError(spec.name, kind)
-        values[spec.name] = float(spec.compute(ctx))
-    return values
+    specs = _select(which, resources)
+    values = _row(pair, specs, resources)
+    return {spec.name: value for spec, value in zip(specs, values)}
 
 
 @dataclass(frozen=True)
@@ -365,46 +329,23 @@ class FeatureMatrix:
 def compute_matrix(pairs: Sequence[SentencePair],
                    resources: Resources = EMPTY_RESOURCES,
                    which: Sequence[str] | None = None,
-                   jobs: int = 1,
                    timings: dict[str, float] | None = None) -> FeatureMatrix:
     """Feature matrix over pairs; row order always matches input order.
 
-    With jobs > 1 rows are evaluated concurrently. When a timings dict is
-    supplied (sequential mode only) per-feature wall time is accumulated
+    When a timings dict is supplied, per-feature wall time is accumulated
     into it.
     """
-    specs = _select(which)
-    names = tuple(spec.name for spec in specs)
-
-    def one_row(pair: SentencePair) -> list[float]:
+    specs = _select(which, resources)
+    rows = []
+    for pair in pairs:
         try:
-            if timings is None:
-                return list(compute_features(pair, resources, names).values())
-            ctx = _PairContext(pair, resources)
-            row = []
-            for spec in specs:
-                for kind in spec.requires:
-                    if not resources.has(kind):
-                        raise ResourceMissingError(spec.name, kind)
-                start = time.perf_counter()
-                row.append(float(spec.compute(ctx)))
-                timings[spec.name] = (timings.get(spec.name, 0.0)
-                                      + time.perf_counter() - start)
-            return row
-        except ResourceMissingError:
-            raise
+            rows.append(_row(pair, specs, resources, timings))
         except Exception as exc:
             raise DegenerateDataError(f"pair {pair.id!r}: {exc}") from exc
 
-    if jobs > 1 and timings is None:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one_row, pairs))
-    else:
-        rows = [one_row(p) for p in pairs]
-
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+    data = np.asarray(rows, dtype=float).reshape(len(rows), len(specs))
     if not np.all(np.isfinite(data)):
         bad = [pairs[i].id for i in np.nonzero(~np.isfinite(data).all(axis=1))[0]]
         raise DegenerateDataError(f"non-finite feature values for pairs {bad}")
-    return FeatureMatrix(feature_names=names, rows=data,
-                         row_ids=tuple(p.id for p in pairs))
+    return FeatureMatrix(feature_names=tuple(spec.name for spec in specs),
+                         rows=data, row_ids=tuple(p.id for p in pairs))

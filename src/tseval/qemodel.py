@@ -28,6 +28,7 @@ __all__ = [
     "TrainedPipeline",
     "PipelineConfig",
     "CVResult",
+    "IterationCapWarning",
     "fit_standardizer",
     "fit_pca",
     "fit_regressor",
@@ -45,6 +46,7 @@ __all__ = [
 MODEL_KINDS = ("linreg", "ridge", "lasso", "logistic")
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 DEFAULT_PCA_COMPONENTS = 25
+_N_CLASSES = 3  # Bad, OK, Good
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,15 @@ def _nll_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray,
     return nll, grad_w, grad_b
 
 
+class IterationCapWarning(RuntimeWarning):
+    """fit_classifier stopped at its iteration cap before converging."""
+
+    def __init__(self, lam: float):
+        super().__init__("logistic gradient descent hit the iteration cap "
+                         f"before converging (lambda = {lam:g})")
+        self.lam = lam
+
+
 def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
                    n_classes: int | None = None, tol: float = 1e-6,
                    max_iter: int = 5_000) -> LinearModel:
@@ -281,8 +292,7 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
         if grad_norm < tol:
             break
         if it == max_iter:
-            warnings.warn("logistic gradient descent hit the iteration cap "
-                          "before converging", RuntimeWarning, stacklevel=2)
+            warnings.warn(IterationCapWarning(lam), stacklevel=2)
             break
         # backtracking line search (Armijo), warm-started from last step
         step = min(step * 2.0, 1e4)
@@ -309,7 +319,6 @@ class PipelineConfig:
     kind: str = "ridge"
     lam: float = 1.0
     pca_k: int = DEFAULT_PCA_COMPONENTS
-    fit_intercept: bool = True
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -357,11 +366,10 @@ def fit_pipeline(matrix: FeatureMatrix, y: Sequence[float] | Sequence[int],
     projected = pca.transform(Z)
     if config.kind == "logistic":
         model = fit_classifier(projected, np.asarray(y, dtype=int),
-                               lam=config.lam, n_classes=3)
+                               lam=config.lam, n_classes=_N_CLASSES)
     else:
         model = fit_regressor(projected, y, kind=config.kind,
-                              lam=config.lam,
-                              fit_intercept=config.fit_intercept)
+                              lam=config.lam)
     return TrainedPipeline(standardizer=std, pca=pca, model=model,
                            dimension=dimension,
                            feature_names=matrix.feature_names)
@@ -415,15 +423,13 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
-                   folds: int = 5, seed: int = 42, dimension: str = "",
-                   jobs: int = 1) -> CVResult:
+                   folds: int = 5, seed: int = 42) -> CVResult:
     """K-fold cross-validation with the standardizer, PCA and model all
     refit on each fold's training part.
 
     Regression folds are scored by Pearson correlation, classification
     folds by weighted F1. Folds whose predictions are degenerate
-    (constant) score zero. Folds may be evaluated concurrently (jobs > 1);
-    scores are reported in fold order either way.
+    (constant) score zero.
     """
     n = matrix.rows.shape[0]
     if not 2 <= folds <= n:
@@ -444,7 +450,7 @@ def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
             rows=matrix.rows[held_out],
             row_ids=tuple(np.asarray(matrix.row_ids)[held_out]),
         )
-        pipeline = fit_pipeline(train, y[mask], dimension, config)
+        pipeline = fit_pipeline(train, y[mask], "", config)
         predictions = predict(pipeline, test)
         if classification:
             return weighted_f1(list(predictions), list(y[held_out]))
@@ -453,22 +459,14 @@ def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
         except DegenerateDataError:
             return 0.0
 
-    fold_sets = _fold_indices(n, folds, seed)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(one_fold, fold_sets))
-    else:
-        scores = [one_fold(f) for f in fold_sets]
+    scores = [one_fold(f) for f in _fold_indices(n, folds, seed)]
     return CVResult(metric="weighted_f1" if classification else "pearson",
                     fold_scores=tuple(scores))
 
 
 def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
                   grid: Sequence[float] = LAMBDA_GRID, folds: int = 5,
-                  seed: int = 42, jobs: int = 1
-                  ) -> tuple[float, dict[float, CVResult]]:
+                  seed: int = 42) -> tuple[float, dict[float, CVResult]]:
     """Pick the regularization strength with the best mean CV score.
 
     linreg has no penalty, so the grid collapses to {0}.
@@ -476,12 +474,12 @@ def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
     if config.kind == "linreg":
         lam = 0.0
         return lam, {lam: cross_validate(matrix, y, replace(config, lam=lam),
-                                         folds, seed, jobs=jobs)}
+                                         folds, seed)}
     results: dict[float, CVResult] = {}
     best_lam, best_score = None, -math.inf
     for lam in grid:
         result = cross_validate(matrix, y, replace(config, lam=lam),
-                                folds, seed, jobs=jobs)
+                                folds, seed)
         results[lam] = result
         if result.mean > best_score:
             best_lam, best_score = lam, result.mean
@@ -558,49 +556,98 @@ class _Reader:
                 )
         return line
 
-    def vector(self) -> np.ndarray:
-        return np.array([float(x) for x in self.next().split()], dtype=float)
+    def value(self, section: str, convert=str):
+        """The value after the section name on the next line, converted;
+        convert raises ValueError on a bad value."""
+        line = self.next(section)
+        parts = line.split(maxsplit=1)
+        try:
+            return convert(parts[1])
+        except (IndexError, ValueError):
+            raise DataFormatError(
+                f"{self.path}:{self.pos}: bad value in {line!r}"
+            ) from None
+
+    def vector(self, section: str, width: int) -> np.ndarray:
+        """The next line as exactly width finite numbers."""
+        try:
+            v = np.array([float(x) for x in self.next().split()], dtype=float)
+        except ValueError:
+            raise DataFormatError(
+                f"{self.path}:{self.pos}: non-numeric value in {section}"
+            ) from None
+        if v.shape != (width,):
+            raise DataFormatError(
+                f"{self.path}:{self.pos}: {section} has {v.size} values, "
+                f"expected {width}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise DataFormatError(
+                f"{self.path}:{self.pos}: non-finite value in {section}"
+            )
+        return v
+
+    def matrix(self, section: str, rows: int, width: int) -> np.ndarray:
+        return np.vstack([self.vector(section, width) for _ in range(rows)])
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"count {n} is not positive")
+    return n
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
 
 
 def load_pipeline(path: str | Path) -> TrainedPipeline:
-    """Load a pipeline serialized by save_pipeline."""
+    """Load a pipeline serialized by save_pipeline.
+
+    Every section is checked against the feature, component and class
+    counts and for finite values; a malformed file raises DataFormatError.
+    """
     reader = _Reader(Path(path))
     header = reader.next()
     if header != _FORMAT_HEADER:
         raise DataFormatError(
             f"{path}: unsupported pipeline format {header!r}"
         )
-    dimension = reader.next("dimension").split(maxsplit=1)[1]
-    kind = reader.next("kind").split()[1]
-    lam = float(reader.next("lambda").split()[1])
-    n_features = int(reader.next("features").split()[1])
+    dimension = reader.value("dimension")
+    kind = reader.value("kind")
+    if kind not in MODEL_KINDS:
+        raise DataFormatError(f"{path}:{reader.pos}: unknown model kind "
+                              f"{kind!r}")
+    lam = reader.value("lambda", _finite)
+    n_features = reader.value("features", _count)
     names = tuple(reader.next() for _ in range(n_features))
     reader.next("means")
-    means = reader.vector()
+    means = reader.vector("means", n_features)
     reader.next("stds")
-    stds = reader.vector()
+    stds = reader.vector("stds", n_features)
     reader.next("pca_mean")
-    pca_mean = reader.vector()
-    k = int(reader.next("components").split()[1])
-    components = np.vstack([reader.vector() for _ in range(k)])
+    pca_mean = reader.vector("pca_mean", n_features)
+    k = reader.value("components", _count)
+    components = reader.matrix("components", k, n_features)
     reader.next("explained_variance")
-    explained = reader.vector()
+    explained = reader.vector("explained_variance", k)
     if kind == "logistic":
-        c = int(reader.next("class_weights").split()[1])
-        weights = np.vstack([reader.vector() for _ in range(c)])
+        classes = reader.value("class_weights", int)
+        if classes != _N_CLASSES:
+            raise DataFormatError(f"{path}:{reader.pos}: {classes} classes, "
+                                  f"expected {_N_CLASSES}")
+        weights = reader.matrix("class_weights", classes, k)
         reader.next("intercepts")
-        intercept = reader.vector()
+        intercept = reader.vector("intercepts", classes)
     else:
         reader.next("weights")
-        weights = reader.vector()
+        weights = reader.vector("weights", k)
         reader.next("intercept")
-        intercept = np.float64(float(reader.next()))
-    for arr, width in ((means, n_features), (stds, n_features),
-                       (pca_mean, n_features)):
-        if arr.shape != (width,):
-            raise DataFormatError(f"{path}: malformed vector section")
-    if components.shape != (k, n_features):
-        raise DataFormatError(f"{path}: malformed PCA components")
+        intercept = reader.vector("intercept", 1)[0]
     model = LinearModel(kind=kind, weights=weights, intercept=intercept,
                         lam=lam)
     return TrainedPipeline(

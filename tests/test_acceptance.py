@@ -291,8 +291,7 @@ def test_criterion_11_runtime_full_matrix(qats_data, tmp_path):
     resources = _full_resources(pairs, tmp_path)
 
     start = time.perf_counter()
-    matrix = compute_matrix(pairs, resources, which=list(feature_names()),
-                            jobs=1)
+    matrix = compute_matrix(pairs, resources, which=list(feature_names()))
     elapsed = time.perf_counter() - start
     assert matrix.rows.shape == (631, 29)
     assert np.isfinite(matrix.rows).all()

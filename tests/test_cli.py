@@ -1,6 +1,9 @@
 """End-to-end CLI workflow on synthetic data: features -> rank -> train ->
 evaluate -> report, plus determinism, config files and exit codes."""
 
+import re
+
+import numpy as np
 import pytest
 
 from tseval.cli import main
@@ -164,6 +167,29 @@ class TestTrainEvaluateCommands:
         printed = capsys.readouterr().out
         assert "no features" in printed
 
+    def test_logistic_iteration_cap_reported_once(self, tmp_path, capsys):
+        # the inputs of test_qemodel's iteration-cap test: 200 rows, 6
+        # columns, three overlapping classes, lambda = 0.001
+        rng = np.random.default_rng(2016)
+        X = rng.standard_normal((200, 6))
+        y = np.argmax(X[:, :3] * 3.0 + 0.3 * rng.standard_normal((200, 3)),
+                      axis=1)
+        labels = [("Bad", "OK", "Good")[c] for c in y]
+        (tmp_path / "train.tsv").write_text(
+            "original\tsimplified\tG\tM\tS\tOverall\n"
+            + "".join(f"A b c.\tA b.\t{g}\t{g}\t{g}\t{g}\n" for g in labels))
+        (tmp_path / "features_train.tsv").write_text(
+            "id\t" + "\t".join(f"f{j}" for j in range(6)) + "\n"
+            + "".join(f"{i}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
+                      for i, row in enumerate(X)))
+        code = run("train", "--train", str(tmp_path / "train.tsv"),
+                   "--dimension", "G", "--model", "logistic", "--lam", "0.001",
+                   "--pca-k", "6", "--folds", "2", "--out", str(tmp_path))
+        assert code == 0
+        assert re.search(r"^warning: [123] of 3 logistic fits stopped at the "
+                         r"iteration cap \(lambda = 0\.001\)$",
+                         capsys.readouterr().out, re.MULTILINE)
+
 
 class TestReportCommand:
     def test_distribution_table(self, synthetic_dataset_dir, tmp_path, capsys):
@@ -213,6 +239,19 @@ class TestConfigFileAndErrors:
         config = tmp_path / "run.cfg"
         config.write_text("no_such_setting = 1\n")
         assert run("features", "--config", str(config)) == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("folds = abc", "folds: invalid literal for int()"),
+        ("lam = small", "lam: could not convert string to float"),
+        ("model = foo", "model: unknown model kind 'foo'"),
+        ("jobs = 2", "unknown setting 'jobs'"),
+    ])
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, line,
+                                            message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\n{line}\n")
+        assert run("train", "--config", str(config)) == 2
+        assert f"{config}:2: {message}" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         assert run("features") == 1  # --train missing

@@ -67,12 +67,6 @@ class TestRegistry:
         assert by_name["AvgConcreteness"].requires == {"concreteness"}
         assert by_name["METEOR"].requires == set()
 
-    def test_direction_hints_are_metadata(self):
-        by_name = {spec.name: spec for spec in registry()}
-        assert by_name["NBOutputCharsPerSent"].hint("S") == -1
-        assert by_name["METEOR"].hint("G") == 1
-        assert by_name["METEOR"].hint("S") == 0
-
 
 class TestComputeFeatures:
     def test_length_and_readability_example(self):
@@ -221,12 +215,19 @@ class TestComputeMatrix:
         matrix = compute_matrix(self._pairs(), full_resources)
         assert np.isfinite(matrix.rows).all()
 
-    def test_jobs_do_not_change_result(self, full_resources):
-        pairs = self._pairs() * 4
-        m1 = compute_matrix(pairs, full_resources, jobs=1)
-        m4 = compute_matrix(pairs, full_resources, jobs=4)
-        assert np.array_equal(m1.rows, m4.rows)
-        assert m1.row_ids == m4.row_ids
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_rows_match_compute_features(self, full_resources, timed):
+        pairs = self._pairs()
+        timings = {} if timed else None
+        matrix = compute_matrix(pairs, full_resources, timings=timings)
+        for pair, row in zip(pairs, matrix.rows):
+            values = compute_features(pair, full_resources)
+            assert tuple(values) == matrix.feature_names
+            assert list(values.values()) == row.tolist()
+
+    def test_missing_resource_rejected_without_pairs(self):
+        with pytest.raises(ResourceMissingError, match="AvgCosineSim"):
+            compute_matrix([], which=["ROUGE", "AvgCosineSim"])
 
     def test_bitwise_deterministic(self, full_resources):
         m1 = compute_matrix(self._pairs(), full_resources)
