@@ -8,6 +8,7 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -110,6 +111,8 @@ _SETTINGS = {
     f.name: {"int": int, "float": float}.get(f.type.split(" | ")[0], str)
     for f in fields(RunConfig) if f.name not in ("command", "resources")
 }
+# Lowest valid value of each numeric setting.
+_MINIMUM = {"folds": 2, "pca_k": 1, "lam": 0.0}
 
 
 def _build_parser() -> _Parser:
@@ -178,6 +181,7 @@ def _parse_config_file(path: str) -> dict:
         value = value.strip().strip("\"'")
         try:
             settings[key] = _SETTINGS[key](value)
+            _check_range(key, settings[key])
         except ValueError as exc:
             raise TsevalError(f"{path}:{lineno}: {key}: {exc}") from None
         if key == "model" and value not in MODEL_KINDS:
@@ -187,11 +191,24 @@ def _parse_config_file(path: str) -> dict:
     return settings
 
 
+def _check_range(key: str, value) -> None:
+    """Raise ValueError if a numeric setting is below its minimum or not
+    finite."""
+    low = _MINIMUM.get(key)
+    if low is not None and not (math.isfinite(value) and value >= low):
+        raise ValueError(f"must be a finite value >= {low:g}, got {value}")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged = _parse_config_file(args.config) if args.config else {}
     for key in _SETTINGS:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
+        value = getattr(args, key)
+        if value is not None:
+            try:
+                _check_range(key, value)
+            except ValueError as exc:
+                raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
+            merged[key] = value
     if isinstance(merged.get("features"), str):
         merged["features"] = [f.strip() for f in merged["features"].split(",")
                               if f.strip()]
@@ -337,6 +354,10 @@ def cmd_train(cfg: RunConfig) -> int:
     if not train_ds.is_labeled:
         raise TsevalError("training requires a labeled training dataset")
     matrix = FeatureMatrix.from_tsv(_features_path(out_dir, "train"))
+    n_rows = matrix.rows.shape[0]
+    if cfg.folds > n_rows:
+        raise TsevalError(f"{cfg.folds} folds need at least {cfg.folds} "
+                          f"training rows, found {n_rows}")
 
     encoded = qats_io.encode_labels(train_ds, dimension)
     y = encoded.astype(int) if cfg.model == "logistic" else encoded

@@ -3,7 +3,7 @@ linear regressors/classifiers, cross-validation and model persistence.
 
 All learners are implemented directly on numpy: ridge and plain least
 squares via the normal equations, lasso by coordinate descent with soft
-thresholding, and multinomial logistic regression by gradient descent
+thresholding, and multinomial logistic regression by damped Newton steps
 with a backtracking line search.
 """
 
@@ -252,26 +252,59 @@ def _nll_and_grad(W: np.ndarray, b: np.ndarray, X: np.ndarray,
     return nll, grad_w, grad_b
 
 
+def _nll_hessian(W: np.ndarray, b: np.ndarray, X: np.ndarray,
+                 lam: float) -> np.ndarray:
+    """Hessian of _nll_and_grad's objective in the parameters ordered
+    class by class, each class's weights followed by its intercept:
+    block (c, k) is [X 1]^T diag(p_c (delta_ck - p_k)) [X 1], plus lam
+    on the weight diagonal."""
+    logits = X @ W.T + b
+    logits -= logits.max(axis=1, keepdims=True)
+    P = np.exp(logits)
+    P /= P.sum(axis=1, keepdims=True)
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    C, m = P.shape[1], Xa.shape[1]
+    H = np.empty((C, m, C, m))
+    for c in range(C):
+        for k in range(c, C):
+            s = P[:, c] * ((c == k) - P[:, k])
+            H[c, :, k, :] = H[k, :, c, :] = (Xa * s[:, None]).T @ Xa
+    H = H.reshape(C * m, C * m)
+    penalty = np.tile(np.r_[np.full(m - 1, lam), 0.0], C)
+    return H + np.diag(penalty)
+
+
+def _norm(grad_w: np.ndarray, grad_b: np.ndarray) -> float:
+    return math.sqrt(float((grad_w * grad_w).sum() + (grad_b * grad_b).sum()))
+
+
+# Relative change of the loss that its evaluation cannot resolve.
+_LOSS_ROUNDING = 10 * np.finfo(float).eps
+
+
 class IterationCapWarning(RuntimeWarning):
     """fit_classifier stopped at its iteration cap before converging."""
 
     def __init__(self, lam: float):
-        super().__init__("logistic gradient descent hit the iteration cap "
+        super().__init__("logistic Newton solver hit the iteration cap "
                          f"before converging (lambda = {lam:g})")
         self.lam = lam
 
 
 def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
                    n_classes: int | None = None, tol: float = 1e-6,
-                   max_iter: int = 5_000) -> LinearModel:
-    """Multinomial logistic regression with an L2 penalty, trained by
-    gradient descent with backtracking line search until the gradient
-    norm falls below tol or the iteration cap is reached; reaching the
-    cap first raises a RuntimeWarning."""
+                   max_iter: int = 100) -> LinearModel:
+    """Multinomial logistic regression with an L2 penalty on the weights
+    (not the intercepts), trained by damped Newton steps with a
+    backtracking (Armijo) line search until the gradient norm falls below
+    tol or the iteration cap is reached; reaching the cap first raises an
+    IterationCapWarning."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X rows and y length must agree")
+    if lam < 0:
+        raise ValueError("regularization strength must be >= 0")
     present = np.unique(y)
     if present.size < 2:
         raise DegenerateDataError(
@@ -281,28 +314,42 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     n, d = X.shape
     Y = np.zeros((n, C))
     Y[np.arange(n), y] = 1.0
+    # The likelihood does not change when the same vector is added to every
+    # class's parameters, so the Hessian is singular along these
+    # class-constant directions (for the weights, only at lam = 0). Adding
+    # U U^T for their orthonormal basis U fixes the gauge: the gradient has
+    # no component along U, so the step is unchanged and the iterates keep
+    # sum_c W_c = 0 and sum_c b_c = 0.
+    gauge = np.kron(np.full((C, C), 1.0 / C), np.eye(d + 1))
 
     W = np.zeros((C, d))
     b = np.zeros(C)
     loss, grad_w, grad_b = _nll_and_grad(W, b, X, Y, lam)
-    step = 1.0
     for it in range(max_iter + 1):
-        grad_norm = math.sqrt(float((grad_w * grad_w).sum()
-                                    + (grad_b * grad_b).sum()))
-        if grad_norm < tol:
+        if _norm(grad_w, grad_b) < tol:
             break
         if it == max_iter:
             warnings.warn(IterationCapWarning(lam), stacklevel=2)
             break
-        # backtracking line search (Armijo), warm-started from last step
-        step = min(step * 2.0, 1e4)
+        # lstsq, not solve: at lam = 0, collinear columns of X leave
+        # flat directions beyond the gauge ones
+        g = np.hstack([grad_w, grad_b[:, None]])
+        step = np.linalg.lstsq(_nll_hessian(W, b, X, lam) + gauge,
+                               g.ravel(), rcond=None)[0].reshape(C, d + 1)
+        decrease = float((g * step).sum())
+        t = 1.0
         while True:
-            W_new = W - step * grad_w
-            b_new = b - step * grad_b
+            W_new = W - t * step[:, :d]
+            b_new = b - t * step[:, d]
             loss_new, gw_new, gb_new = _nll_and_grad(W_new, b_new, X, Y, lam)
-            if loss_new <= loss - 1e-4 * step * grad_norm ** 2 or step < 1e-12:
+            if loss_new <= loss - 1e-4 * t * decrease or t < 1e-10:
                 break
-            step *= 0.5
+            # Close to the optimum the decrease can be below the loss's
+            # rounding error; the gradient then decides.
+            if abs(loss_new - loss) <= _LOSS_ROUNDING * abs(loss) and \
+                    _norm(gw_new, gb_new) < _norm(grad_w, grad_b):
+                break
+            t *= 0.5
         W, b, loss, grad_w, grad_b = W_new, b_new, loss_new, gw_new, gb_new
 
     return LinearModel(kind="logistic", weights=W, intercept=b, lam=lam)

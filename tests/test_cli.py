@@ -1,11 +1,13 @@
 """End-to-end CLI workflow on synthetic data: features -> rank -> train ->
 evaluate -> report, plus determinism, config files and exit codes."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
 
+from tseval import qemodel
 from tseval.cli import main
 
 
@@ -167,9 +169,13 @@ class TestTrainEvaluateCommands:
         printed = capsys.readouterr().out
         assert "no features" in printed
 
-    def test_logistic_iteration_cap_reported_once(self, tmp_path, capsys):
+    def test_logistic_iteration_cap_reported_once(self, tmp_path, capsys,
+                                                  monkeypatch):
         # the inputs of test_qemodel's iteration-cap test: 200 rows, 6
-        # columns, three overlapping classes, lambda = 0.001
+        # columns, three overlapping classes, lambda = 0.001; one Newton
+        # step per fit, so every fit stops at the cap
+        monkeypatch.setattr(qemodel, "fit_classifier", functools.partial(
+            qemodel.fit_classifier, max_iter=1))
         rng = np.random.default_rng(2016)
         X = rng.standard_normal((200, 6))
         y = np.argmax(X[:, :3] * 3.0 + 0.3 * rng.standard_normal((200, 3)),
@@ -245,6 +251,9 @@ class TestConfigFileAndErrors:
         ("lam = small", "lam: could not convert string to float"),
         ("model = foo", "model: unknown model kind 'foo'"),
         ("jobs = 2", "unknown setting 'jobs'"),
+        ("folds = 1", "folds: must be a finite value >= 2, got 1"),
+        ("pca_k = 0", "pca_k: must be a finite value >= 1, got 0"),
+        ("lam = -0.5", "lam: must be a finite value >= 0, got -0.5"),
     ])
     def test_bad_config_value_is_data_error(self, tmp_path, capsys, line,
                                             message):
@@ -252,6 +261,26 @@ class TestConfigFileAndErrors:
         config.write_text(f"# settings\n{line}\n")
         assert run("train", "--config", str(config)) == 2
         assert f"{config}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--folds", "1"), ("--pca-k", "0"), ("--lam", "-0.5"),
+        ("--lam", "nan"),
+    ])
+    def test_bad_flag_value_is_usage_error(self, capsys, flag, value):
+        assert run("train", flag, value) == 1
+        assert f"tseval: error: {flag}: must be a finite value >= " \
+            in capsys.readouterr().err
+
+    def test_more_folds_than_rows_is_data_error(self, synthetic_dataset_dir,
+                                                workflow_dir, tmp_path,
+                                                capsys):
+        base = synthetic_dataset_dir
+        (tmp_path / "features_train.tsv").write_bytes(
+            (workflow_dir / "features_train.tsv").read_bytes())
+        assert run("train", "--train", str(base / "train.tsv"),
+                   "--folds", "53", "--out", str(tmp_path)) == 2
+        assert "53 folds need at least 53 training rows, found 52" \
+            in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         assert run("features") == 1  # --train missing
