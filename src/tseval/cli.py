@@ -13,7 +13,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +23,10 @@ from . import qats_io
 from .features import FeatureMatrix, compute_matrix, registry
 from .qemodel import (
     DEFAULT_PCA_COMPONENTS,
+    LAMBDA_GRID,
     MODEL_KINDS,
     IterationCapWarning,
     PipelineConfig,
-    cross_validate,
     fit_pipeline,
     load_pipeline,
     predict,
@@ -362,27 +362,19 @@ def cmd_train(cfg: RunConfig) -> int:
     encoded = qats_io.encode_labels(train_ds, dimension)
     y = encoded.astype(int) if cfg.model == "logistic" else encoded
     config = PipelineConfig(kind=cfg.model, pca_k=cfg.pca_k)
+    grid = LAMBDA_GRID if cfg.lam is None else (cfg.lam,)
     # Cap warnings of the CV and final fits are counted, not shown one by
-    # one; any other warning is shown as usual.
+    # one; any other warning is shown once, as a plain line.
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IterationCapWarning)
-        if cfg.lam is not None:
-            lam = 0.0 if cfg.model == "linreg" else cfg.lam
-            cv_results = {lam: cross_validate(
-                matrix, y, PipelineConfig(kind=cfg.model, lam=lam,
-                                          pca_k=cfg.pca_k),
-                folds=cfg.folds, seed=cfg.seed)}
-        else:
-            lam, cv_results = select_lambda(matrix, y, config,
-                                            folds=cfg.folds, seed=cfg.seed)
-        config = PipelineConfig(kind=cfg.model, lam=lam, pca_k=cfg.pca_k)
-        pipeline = fit_pipeline(matrix, y, dimension, config)
-    capped = []
-    for w in caught:
-        if isinstance(w.message, IterationCapWarning):
-            capped.append(w.message.lam)
-        else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        warnings.simplefilter("always")
+        lam, cv_results = select_lambda(matrix, y, config, grid=grid,
+                                        folds=cfg.folds, seed=cfg.seed)
+        pipeline = fit_pipeline(matrix, y, dimension,
+                                replace(config, lam=lam))
+    capped = [w.message.lam for w in caught
+              if isinstance(w.message, IterationCapWarning)]
+    other = dict.fromkeys(str(w.message) for w in caught
+                          if not isinstance(w.message, IterationCapWarning))
 
     print(f"cross-validation ({cfg.folds} folds, seed {cfg.seed}):")
     for grid_lam, result in cv_results.items():
@@ -396,6 +388,8 @@ def cmd_train(cfg: RunConfig) -> int:
         lams = ", ".join(f"{x:g}" for x in dict.fromkeys(capped))
         print(f"warning: {len(capped)} of {fits} logistic fits stopped at "
               f"the iteration cap (lambda = {lams})")
+    for message in other:
+        print(f"warning: {message}")
     if cfg.model == "lasso" and not np.any(pipeline.model.weights):
         print("warning: lasso selected no features (all weights zero)")
     path = _model_path(out_dir, dimension, cfg.model)

@@ -497,87 +497,63 @@ def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
 class _ShiftSearch:
     """Block-shift search over the output sequence.
 
-    The engine is greedy: repeatedly apply the single block move (any
-    contiguous block to any position) that most reduces the word edit
-    distance to the source; moves that tie on the reduction are each
-    explored and the best completion kept. A move is only applied while
-    it strictly reduces the edit distance, so the total error count never
-    exceeds the plain edit distance, and the search stops as soon as the
-    multiset lower bound is reached (no rearrangement can ever do
-    better).
+    Outputs of more than EXACT_LIMIT tokens get the greedy search of
+    TERCOM: repeatedly apply the first block move (any contiguous block to
+    any position) that most reduces the word edit distance to the source,
+    while some move strictly reduces it and the distance is above the
+    multiset lower bound (no rearrangement can ever do better). The total
+    error count therefore never exceeds the plain edit distance. Edit
+    distance with block moves is NP-complete, so this is an upper bound.
 
-    Greedy can miss optima that require a non-improving intermediate
-    move, so for short outputs (<= EXACT_LIMIT tokens) whose greedy total
-    still exceeds the lower bound, a bounded best-first search over move
-    sequences closes the gap exactly; longer outputs keep the greedy
-    result, which is the standard behavior for this metric family.
+    Greedy can miss optima that need a tied or non-improving intermediate
+    move, so for outputs of at most EXACT_LIMIT tokens whose greedy total
+    still exceeds the lower bound, a best-first search over move
+    sequences finds the exact optimum.
 
-    Each greedy step (`_best_moves`) scores every block move of an
+    Each greedy step (`_best_move`) scores every block move of an
     n-token output against an m-token source. Every move swaps two
     adjacent segments, so `_swap_distances` scores all ~n^3/6 swaps in
     one batched DP: the prefix and suffix DP rows of the output are
     computed once and reused, and the remaining rows of all swaps
     advance together: about 3n vectorised row steps per greedy step, and
-    O(n^3 m) cell updates. The tie order of the moves, and so every
-    result, is that of scoring each move on its own.
+    O(n^3 m) cell updates.
     """
 
     EXACT_LIMIT = 7
-    EXACT_NODE_BUDGET = 200_000
     CHUNK_CELLS = 1 << 22  # backward-row cells _swap_distances keeps at once
 
     def __init__(self, src_ids: tuple[int, ...]):
         self.src = np.asarray(src_ids, dtype=np.int64)
         self.src_t = src_ids
-        self.memo: dict[tuple[int, ...], tuple[int, int, tuple[int, ...]]] = {}
 
     def plan(self, out: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """Return (shifts, remaining_edit_distance, final_sequence)."""
-        greedy = self._plan_memo(out)
         lb = _multiset_lower_bound(self.src_t, out)
-        if greedy[0] + greedy[1] > lb and len(out) <= self.EXACT_LIMIT:
-            return self._exact_refine(out, greedy)
-        return greedy
-
-    def _plan_memo(self, out: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-        if out in self.memo:
-            return self.memo[out]
-        ed = _edit_distance_ids(self.src, out)
-        lb = _multiset_lower_bound(self.src_t, out)
-        result = self._plan_inner(out, ed, lb)
-        self.memo[out] = result
-        return result
-
-    def _plan_inner(self, out, ed, lb):
-        if ed <= lb:
-            return 0, ed, out
-        best_delta, tied = self._best_moves(out, ed)
-        if best_delta < 1:
-            return 0, ed, out
-        best = None
-        for cand in tied:
-            shifts, rest_ed, final = self._plan_memo(cand)
-            total = 1 + shifts + rest_ed
-            if best is None or total < best[0] + best[1]:
-                best = (1 + shifts, rest_ed, final)
-        return best
+        shifts, ed, final = 0, _edit_distance_ids(self.src, out), out
+        while ed > lb:
+            delta, moved = self._best_move(final, ed)
+            if moved is None:
+                break
+            shifts, ed, final = shifts + 1, ed - delta, moved
+        if shifts + ed > lb and len(out) <= self.EXACT_LIMIT:
+            return self._exact_refine(out, (shifts, ed, final))
+        return shifts, ed, final
 
     def _exact_refine(self, out, greedy):
         """Best-first search over move sequences, seeded and bounded by the
-        greedy solution; exact unless the node budget trips (then greedy
-        stands)."""
+        greedy solution. Block moves only permute `out`, and a state is
+        pushed only when its move count strictly improves, so each of the
+        at most EXACT_LIMIT! permutations is expanded once."""
         import heapq
 
         best_total = greedy[0] + greedy[1]
         best = greedy
         dist = {out: 0}
         heap = [(0, out)]
-        nodes = 0
-        while heap and nodes < self.EXACT_NODE_BUDGET:
+        while heap:
             moves, state = heapq.heappop(heap)
             if moves != dist.get(state):
                 continue
-            nodes += 1
             ed = _edit_distance_ids(self.src, state)
             if moves + ed < best_total:
                 best_total = moves + ed
@@ -598,28 +574,28 @@ class _ShiftSearch:
                             heapq.heappush(heap, (moves + 1, cand))
         return best
 
-    def _best_moves(self, out: tuple[int, ...], ed: int):
-        """Best single-move reduction and all moves achieving it.
+    def _best_move(self, out: tuple[int, ...], ed: int):
+        """(reduction, moved sequence) of the first block move with the
+        largest edit-distance reduction, or (0, None) if no move reduces
+        the distance.
 
-        Moves are enumerated by block length descending, start ascending,
-        insertion point ascending, and stop at the first length whose
-        doubled value is below the best reduction (a block move never
-        changes the distance by more than twice its length). Each
-        distinct resulting sequence is kept once, in first-seen order.
+        Moves are ordered by block length descending, start ascending,
+        insertion point ascending; lengths stop at the first whose doubled
+        value is below the best reduction (a block move never changes the
+        distance by more than twice its length).
 
         Moving out[i:i+length] to insertion point j of the remaining
         tokens swaps two adjacent segments of `out`: out[j:i] and the
         block when j < i, the block and out[i+length:j+length] when
         j > i. All distances are read from the table that
-        `_swap_distances` fills in one batched pass, so enumeration
-        costs a few array operations per length.
+        `_swap_distances` fills in one batched pass, and the row-major
+        argmin of each length's (start, insertion point) table is its
+        first best move.
         """
         n = len(out)
-        best_delta = 0
-        tied: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = {out}
         if n < 2:
-            return best_delta, tied
+            return 0, None
+        best_delta, best = 0, None
         swapped = self._swap_distances(out)
         for length in range(n - 1, 0, -1):
             if 2 * length < best_delta:
@@ -630,22 +606,16 @@ class _ShiftSearch:
             dists = np.where(j < i, swapped[j, i, i + length],
                              swapped[i, i + length, j + length])
             np.fill_diagonal(dists, ed)  # inserting at i reproduces `out`
-            deltas = ed - dists.astype(np.int64)
-            for start, top in enumerate(deltas.max(axis=1).tolist()):
-                if top < best_delta or top < 1:
-                    continue
-                if top > best_delta:
-                    best_delta = top
-                    tied = []
-                    seen = {out}
-                block = out[start:start + length]
-                rest = out[:start] + out[start + length:]
-                for pos in np.flatnonzero(deltas[start] == top):
-                    cand = rest[:pos] + block + rest[pos:]
-                    if cand not in seen:
-                        seen.add(cand)
-                        tied.append(cand)
-        return best_delta, tied
+            flat = int(dists.argmin())
+            delta = ed - int(dists.flat[flat])
+            if delta > best_delta:
+                best_delta, best = delta, (length, *divmod(flat, k))
+        if best is None:
+            return 0, None
+        length, start, pos = best
+        block = out[start:start + length]
+        rest = out[:start] + out[start + length:]
+        return best_delta, rest[:pos] + block + rest[pos:]
 
     def _swap_distances(self, out: tuple[int, ...]) -> np.ndarray:
         """Edit distances of every adjacent-segment swap of `out`.
@@ -727,16 +697,9 @@ def _decompose(src_ids: tuple[int, ...],
     which fixes one canonical decomposition among cost-equal alignments.
     """
     n, m = len(src_ids), len(out_ids)
-    dp = np.empty((n + 1, m + 1), dtype=np.int64)
-    dp[0] = np.arange(m + 1)
-    dp[:, 0] = np.arange(n + 1)
-    for i in range(1, n + 1):
-        prev = dp[i - 1]
-        cur = dp[i]
-        np.minimum(prev[:-1] + (np.asarray(out_ids) != src_ids[i - 1]),
-                   prev[1:] + 1, out=cur[1:])
-        np.minimum.accumulate(cur - np.arange(m + 1), out=cur)
-        cur += np.arange(m + 1)
+    mismatch = np.asarray(src_ids)[None, :] != np.asarray(out_ids)[:, None]
+    # dp[i][j] = distance between src[:i] and out[:j]
+    dp = _dp_rows(mismatch[:, None, :], np.arange(n + 1))[:, 0, :].T
     ins = dels = subs = matches = 0
     i, j = n, m
     while i > 0 or j > 0:
@@ -758,9 +721,10 @@ def _decompose(src_ids: tuple[int, ...],
 
 
 def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
-    """TER-style breakdown: greedy block shifts over the output, then a
-    word-level unit-cost alignment of the source against the shifted
-    output, normalized by the source length."""
+    """TER-style breakdown: block shifts over the output (exhaustive for
+    outputs of at most 7 tokens, first-best-move greedy above; see
+    `_ShiftSearch`), then a word-level unit-cost alignment of the source
+    against the shifted output, normalized by the source length."""
     src_words = source.words
     out_words = output.words
     if not src_words:

@@ -391,8 +391,7 @@ def _clamped_pca_k(requested: int, n_rows: int, n_features: int) -> int:
     limit = min(n_rows - 1, n_features)
     if requested > limit:
         warnings.warn(
-            f"PCA component count {requested} clamped to {limit} "
-            f"({n_rows} rows x {n_features} features)",
+            f"PCA component count {requested} clamped to {limit}",
             RuntimeWarning, stacklevel=3,
         )
         return limit

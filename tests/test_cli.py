@@ -196,6 +196,42 @@ class TestTrainEvaluateCommands:
                          r"iteration cap \(lambda = 0\.001\)$",
                          capsys.readouterr().out, re.MULTILINE)
 
+    def test_fixed_lambda_for_linreg_is_zero(self, synthetic_dataset_dir,
+                                             workflow_dir, tmp_path, capsys):
+        base = synthetic_dataset_dir
+        (tmp_path / "features_train.tsv").write_bytes(
+            (workflow_dir / "features_train.tsv").read_bytes())
+        code = run("train", "--train", str(base / "train.tsv"),
+                   "--dimension", "M", "--model", "linreg", "--lam", "5",
+                   "--pca-k", "10", "--out", str(tmp_path))
+        assert code == 0
+        model = (tmp_path / "model_M_linreg.txt").read_text().splitlines()
+        assert "lambda 0.0" in model
+        cv_lines = [line for line in capsys.readouterr().out.splitlines()
+                    if line.lstrip().startswith("lambda=")]
+        assert len(cv_lines) == 1
+        assert cv_lines[0].lstrip().startswith("lambda=0 ")
+
+    def test_pca_clamp_reported_once(self, synthetic_dataset_dir,
+                                     workflow_dir, tmp_path, capsys):
+        # the clamp is raised by every CV fit and by the final fit
+        base = synthetic_dataset_dir
+        (tmp_path / "features_train.tsv").write_bytes(
+            (workflow_dir / "features_train.tsv").read_bytes())
+        code = run("train", "--train", str(base / "train.tsv"),
+                   "--dimension", "M", "--model", "ridge",
+                   "--pca-k", "40", "--out", str(tmp_path))
+        assert code == 0
+        captured = capsys.readouterr()
+        printed = captured.out + captured.err
+        clamp = [line for line in printed.splitlines() if "clamped to" in line]
+        assert len(clamp) == 1
+        assert re.fullmatch(r"warning: PCA component count 40 clamped to \d+",
+                            clamp[0])
+        assert "RuntimeWarning" not in printed
+        assert ".py:" not in printed
+        assert "fit_pipeline(" not in printed
+
 
 class TestReportCommand:
     def test_distribution_table(self, synthetic_dataset_dir, tmp_path, capsys):

@@ -450,8 +450,34 @@ class TestTerAlign:
             out = tuple(rng.randrange(k) for _ in range(rng.randint(2, 20)))
             search = _ShiftSearch(src)
             ed = _edit_distance_ids(search.src, out)
-            assert (search._best_moves(out, ed)
-                    == best_moves_oracle(search.src, out, ed)), (src, out)
+            delta, tied = best_moves_oracle(search.src, out, ed)
+            assert (search._best_move(out, ed)
+                    == (delta, tied[0] if tied else None)), (src, out)
+
+    def test_repetitive_reordered_pair_takes_one_scoring_per_shift(
+            self, monkeypatch):
+        # 41 -> 27 words with repeated function words: a search that
+        # follows every tied best move made 4 148 greedy steps here
+        src = T("Ccbedef bhswseam ablbenpsgp was on or the the aadi ofcubveir "
+                "aonww beofoeei an and askcajg an were acpbrmd fratwvkfa the "
+                "mfgpisfpdt an ablbenpsgp a the kaf a vpeat fmgl which the "
+                "ifmsdb fhjdb onjdjbp of ahtnnk ksijak cekrpp ioncmpvos "
+                "atunle of.")
+        out = T("Which the fhjdb ksijak cekrpp ekpsr ccbedef the acpbrmd the "
+                "mctnewr were mfgpisfpdt ablbenpsgp or the aadi ofcubveir an "
+                "and askcajg an a kaf vpeat fmgl of.")
+        calls = []
+        scored = _ShiftSearch._swap_distances
+        monkeypatch.setattr(_ShiftSearch, "_swap_distances",
+                            lambda self, seq: calls.append(1)
+                            or scored(self, seq))
+        got = ter_align(src, out)
+        a, b = src.words, out.words
+        common = sum(min(a.count(w), b.count(w)) for w in set(a))
+        lb = max(len(a), len(b)) - common
+        lev = lev_oracle(a, b)
+        assert len(calls) <= lev - lb + 1
+        assert lb <= got.num_errors <= 21
 
     def test_two_block_moves_in_44_distinct_words(self):
         words = [f"w{i}" for i in range(44)]
