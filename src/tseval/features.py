@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DegenerateDataError, ResourceMissingError
-from .mtmetrics import BleuConfig, bleu, meteor, rouge, ter_align
+from .mtmetrics import (BleuConfig, bleu_counts, bleu_from_counts, meteor,
+                        rouge, ter_align)
 from .resources import EMPTY_RESOURCES, Resources, token_logprobs
 from .textproc import TokenizedText, count_syllables, tokenize
 
@@ -61,6 +62,10 @@ class _PairContext:
     @cached_property
     def ter(self):
         return ter_align(self.pair.source, self.pair.output)
+
+    @cached_property
+    def bleu_counts(self) -> tuple[tuple[int, int], ...]:
+        return bleu_counts(self.pair.source, self.pair.output)
 
     @cached_property
     def logprobs(self) -> list[float]:
@@ -139,6 +144,11 @@ def _fre(ctx: _PairContext) -> float:
             - 84.6 * _syllables_per_word(ctx))
 
 
+def _bleu(ctx: _PairContext, cfg: BleuConfig) -> float:
+    return bleu_from_counts(ctx.bleu_counts, ctx.pair.source.word_count,
+                            ctx.pair.output.word_count, cfg)
+
+
 def _lm_feature(ctx: _PairContext, reduce) -> float:
     if ctx.pair.output.word_count == 0:
         return LOGPROB_FLOOR
@@ -172,18 +182,13 @@ _REGISTRY: tuple[FeatureSpec, ...] = (
     _spec("TERp_NumEr", lambda c: float(c.ter.num_errors)),
     _spec("TERp_Sub", lambda c: float(c.ter.substitutions)),
     _spec("TERp", lambda c: c.ter.normalized_score),
-    _spec("BLEU_1gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[1])),
-    _spec("BLEU_2gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[2])),
-    _spec("BLEU_3gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[3])),
-    _spec("BLEU_4gram",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_UNSMOOTHED[4])),
+    _spec("BLEU_1gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[1])),
+    _spec("BLEU_2gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[2])),
+    _spec("BLEU_3gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[3])),
+    _spec("BLEU_4gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[4])),
     _spec("METEOR", lambda c: meteor(c.pair.source, c.pair.output)),
     _spec("ROUGE", lambda c: rouge(c.pair.source, c.pair.output)),
-    _spec("BLEUSmoothed",
-          lambda c: bleu(c.pair.source, c.pair.output, _BLEU_SMOOTHED)),
+    _spec("BLEUSmoothed", lambda c: _bleu(c, _BLEU_SMOOTHED)),
     _spec("AvgCosineSim", _avg_cosine, requires=("vectors",)),
     _spec("NBOutputChars", lambda c: float(c.pair.output.char_count)),
     _spec("NBOutputCharsPerSent",
@@ -333,7 +338,12 @@ def compute_matrix(pairs: Sequence[SentencePair],
     """Feature matrix over pairs; row order always matches input order.
 
     When a timings dict is supplied, per-feature wall time is accumulated
-    into it.
+    into it. An intermediate shared by several features is computed once
+    per pair and charged to the first selected feature that needs it; with
+    all features, the TER alignment goes to TERp_Del, the BLEU counts to
+    BLEU_1gram, the LM log-probabilities to AvgLMProbsOutput and the
+    syllable count to NBOutputSyllables. The other features of each group
+    then read near zero.
     """
     specs = _select(which, resources)
     rows = []

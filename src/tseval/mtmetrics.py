@@ -9,17 +9,21 @@ token sequence; sentence boundaries only constrain n-gram extraction.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .textproc import TokenizedText, ngrams, porter_stem
+from .textproc import TokenizedText, porter_stem
 
 __all__ = [
     "BleuConfig",
     "MeteorConfig",
     "EditBreakdown",
     "bleu",
+    "bleu_counts",
+    "bleu_from_counts",
     "rouge",
     "meteor",
     "ter_align",
@@ -75,21 +79,39 @@ DEFAULT_METEOR = MeteorConfig()
 # BLEU
 # ---------------------------------------------------------------------------
 
-def _raw_precisions(source: TokenizedText, output: TokenizedText,
-                    orders: list[int]) -> list[tuple[int, int]]:
-    """Clipped-match numerator and candidate-count denominator per order.
+# Orders bleu_counts covers: the largest max_order and the one after it.
+_COUNT_ORDERS = 5
 
-    Denominators are floored at 1, so an order with no candidate n-grams
-    yields precision 0 rather than a division error.
+
+def bleu_counts(source: TokenizedText,
+                output: TokenizedText) -> tuple[tuple[int, int], ...]:
+    """Clipped n-gram matches and candidate n-gram total for orders 1..5.
+
+    Entry n - 1 is (matches, total) for order n: the output's order-n
+    n-grams, each counted at most as often as it occurs in the source, and
+    how many order-n n-grams the output has. Order 5 is one past the
+    largest max_order, which method5 and method7 smoothing look at. All
+    orders are counted in one pass over each sentence.
     """
-    out = []
-    for n in orders:
-        cand = ngrams(output, n).counts
-        ref = ngrams(source, n).counts
-        num = sum(min(c, ref.get(g, 0)) for g, c in cand.items())
-        den = max(1, sum(cand.values()))
-        out.append((num, den))
-    return out
+    cand = _all_ngrams(output)
+    ref = _all_ngrams(source)
+    matches = [0] * _COUNT_ORDERS
+    for gram, count in (cand & ref).items():
+        matches[len(gram) - 1] += count
+    totals = [0] * _COUNT_ORDERS
+    for sent in output.sentences:
+        for n in range(min(len(sent), _COUNT_ORDERS)):
+            totals[n] += len(sent) - n
+    return tuple(zip(matches, totals))
+
+
+def _all_ngrams(text: TokenizedText) -> Counter:
+    """Multiset of the text's n-grams of orders 1..5 within sentences."""
+    counts: Counter = Counter()
+    for sent in text.sentences:
+        counts.update(sent[i:i + n] for n in range(1, _COUNT_ORDERS + 1)
+                      for i in range(len(sent) - n + 1))
+    return counts
 
 
 def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
@@ -156,16 +178,21 @@ def bleu(source: TokenizedText, output: TokenizedText,
     Smoothing only kicks in when some precision is zero, so every method
     agrees with the unsmoothed score on inputs with all-positive matches.
     """
-    src_len = source.word_count
-    out_len = output.word_count
+    return bleu_from_counts(bleu_counts(source, output), source.word_count,
+                            output.word_count, cfg)
+
+
+def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
+                     out_len: int, cfg: BleuConfig) -> float:
+    """BLEU from bleu_counts' (matches, total) per order and the word
+    counts of source and output; see bleu."""
     if src_len == 0:
         raise ValueError("bleu: source must contain at least one word token")
     if out_len == 0:
         return 0.0
 
-    orders = [n for n in range(1, cfg.max_order + 1)
-              if ngrams(output, n).total > 0]
-    raw = _raw_precisions(source, output, orders)
+    orders = [n for n in range(1, cfg.max_order + 1) if counts[n - 1][1] > 0]
+    raw = [counts[n - 1] for n in orders]
 
     if all(num > 0 for num, _ in raw):
         precisions = [num / den for num, den in raw]
@@ -174,8 +201,8 @@ def bleu(source: TokenizedText, output: TokenizedText,
     else:
         p_next = 0.0
         if cfg.smoothing in ("method5", "method7"):
-            (num, den), = _raw_precisions(source, output, [orders[-1] + 1])
-            p_next = num / den
+            num, total = counts[orders[-1]]
+            p_next = num / max(1, total)
         precisions = _smooth(raw, cfg.smoothing, out_len, p_next, cfg)
 
     if any(x == 0.0 for x in precisions):
@@ -236,8 +263,6 @@ class _ChunkSearch:
     def __init__(self, cand: list[str], ref: list[str], use_stem: bool):
         self.cand = cand
         self.ref = ref
-        from collections import Counter
-
         c_cnt = Counter(cand)
         r_cnt = Counter(ref)
         self.quota_exact = {w: min(c, r_cnt.get(w, 0)) for w, c in c_cnt.items()}
@@ -486,8 +511,6 @@ def _dp_rows(mismatch: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
-    from collections import Counter
-
     cs = Counter(src)
     co = Counter(out)
     overlap = sum(min(c, co.get(t, 0)) for t, c in cs.items())

@@ -1,14 +1,16 @@
 """Deterministic tokenization, sentence splitting, syllable counting and
 n-gram extraction.
 
-All functions here are pure: no global state, no randomness, safe for
-concurrent use. The tokenizer is intentionally simple (whitespace split,
-punctuation detachment, naive sentence boundaries) so that every
-downstream number is reproducible without external tooling.
+All functions here are pure: no randomness, no global state other than
+porter_stem's memo, safe for concurrent use. The tokenizer is
+intentionally simple (whitespace split, punctuation detachment, naive
+sentence boundaries) so that every downstream number is reproducible
+without external tooling.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from collections import Counter
@@ -248,8 +250,13 @@ _STEP4 = [
 ]
 
 
+@functools.cache
 def porter_stem(word: str) -> str:
-    """Porter-stem a lowercase word. Words of length <= 2 are unchanged."""
+    """Porter-stem a lowercase word. Words of length <= 2 are unchanged.
+
+    Memoised per word: METEOR stems every distinct word of every pair, and
+    a vocabulary repeats across pairs.
+    """
     w = word.lower()
     if len(w) <= 2:
         return w

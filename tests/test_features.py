@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tseval import features
 from tseval.errors import DataFormatError, ResourceMissingError
 from tseval.features import (
     FeatureMatrix,
@@ -12,6 +13,7 @@ from tseval.features import (
     feature_names,
     registry,
 )
+from tseval.mtmetrics import BleuConfig, bleu
 from tseval.resources import (
     Resources,
     load_concreteness,
@@ -249,6 +251,33 @@ class TestComputeMatrix:
                        timings=timings)
         assert set(timings) == {"ROUGE", "TERp"}
         assert all(t >= 0.0 for t in timings.values())
+
+    def test_bleu_counted_once_per_pair(self, full_resources, monkeypatch):
+        calls = []
+        counts = features.bleu_counts
+
+        def counting(source, output):
+            calls.append(output)
+            return counts(source, output)
+
+        monkeypatch.setattr(features, "bleu_counts", counting)
+        pairs = self._pairs() + [
+            SentencePair.from_text("the cat sat. it sat on the mat.",
+                                   "the cat sat on it. the mat.", id="d"),
+            SentencePair.from_text("a b c", "", id="e"),
+        ]
+        matrix = compute_matrix(pairs, full_resources)
+        assert len(calls) == len(pairs)
+
+        configs = {"BLEU_1gram": BleuConfig(max_order=1),
+                   "BLEU_2gram": BleuConfig(max_order=2),
+                   "BLEU_3gram": BleuConfig(max_order=3),
+                   "BLEU_4gram": BleuConfig(max_order=4),
+                   "BLEUSmoothed": BleuConfig(max_order=4,
+                                              smoothing="method7")}
+        for name, cfg in configs.items():
+            expected = [bleu(p.source, p.output, cfg) for p in pairs]
+            assert matrix.column(name).tolist() == expected
 
     def test_malformed_tsv_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -16,12 +16,13 @@ from tseval.mtmetrics import (
     MeteorConfig,
     SMOOTHING_METHODS,
     bleu,
+    bleu_counts,
     meteor,
     rouge,
     ter_align,
 )
 from tseval.mtmetrics import _ShiftSearch, _edit_distance_ids
-from tseval.textproc import porter_stem, tokenize
+from tseval.textproc import ngrams, porter_stem, tokenize
 
 
 def T(s):
@@ -45,6 +46,91 @@ def lcs_oracle(a, b):
             if all(tok in it for tok in combo):
                 return k
     return best
+
+
+def bleu_counts_oracle(source, output):
+    """(clipped matches, candidate total) for orders 1..5, one ngrams
+    profile per order and text."""
+    out = []
+    for n in range(1, 6):
+        cand = ngrams(output, n).counts
+        ref = ngrams(source, n).counts
+        out.append((sum(min(c, ref[g]) for g, c in cand.items()),
+                    sum(cand.values())))
+    return tuple(out)
+
+
+def bleu_recount_oracle(source, output, cfg):
+    """Sentence BLEU recounting n-gram profiles for every order it looks
+    at, with the float operations in the package's order."""
+    src_len, out_len = source.word_count, output.word_count
+    if out_len == 0:
+        return 0.0
+
+    def raw_precisions(orders):
+        out = []
+        for n in orders:
+            cand = ngrams(output, n).counts
+            ref = ngrams(source, n).counts
+            num = sum(min(c, ref.get(g, 0)) for g, c in cand.items())
+            out.append((num, max(1, sum(cand.values()))))
+        return out
+
+    def neighbours(p, p_next):
+        out = list(p)
+        prev = p[0] + 1.0
+        for i in range(len(out)):
+            nxt = out[i + 1] if i + 1 < len(out) else p_next
+            out[i] = (prev + out[i] + nxt) / 3.0
+            prev = out[i]
+        return out
+
+    orders = [n for n in range(1, cfg.max_order + 1)
+              if ngrams(output, n).total > 0]
+    raw = raw_precisions(orders)
+    method = cfg.smoothing
+    if all(num > 0 for num, _ in raw):
+        p = [num / den for num, den in raw]
+    elif method == "none":
+        return 0.0
+    else:
+        p_next = 0.0
+        if method in ("method5", "method7"):
+            (num, den), = raw_precisions([orders[-1] + 1])
+            p_next = num / den
+        p = [num / den for num, den in raw]
+        if method == "method1":
+            p = [(cfg.epsilon / den) if num == 0 else num / den
+                 for num, den in raw]
+        elif method == "method2":
+            p = [num / den if i == 0 else (num + 1) / (den + 1)
+                 for i, (num, den) in enumerate(raw)]
+        elif method == "method3":
+            inc = 1
+            for i, (num, den) in enumerate(raw):
+                if num == 0:
+                    p[i] = 1.0 / (2 ** inc * den)
+                    inc += 1
+        elif method in ("method4", "method7"):
+            inc = 1
+            for i, (num, den) in enumerate(raw):
+                if num == 0 and out_len > 1:
+                    p[i] = (math.log(out_len) / (2 ** inc * cfg.k)) / den
+                    inc += 1
+            if method == "method7":
+                p = neighbours(p, p_next)
+        elif method == "method5":
+            p = neighbours(p, p_next)
+        elif method == "method6":
+            for i, (num, den) in enumerate(raw):
+                if i >= 2:
+                    pi0 = 0.0 if p[i - 2] == 0 else p[i - 1] ** 2 / p[i - 2]
+                    p[i] = (num + cfg.alpha * pi0) / (den + cfg.alpha)
+        p = [min(max(x, 0.0), 1.0) for x in p]
+    if any(x == 0.0 for x in p):
+        return 0.0
+    log_mean = sum(math.log(x) for x in p) / len(p)
+    return math.exp(min(0.0, 1.0 - src_len / out_len)) * math.exp(log_mean)
 
 
 def lev_oracle(a, b):
@@ -236,11 +322,32 @@ class TestBleu:
         # when no precision is zero, smoothing must not change the score
         orders = [n for n in range(1, 5)
                   if any(len(s) >= n for s in out.sentences)]
-        from tseval.mtmetrics import _raw_precisions
-        raw = _raw_precisions(src, out, orders)
+        counts = bleu_counts(src, out)
+        raw = [counts[n - 1] for n in orders]
         if all(num > 0 for num, _ in raw):
             for smoothed in raws:
                 assert smoothed == pytest.approx(plain, abs=1e-12)
+
+    # Tokens ending in "." close a sentence, so n-grams must stop at
+    # sentence bounds; "c." next to "c" shares the word.
+    _multi_sentence = st.lists(st.sampled_from("a b c d a. c.".split()),
+                               min_size=0, max_size=14)
+
+    @given(_multi_sentence.filter(bool), _multi_sentence)
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_per_order_profiles(self, a, b):
+        src, out = T(" ".join(a)), T(" ".join(b))
+        assert bleu_counts(src, out) == bleu_counts_oracle(src, out)
+
+    @given(_multi_sentence.filter(bool), _multi_sentence)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recount_formula_bit_for_bit(self, a, b):
+        src, out = T(" ".join(a)), T(" ".join(b))
+        for method in SMOOTHING_METHODS:
+            for max_order in (1, 2, 3, 4):
+                cfg = BleuConfig(max_order=max_order, smoothing=method)
+                assert bleu(src, out, cfg) == bleu_recount_oracle(src, out,
+                                                                  cfg)
 
     def test_method7_positive_on_partial_match(self):
         got = bleu(T("the cat sat on the mat"), T("the cat naps"),
