@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TsevalError
+from .errors import TsevalError, read_input
 from . import qats_io
 from .features import FeatureMatrix, compute_matrix, registry
 from .qemodel import (
@@ -164,10 +164,7 @@ def _parse_config_file(path: str) -> dict:
     """Settings from a key = value file, converted and checked like the
     matching flags."""
     settings: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TsevalError(f"cannot read config file {path}: {exc}") from exc
+    text = read_input(path, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

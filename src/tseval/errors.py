@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of
+input files."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class TsevalError(Exception):
@@ -24,3 +29,25 @@ class ResourceMissingError(TsevalError):
 class DegenerateDataError(TsevalError):
     """Input data is too degenerate for the requested computation
     (zero variance, a single class, a singular system, ...)."""
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """The text of an input file: UTF-8 with an optional leading BOM.
+
+    A file that cannot be read or decoded raises DataFormatError naming
+    the file as `what` (e.g. "dataset"); a bad byte is reported with the
+    line it is on.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the decoded buffer (after any BOM), exc.start indexes it
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"{path}:{line}: {what} is not valid UTF-8 "
+            f"(byte 0x{exc.object[exc.start]:02x})"
+        ) from None

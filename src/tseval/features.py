@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateDataError, ResourceMissingError
+from .errors import (DataFormatError, DegenerateDataError,
+                     ResourceMissingError, read_input)
 from .mtmetrics import (BleuConfig, bleu_counts, bleu_from_counts, meteor,
                         rouge, ter_align)
 from .resources import EMPTY_RESOURCES, Resources, token_logprobs
@@ -294,12 +295,7 @@ class FeatureMatrix:
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "FeatureMatrix":
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise DataFormatError(
-                f"cannot read feature file {path}: {exc}"
-            ) from exc
+        lines = read_input(path, "feature file").splitlines()
         if not lines:
             raise DataFormatError(f"feature file {path} is empty")
         header = lines[0].split("\t")

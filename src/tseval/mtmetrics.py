@@ -79,19 +79,18 @@ DEFAULT_METEOR = MeteorConfig()
 # BLEU
 # ---------------------------------------------------------------------------
 
-# Orders bleu_counts covers: the largest max_order and the one after it.
-_COUNT_ORDERS = 5
+# Orders bleu_counts covers: up to the largest max_order.
+_COUNT_ORDERS = 4
 
 
 def bleu_counts(source: TokenizedText,
                 output: TokenizedText) -> tuple[tuple[int, int], ...]:
-    """Clipped n-gram matches and candidate n-gram total for orders 1..5.
+    """Clipped n-gram matches and candidate n-gram total for orders 1..4.
 
     Entry n - 1 is (matches, total) for order n: the output's order-n
     n-grams, each counted at most as often as it occurs in the source, and
-    how many order-n n-grams the output has. Order 5 is one past the
-    largest max_order, which method5 and method7 smoothing look at. All
-    orders are counted in one pass over each sentence.
+    how many order-n n-grams the output has. All orders are counted in one
+    pass over each sentence.
     """
     cand = _all_ngrams(output)
     ref = _all_ngrams(source)
@@ -106,7 +105,7 @@ def bleu_counts(source: TokenizedText,
 
 
 def _all_ngrams(text: TokenizedText) -> Counter:
-    """Multiset of the text's n-grams of orders 1..5 within sentences."""
+    """Multiset of the text's n-grams of orders 1..4 within sentences."""
     counts: Counter = Counter()
     for sent in text.sentences:
         counts.update(sent[i:i + n] for n in range(1, _COUNT_ORDERS + 1)
@@ -115,7 +114,7 @@ def _all_ngrams(text: TokenizedText) -> Counter:
 
 
 def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
-            p_next: float, cfg: BleuConfig) -> list[float]:
+            cfg: BleuConfig) -> list[float]:
     """Apply one smoothing method from the standard seven-method catalogue.
 
     Only called when at least one precision is zero; callers short-circuit
@@ -146,9 +145,9 @@ def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
                 p[i] = (math.log(hyp_len) / (2 ** inc * cfg.k)) / den
                 inc += 1
         if method == "method7":
-            p = _average_with_neighbours(p, p_next)
+            p = _average_with_neighbours(p)
     elif method == "method5":
-        p = _average_with_neighbours(p, p_next)
+        p = _average_with_neighbours(p)
     elif method == "method6":
         # interpolate order >= 3 with a geometric prior from lower orders
         for i, (num, den) in enumerate(raw):
@@ -158,11 +157,12 @@ def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
     return [min(max(x, 0.0), 1.0) for x in p]
 
 
-def _average_with_neighbours(p: list[float], p_next: float) -> list[float]:
+def _average_with_neighbours(p: list[float]) -> list[float]:
     out = list(p)
     prev = p[0] + 1.0
     for i in range(len(out)):
-        nxt = out[i + 1] if i + 1 < len(out) else p_next
+        # smoothing runs only if an order has no matches; the next has none
+        nxt = out[i + 1] if i + 1 < len(out) else 0.0
         out[i] = (prev + out[i] + nxt) / 3.0
         prev = out[i]
     return out
@@ -199,11 +199,7 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
     elif cfg.smoothing == "none":
         return 0.0
     else:
-        p_next = 0.0
-        if cfg.smoothing in ("method5", "method7"):
-            num, total = counts[orders[-1]]
-            p_next = num / max(1, total)
-        precisions = _smooth(raw, cfg.smoothing, out_len, p_next, cfg)
+        precisions = _smooth(raw, cfg.smoothing, out_len, cfg)
 
     if any(x == 0.0 for x in precisions):
         return 0.0
@@ -327,7 +323,6 @@ class _ChunkSearch:
         self.rem_exact = dict(self.quota_exact)
         self.rem_stem = dict(self.quota_stem)
         self.ref_avail_word = {w: len(p) for w, p in self.ref_pos_by_word.items()}
-        self.ref_avail_stem = {s: len(p) for s, p in self.ref_pos_by_stem.items()}
         self._dfs(0, self.n_total, -2, 0)
         return self.best
 
@@ -395,8 +390,6 @@ class _ChunkSearch:
         rw = self.ref[j]
         self.used[j] = True
         self.ref_avail_word[rw] -= 1
-        if self.ref_pos_by_stem:
-            self.ref_avail_stem[self.stem_of[rw]] -= 1
         if stem_class is None:
             self.rem_exact[w] -= 1
         else:
@@ -407,8 +400,6 @@ class _ChunkSearch:
             self.rem_exact[w] += 1
         else:
             self.rem_stem[stem_class] += 1
-        if self.ref_pos_by_stem:
-            self.ref_avail_stem[self.stem_of[rw]] += 1
         self.ref_avail_word[rw] += 1
         self.used[j] = False
 

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_input
 from .features import SentencePair
 from .textproc import tokenize
 
@@ -75,11 +75,6 @@ class QatsRecord:
     output_text: str
     labels: dict[str, str] | None = None  # dimension -> Good/OK/Bad
 
-    def label(self, dimension: str) -> str:
-        if self.labels is None:
-            raise DataFormatError(f"record {self.id} carries no labels")
-        return self.labels[normalize_dimension(dimension)]
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -111,11 +106,7 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
     has no id column.
     """
     path = Path(path)
-    try:
-        # utf-8-sig: accept files with or without a leading BOM
-        lines = path.read_text(encoding="utf-8-sig").split("\n")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read dataset {path}: {exc}") from exc
+    lines = read_input(path, "dataset").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -193,8 +184,8 @@ def load_raw_pairs(source_file: str | Path, output_file: str | Path,
     """Build a dataset from the raw distribution layout: one sentence per
     line in paired source/output files, plus optional per-dimension label
     files (one label per line, all four dimensions required)."""
-    sources = Path(source_file).read_text(encoding="utf-8").splitlines()
-    outputs = Path(output_file).read_text(encoding="utf-8").splitlines()
+    sources = read_input(source_file, "source file").splitlines()
+    outputs = read_input(output_file, "output file").splitlines()
     if len(sources) != len(outputs):
         raise DataFormatError(
             f"{source_file} has {len(sources)} lines but {output_file} "
@@ -209,7 +200,7 @@ def load_raw_pairs(source_file: str | Path, output_file: str | Path,
                 f"label files missing for dimensions {sorted(missing)}"
             )
         for dim, lpath in normalized.items():
-            values = Path(lpath).read_text(encoding="utf-8").splitlines()
+            values = read_input(lpath, "label file").splitlines()
             if len(values) != len(sources):
                 raise DataFormatError(
                     f"{lpath} has {len(values)} labels for "

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateDataError
+from .errors import DataFormatError, DegenerateDataError, read_input
 from .features import FeatureMatrix
 from .stats import pearson, weighted_f1
 
@@ -580,12 +580,7 @@ def save_pipeline(pipeline: TrainedPipeline, path: str | Path) -> None:
 class _Reader:
     def __init__(self, path: Path):
         self.path = path
-        try:
-            self.lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise DataFormatError(
-                f"cannot read pipeline file {path}: {exc}"
-            ) from exc
+        self.lines = read_input(path, "pipeline file").splitlines()
         self.pos = 0
 
     def next(self, expect: str | None = None) -> str:

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataFormatError
+from .errors import DataFormatError, read_input
 from .textproc import TokenizedText
 
 __all__ = [
@@ -54,10 +54,7 @@ def load_frequency_table(path: str | Path) -> FrequencyTable:
     optionally followed by a tab and a count. Duplicates keep their first
     (highest) rank."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read frequency table {path}: {exc}") from exc
+    text = read_input(path, "frequency table")
     words: list[str] = []
     rank_of: dict[str, int] = {}
     for line in text.splitlines():
@@ -94,11 +91,7 @@ def load_concreteness(path: str | Path, word_column: str = "Word",
     semicolon) unless given. Ratings must lie in [1, 5].
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read concreteness file {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_input(path, "concreteness file").splitlines()
     if not lines:
         raise DataFormatError(f"concreteness file {path} is empty")
     if delimiter is None:
@@ -151,10 +144,7 @@ def load_vectors(path: str | Path) -> WordVectors:
     "count dim" header line, then one "word v1 ... vdim" line per word.
     The dimensionality is inferred from the first data line."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read vector file {path}: {exc}") from exc
+    lines = read_input(path, "vector file").splitlines()
     start = 0
     if lines:
         head = lines[0].split()
@@ -239,10 +229,7 @@ def train_lm(corpus: str | Path, order: int = 3,
     if order < 2:
         raise ValueError(f"model order must be >= 2, got {order}")
     path = Path(corpus)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataFormatError(f"cannot read corpus {path}: {exc}") from exc
+    text = read_input(path, "corpus")
     sentences = [line.split() for line in text.splitlines() if line.split()]
     if not sentences:
         raise DataFormatError(f"corpus {path} contains no sentences")

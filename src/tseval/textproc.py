@@ -47,7 +47,6 @@ class TokenizedText:
     re-tokenizing " ".join(ordered_tokens) reproduces the same tokens.
     """
 
-    raw: str
     sentences: tuple[tuple[str, ...], ...]
     punct_tokens: tuple[str, ...]
     char_count: int
@@ -116,7 +115,6 @@ def tokenize(text: str) -> TokenizedText:
             sentences.append(tuple(words))
 
     return TokenizedText(
-        raw=text,
         sentences=tuple(sentences),
         punct_tokens=tuple(puncts),
         char_count=sum(len(t) for t in ordered),

@@ -3,6 +3,7 @@ evaluate -> report, plus determinism, config files and exit codes."""
 
 import functools
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -356,3 +357,50 @@ class TestConfigFileAndErrors:
                    "--features", "MaxPosInFreqTable",
                    "--out", str(tmp_path))
         assert code == 0
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(synthetic_dataset_dir, workflow_dir, tmp_path_factory):
+    """Every kind of file the CLI reads, valid, in one directory."""
+    base = tmp_path_factory.mktemp("inputs")
+    shutil.copytree(synthetic_dataset_dir, base, dirs_exist_ok=True)
+    for split in ("train", "test"):
+        name = f"features_{split}.tsv"
+        (base / name).write_bytes((workflow_dir / name).read_bytes())
+    (base / "run.cfg").write_text("# settings\nfeatures = ROUGE\n")
+    assert run("train", "--train", str(base / "train.tsv"), "--dimension",
+               "S", "--model", "linreg", "--lam", "0", "--pca-k", "5",
+               "--out", str(base)) == 0
+    return base
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("name,argv", [
+        ("train.tsv", ["features", "--train", "{d}/train.tsv"]),
+        ("test.tsv", ["features", "--train", "{d}/train.tsv",
+                      "--test", "{d}/test.tsv"]),
+        ("freq.txt", ["features", "--train", "{d}/train.tsv",
+                      "--freq-table", "{d}/freq.txt"]),
+        ("concreteness.tsv", ["features", "--train", "{d}/train.tsv",
+                              "--concreteness", "{d}/concreteness.tsv"]),
+        ("vectors.txt", ["features", "--train", "{d}/train.tsv",
+                         "--vectors", "{d}/vectors.txt"]),
+        ("lm_corpus.txt", ["features", "--train", "{d}/train.tsv",
+                           "--lm-corpus", "{d}/lm_corpus.txt"]),
+        ("run.cfg", ["features", "--train", "{d}/train.tsv",
+                     "--config", "{d}/run.cfg"]),
+        ("features_train.tsv", ["rank", "--train", "{d}/train.tsv"]),
+        ("model_S_linreg.txt", ["evaluate", "--test", "{d}/test.tsv",
+                                "--dimension", "S", "--model", "linreg"]),
+    ])
+    def test_invalid_utf8_is_data_error_with_line(self, inputs_dir, tmp_path,
+                                                  capsys, name, argv):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        bad = tmp_path / name
+        first, rest = bad.read_bytes().split(b"\n", 1)
+        bad.write_bytes(first + b"\n\xff" + rest)
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: " in err
+        assert "is not valid UTF-8 (byte 0xff)" in err

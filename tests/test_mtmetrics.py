@@ -49,10 +49,10 @@ def lcs_oracle(a, b):
 
 
 def bleu_counts_oracle(source, output):
-    """(clipped matches, candidate total) for orders 1..5, one ngrams
+    """(clipped matches, candidate total) for orders 1..4, one ngrams
     profile per order and text."""
     out = []
-    for n in range(1, 6):
+    for n in range(1, 5):
         cand = ngrams(output, n).counts
         ref = ngrams(source, n).counts
         out.append((sum(min(c, ref[g]) for g, c in cand.items()),

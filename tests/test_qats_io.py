@@ -120,6 +120,13 @@ class TestLoadDataset:
         path.write_bytes(b"\xef\xbb\xbf" + UNLABELED.encode("utf-8"))
         assert len(load_dataset(path)) == 1
 
+    def test_crlf_line_endings_tolerated(self, tmp_path):
+        path = tmp_path / "crlf.tsv"
+        path.write_bytes(LABELED.replace("\n", "\r\n").encode("utf-8"))
+        crlf = load_dataset(path)
+        lf = load_dataset(write(tmp_path, "lf.tsv", LABELED))
+        assert crlf.records == lf.records
+
 
 class TestRoundTrip:
     def test_load_serialize_load_identity(self, tmp_path):
@@ -166,6 +173,11 @@ class TestRawConverter:
         out = write(tmp_path, "out.txt", "One.\n")
         with pytest.raises(DataFormatError, match="missing"):
             load_raw_pairs(src, out, {"G": write(tmp_path, "g.txt", "ok\n")})
+
+    def test_missing_file_rejected(self, tmp_path):
+        out = write(tmp_path, "out.txt", "One.\n")
+        with pytest.raises(DataFormatError, match="cannot read source file"):
+            load_raw_pairs(tmp_path / "none.txt", out)
 
     def test_unlabeled_pairs(self, tmp_path):
         src = write(tmp_path, "src.txt", "One.\n")

@@ -56,6 +56,13 @@ class TestFrequencyTable:
         with pytest.raises(DataFormatError, match="cannot read"):
             load_frequency_table(tmp_path / "nope.txt")
 
+    def test_byte_order_mark_tolerated(self, tmp_path):
+        path = tmp_path / "freq.txt"
+        path.write_text("\ufeffthe\nof\n", encoding="utf-8")
+        table = load_frequency_table(path)
+        assert table.ranked_words[0] == "the"
+        assert table.rank_of("the") == 1
+
 
 class TestConcreteness:
     def test_basic(self, tmp_path):
@@ -71,6 +78,13 @@ class TestConcreteness:
         path.write_text("Word\tConc.M\nthing\t7.2\n")
         with pytest.raises(DataFormatError, match="outside the 1-5 scale"):
             load_concreteness(path)
+
+    def test_byte_order_mark_tolerated(self, tmp_path):
+        path = tmp_path / "conc.tsv"
+        path.write_text("\ufeffWord\tConc.M\napple\t5.0\n", encoding="utf-8")
+        lex = load_concreteness(path)
+        assert list(lex.ratings) == ["apple"]
+        assert lex.rating_of("apple") == 5.0
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "conc.tsv"
