@@ -13,7 +13,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,14 +102,13 @@ class RunConfig:
     folds: int = 5
     seed: int = DEFAULT_SEED
     out: str = "."
-    resources: Resources = field(default_factory=Resources)
 
 
 # Settings a flag or the config file may give, with the conversion of a
 # config-file value; field types are strings under postponed annotations.
 _SETTINGS = {
     f.name: {"int": int, "float": float}.get(f.type.split(" | ")[0], str)
-    for f in fields(RunConfig) if f.name not in ("command", "resources")
+    for f in fields(RunConfig) if f.name != "command"
 }
 # Lowest valid value of each numeric setting.
 _MINIMUM = {"folds": 2, "pca_k": 1, "lam": 0.0}
@@ -241,13 +240,13 @@ def _load_resources(cfg: RunConfig) -> Resources:
     return Resources(freq_table=freq, concreteness=conc, vectors=vec, lm=lm)
 
 
-def _selected_features(cfg: RunConfig) -> list[str]:
+def _selected_features(cfg: RunConfig, resources: Resources) -> list[str]:
     """Explicit subset if given (missing resources then fail later with a
     precise error), else every feature whose resources are loaded."""
     if cfg.features:
         return list(cfg.features)
     return [spec.name for spec in registry()
-            if all(cfg.resources.has(kind) for kind in spec.requires)]
+            if all(resources.has(kind) for kind in spec.requires)]
 
 
 def _require(cfg: RunConfig, attribute: str) -> str:
@@ -271,6 +270,30 @@ def _dimensions(cfg: RunConfig) -> list[str]:
     return [cfg.dimension] if cfg.dimension else list(qats_io.DIMENSIONS)
 
 
+def _labeled_split(cfg: RunConfig,
+                   split: str) -> tuple[qats_io.Dataset, FeatureMatrix]:
+    """The labeled dataset of `split` and the features_<split>.tsv written
+    for it, checked to hold the same ids in the same order."""
+    path = _require(cfg, split)
+    dataset = qats_io.load_dataset(path, split)
+    if not dataset.is_labeled:
+        raise TsevalError(f"{cfg.command} requires a labeled {split} dataset")
+    matrix_path = _features_path(Path(cfg.out), split)
+    matrix = FeatureMatrix.from_tsv(matrix_path)
+    ids = tuple(r.id for r in dataset.records)
+    if matrix.row_ids != ids:
+        if len(matrix.row_ids) != len(ids):
+            detail = f"{len(matrix.row_ids)} rows for {len(ids)} records"
+        else:
+            i = next(i for i, (a, b) in enumerate(zip(matrix.row_ids, ids))
+                     if a != b)
+            detail = (f"row {i + 1} has id {matrix.row_ids[i]!r} where the "
+                      f"dataset has {ids[i]!r}")
+        raise TsevalError(f"{matrix_path} does not match {path}: {detail} "
+                          f"(rerun the features command)")
+    return dataset, matrix
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -280,7 +303,8 @@ def cmd_features(cfg: RunConfig) -> int:
     for split, path in (("train", _require(cfg, "train")), ("test", cfg.test)):
         if path:
             datasets.append((split, qats_io.load_dataset(path, split)))
-    names = _selected_features(cfg)
+    resources = _load_resources(cfg)
+    names = _selected_features(cfg, resources)
     out_dir = Path(cfg.out)
 
     results = []
@@ -288,7 +312,7 @@ def cmd_features(cfg: RunConfig) -> int:
     for split, dataset in datasets:
         pairs = qats_io.to_pairs(dataset)
         start = time.perf_counter()
-        matrix = compute_matrix(pairs, cfg.resources, names,
+        matrix = compute_matrix(pairs, resources, names,
                                 timings=timing_total)
         elapsed = time.perf_counter() - start
         results.append((split, matrix))
@@ -310,17 +334,10 @@ def cmd_features(cfg: RunConfig) -> int:
 
 def cmd_rank(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
-    train_ds = qats_io.load_dataset(_require(cfg, "train"), "train")
-    if not train_ds.is_labeled:
-        raise TsevalError("ranking requires a labeled training dataset")
-    train_matrix = FeatureMatrix.from_tsv(_features_path(out_dir, "train"))
-
+    train_ds, train_matrix = _labeled_split(cfg, "train")
     test_ds = test_matrix = None
-    if cfg.test:
-        test_ds = qats_io.load_dataset(cfg.test, "test")
-        test_path = _features_path(out_dir, "test")
-        if test_ds.is_labeled and test_path.exists():
-            test_matrix = FeatureMatrix.from_tsv(test_path)
+    if cfg.test and _features_path(out_dir, "test").exists():
+        test_ds, test_matrix = _labeled_split(cfg, "test")
 
     outputs = []
     for dim in _dimensions(cfg):
@@ -347,10 +364,7 @@ def cmd_rank(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     dimension = cfg.dimension or "Overall"
-    train_ds = qats_io.load_dataset(_require(cfg, "train"), "train")
-    if not train_ds.is_labeled:
-        raise TsevalError("training requires a labeled training dataset")
-    matrix = FeatureMatrix.from_tsv(_features_path(out_dir, "train"))
+    train_ds, matrix = _labeled_split(cfg, "train")
     n_rows = matrix.rows.shape[0]
     if cfg.folds > n_rows:
         raise TsevalError(f"{cfg.folds} folds need at least {cfg.folds} "
@@ -399,10 +413,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig) -> int:
     out_dir = Path(cfg.out)
     dimension = cfg.dimension or "Overall"
-    test_ds = qats_io.load_dataset(_require(cfg, "test"), "test")
-    if not test_ds.is_labeled:
-        raise TsevalError("evaluation requires a labeled test dataset")
-    matrix = FeatureMatrix.from_tsv(_features_path(out_dir, "test"))
+    test_ds, matrix = _labeled_split(cfg, "test")
     pipeline = load_pipeline(_model_path(out_dir, dimension, cfg.model))
 
     lines = []
@@ -483,7 +494,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         cfg = _merge_config(args)
-        cfg.resources = _load_resources(cfg)
         return _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"tseval: error: {exc}", file=sys.stderr)

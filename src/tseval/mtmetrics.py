@@ -297,22 +297,18 @@ class _ChunkSearch:
             for j, w in enumerate(ref):
                 self.ref_pos_by_stem.setdefault(self.stem_of[w], []).append(j)
 
-        # cand occurrences of each word / stem class after position i
-        m = len(cand)
-        self.word_after = [dict() for _ in range(m + 1)]
-        self.stem_after = [dict() for _ in range(m + 1)]
-        wa: dict[str, int] = {}
-        sa: dict[str, int] = {}
-        for i in range(m, 0, -1):
-            w = cand[i - 1]
-            wa = dict(wa)
-            wa[w] = wa.get(w, 0) + 1
-            self.word_after[i - 1] = wa
+        # occurrences of cand[i]'s word / stem class in cand[i:]
+        self.word_after = [0] * len(cand)
+        self.stem_after = [0] * len(cand)
+        wa, sa = Counter(), Counter()
+        for i in range(len(cand) - 1, -1, -1):
+            w = cand[i]
+            wa[w] += 1
+            self.word_after[i] = wa[w]
             if use_stem:
-                sa = dict(sa)
                 s = self.stem_of[w]
-                sa[s] = sa.get(s, 0) + 1
-                self.stem_after[i - 1] = sa
+                sa[s] += 1
+                self.stem_after[i] = sa[s]
 
     def run(self) -> int:
         if self.n_total == 0:
@@ -333,14 +329,14 @@ class _ChunkSearch:
         later occurrences of w, and all remaining quotas of w's stem class
         must fit into later occurrences of that class.
         """
-        if self.rem_exact.get(w, 0) > self.word_after[i].get(w, 0) - 1:
+        if self.rem_exact.get(w, 0) > self.word_after[i] - 1:
             return False
         if self.quota_stem:
             s = self.stem_of[w]
             need = self.rem_stem.get(s, 0) + sum(
                 self.rem_exact[v] for v in self.words_in_class.get(s, ())
             )
-            if need > self.stem_after[i].get(s, 0) - 1:
+            if need > self.stem_after[i] - 1:
                 return False
         return True
 
@@ -357,7 +353,7 @@ class _ChunkSearch:
         self.nodes += 1
         w = self.cand[i]
 
-        # exact matches first, nearest-to-adjacent position first
+        # exact matches first, in ascending ref position
         if self.rem_exact.get(w, 0) > 0:
             for j in self.ref_pos_by_word[w]:
                 if self.used[j]:
@@ -368,8 +364,7 @@ class _ChunkSearch:
             s = self.stem_of[w]
             if (
                 self.rem_stem.get(s, 0) > 0
-                and self.word_after[i].get(w, 0) - 1
-                >= self.rem_exact.get(w, 0)
+                and self.word_after[i] - 1 >= self.rem_exact.get(w, 0)
             ):
                 for j in self.ref_pos_by_stem[s]:
                     rw = self.ref[j]

@@ -10,7 +10,9 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import dropwhile
 from pathlib import Path
+from typing import Sequence
 
 from .errors import DataFormatError, read_input
 from .textproc import TokenizedText
@@ -183,6 +185,16 @@ def load_vectors(path: str | Path) -> WordVectors:
 # n-gram language model
 # ---------------------------------------------------------------------------
 
+def _grams(words: Sequence[str], vocab: frozenset[str],
+           order: int) -> list[tuple[str, ...]]:
+    """The LM events of one sentence: one order-gram per word, after
+    lowercasing, mapping words outside `vocab` to <unk> and padding the
+    start with order - 1 <s>."""
+    padded = [BOS] * (order - 1) + [
+        w if w in vocab else UNK for w in (x.lower() for x in words)]
+    return [tuple(padded[i:i + order]) for i in range(len(words))]
+
+
 @dataclass(frozen=True)
 class NgramLanguageModel:
     """Interpolated add-k n-gram model over a closed vocabulary plus <unk>.
@@ -203,22 +215,23 @@ class NgramLanguageModel:
         """Size of the predicted event space (vocabulary plus <unk>)."""
         return len(self.vocab) + 1
 
-    def _map(self, word: str) -> str:
-        w = word.lower()
-        return w if w in self.vocab else UNK
-
     def prob(self, word: str, context: tuple[str, ...]) -> float:
-        """Interpolated conditional probability with uniform order weights."""
-        w = self._map(word)
-        ctx = tuple(
-            c if c == BOS else self._map(c) for c in context
-        )[-(self.order - 1):] if self.order > 1 else ()
+        """Interpolated conditional probability with uniform order weights.
+
+        Leading <s> in `context` stand for the sentence-start padding; a
+        context shorter than order - 1 words is padded the same way.
+        """
+        words = [*dropwhile(BOS.__eq__, context[-(self.order - 1):]), word]
+        return self._gram_prob(_grams(words, self.vocab, self.order)[-1])
+
+    def _gram_prob(self, gram: tuple[str, ...]) -> float:
+        """prob of gram[-1] after gram[:-1], for one of _grams' events."""
+        smooth = self.add_k * self.event_count
         total = 0.0
         for n in range(1, self.order + 1):
-            h = ctx[len(ctx) - (n - 1):] if n > 1 else ()
-            num = self.continuation_counts[n - 1].get(h + (w,), 0)
-            den = self.context_counts[n - 1].get(h, 0)
-            total += (num + self.add_k) / (den + self.add_k * self.event_count)
+            num = self.continuation_counts[n - 1].get(gram[-n:], 0)
+            den = self.context_counts[n - 1].get(gram[-n:-1], 0)
+            total += (num + self.add_k) / (den + smooth)
         return total / self.order
 
 
@@ -229,36 +242,24 @@ def train_lm(corpus: str | Path, order: int = 3,
     if order < 2:
         raise ValueError(f"model order must be >= 2, got {order}")
     path = Path(corpus)
-    text = read_input(path, "corpus")
-    sentences = [line.split() for line in text.splitlines() if line.split()]
+    text = read_input(path, "corpus").lower()
+    sentences = [s for s in map(str.split, text.splitlines()) if s]
     if not sentences:
         raise DataFormatError(f"corpus {path} contains no sentences")
 
-    word_counts = Counter(w.lower() for sent in sentences for w in sent)
+    word_counts = Counter(w for sent in sentences for w in sent)
     vocab = frozenset(w for w, c in word_counts.items() if c >= 2)
 
-    def map_word(w: str) -> str:
-        lw = w.lower()
-        return lw if lw in vocab else UNK
-
-    context_counts: list[dict] = [Counter() for _ in range(order)]
-    continuation_counts: list[dict] = [Counter() for _ in range(order)]
-    for sent in sentences:
-        mapped = [map_word(w) for w in sent]
-        padded = [BOS] * (order - 1) + mapped
-        for i in range(order - 1, len(padded)):
-            w = padded[i]
-            for n in range(1, order + 1):
-                h = tuple(padded[i - (n - 1): i])
-                context_counts[n - 1][h] += 1
-                continuation_counts[n - 1][h + (w,)] += 1
-
+    grams = [g for sent in sentences for g in _grams(sent, vocab, order)]
+    orders = range(1, order + 1)
     return NgramLanguageModel(
         order=order,
         add_k=add_k,
         vocab=vocab,
-        context_counts=tuple(dict(c) for c in context_counts),
-        continuation_counts=tuple(dict(c) for c in continuation_counts),
+        context_counts=tuple(
+            dict(Counter(g[-n:-1] for g in grams)) for n in orders),
+        continuation_counts=tuple(
+            dict(Counter(g[-n:] for g in grams)) for n in orders),
     )
 
 
@@ -266,13 +267,8 @@ def token_logprobs(model: NgramLanguageModel,
                    text: TokenizedText) -> list[float]:
     """Natural-log conditional probability of every word token, with
     sentence-initial contexts padded by <s>."""
-    out: list[float] = []
-    for sent in text.sentences:
-        history: list[str] = [BOS] * (model.order - 1)
-        for w in sent:
-            out.append(math.log(model.prob(w, tuple(history))))
-            history.append(w.lower())
-    return out
+    return [math.log(model._gram_prob(g)) for sent in text.sentences
+            for g in _grams(sent, model.vocab, model.order)]
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
     Raises DegenerateDataError when either input has zero variance, where
-    the correlation is undefined.
+    the correlation is undefined; fewer than two observations count as
+    zero variance.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("pearson expects two equal-length vectors")
     if xa.size < 2:
-        raise ValueError("pearson needs at least two observations")
+        raise DegenerateDataError(
+            "correlation undefined: fewer than two observations")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     mx = float(np.abs(xc).max())
@@ -132,8 +134,9 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
     feature column and the label vector.
 
     Constant feature columns are reported with r = 0 and a degeneracy flag
-    instead of failing the whole ranking. When a test matrix and labels
-    are supplied each entry also carries its test-set correlation.
+    instead of failing the whole ranking. The confidence interval is left
+    empty below four rows. When a test matrix and labels are supplied each
+    entry also carries its test-set correlation, empty where undefined.
     """
     y = np.asarray(labels, dtype=float)
     if y.shape[0] != matrix.rows.shape[0]:
@@ -158,7 +161,8 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
                 degenerate=True,
             ))
             continue
-        ci_low, ci_high = fisher_ci(r, len(y), level)
+        ci_low, ci_high = (fisher_ci(r, len(y), level) if len(y) >= 4
+                           else (None, None))
         r_test = None
         if y_test is not None:
             try:

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from tseval import qemodel
+from tseval import cli, qemodel
 from tseval.cli import main
 
 
@@ -188,7 +188,7 @@ class TestTrainEvaluateCommands:
         (tmp_path / "features_train.tsv").write_text(
             "id\t" + "\t".join(f"f{j}" for j in range(6)) + "\n"
             + "".join(f"{i}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
-                      for i, row in enumerate(X)))
+                      for i, row in enumerate(X, start=1)))
         code = run("train", "--train", str(tmp_path / "train.tsv"),
                    "--dimension", "G", "--model", "logistic", "--lam", "0.001",
                    "--pca-k", "6", "--folds", "2", "--out", str(tmp_path))
@@ -348,6 +348,19 @@ class TestConfigFileAndErrors:
     def test_missing_config_file_is_data_error(self, tmp_path):
         assert run("features", "--config", str(tmp_path / "no.cfg")) == 2
 
+    def test_only_features_loads_resources(self, synthetic_dataset_dir,
+                                           workflow_dir, tmp_path,
+                                           monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_lm called")
+        monkeypatch.setattr(cli, "train_lm", refuse)
+        base = synthetic_dataset_dir
+        (tmp_path / "features_train.tsv").write_bytes(
+            (workflow_dir / "features_train.tsv").read_bytes())
+        assert run("rank", "--train", str(base / "train.tsv"),
+                   "--lm-corpus", str(base / "lm_corpus.txt"),
+                   "--out", str(tmp_path)) == 0
+
     def test_resource_dir_env_fallback(self, synthetic_dataset_dir, tmp_path,
                                        monkeypatch):
         base = synthetic_dataset_dir
@@ -404,3 +417,104 @@ class TestInputEncoding:
         err = capsys.readouterr().err
         assert f"{bad}:2: " in err
         assert "is not valid UTF-8 (byte 0xff)" in err
+
+
+def _subset(src, dst, rows, ids=None):
+    """Write the dataset `src` to `dst` with only the data lines `rows` (a
+    slice), optionally behind an id column."""
+    header, *lines = src.read_text().splitlines()
+    lines = lines[rows]
+    if ids is not None:
+        header = "id\t" + header
+        lines = [f"{i}\t{line}" for i, line in zip(ids, lines)]
+    dst.write_text("\n".join([header] + lines) + "\n")
+    return dst
+
+
+class TestFeatureRowsMatchDataset:
+    """rank, train and evaluate pair features_<split>.tsv with the labels of
+    the dataset by id, not by position."""
+
+    COMMANDS = {
+        "rank": ("train", ["rank", "--train", "{d}/train.tsv"]),
+        "train": ("train", ["train", "--train", "{d}/train.tsv",
+                            "--dimension", "S", "--model", "linreg",
+                            "--lam", "0", "--pca-k", "5"]),
+        "evaluate": ("test", ["evaluate", "--test", "{d}/test.tsv",
+                              "--dimension", "S", "--model", "linreg"]),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("mismatch", ["count", "ids"])
+    def test_mismatch_is_data_error(self, inputs_dir, tmp_path, capsys,
+                                    command, mismatch):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        split, argv = self.COMMANDS[command]
+        dataset = tmp_path / f"{split}.tsv"
+        n = len(dataset.read_text().splitlines()) - 1
+        if mismatch == "count":
+            _subset(dataset, dataset, slice(1, None))
+            detail = f"{n} rows for {n - 1} records"
+        else:  # same rows in reverse order, with ids that say so
+            _subset(dataset, dataset, slice(None, None, -1),
+                    ids=range(n, 0, -1))
+            detail = f"row 1 has id '1' where the dataset has '{n}'"
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert (f"{tmp_path / f'features_{split}.tsv'} does not match "
+                f"{dataset}: {detail}") in capsys.readouterr().err
+
+
+class TestTooFewRows:
+    FEATURES = "NBOutputWords,ROUGE,TypeTokenRatio,BLEU_1gram,METEOR"
+
+    def _features(self, base, out, train_rows, test_rows=None):
+        argv = ["features", "--features", self.FEATURES, "--out", str(out),
+                "--train", str(_subset(base / "train.tsv",
+                                       out / "train.tsv", train_rows))]
+        if test_rows is not None:
+            argv += ["--test", str(_subset(base / "test.tsv",
+                                           out / "test.tsv", test_rows))]
+        assert run(*argv) == 0
+
+    def test_rank_on_three_rows_leaves_interval_empty(
+            self, synthetic_dataset_dir, tmp_path):
+        self._features(synthetic_dataset_dir, tmp_path, slice(3))
+        assert run("rank", "--train", str(tmp_path / "train.tsv"),
+                   "--dimension", "S", "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "rank_S.tsv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            ci_low, ci_high, r_test = row.split("\t")[3:]
+            assert ci_low == ci_high == r_test == ""
+
+    def test_rank_with_one_test_row_leaves_r_test_empty(
+            self, synthetic_dataset_dir, tmp_path):
+        self._features(synthetic_dataset_dir, tmp_path, slice(None),
+                       slice(1))
+        assert run("rank", "--train", str(tmp_path / "train.tsv"),
+                   "--test", str(tmp_path / "test.tsv"),
+                   "--dimension", "S", "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "rank_S.tsv").read_text().splitlines()[1:]
+        assert [row.split("\t")[5] for row in rows] == [""] * 5
+        assert all(row.split("\t")[3] != "" for row in rows)
+
+    def test_evaluate_regressor_on_one_test_row_is_data_error(
+            self, synthetic_dataset_dir, tmp_path, capsys):
+        self._features(synthetic_dataset_dir, tmp_path, slice(None),
+                       slice(1))
+        model = ["--dimension", "S", "--model", "ridge", "--pca-k", "3",
+                 "--out", str(tmp_path)]
+        assert run("train", "--train", str(tmp_path / "train.tsv"),
+                   *model) == 0
+        assert run("evaluate", "--test", str(tmp_path / "test.tsv"),
+                   *model) == 2
+        assert "fewer than two observations" in capsys.readouterr().err
+
+    def test_single_row_cv_folds_score_zero(self, synthetic_dataset_dir,
+                                            tmp_path, capsys):
+        self._features(synthetic_dataset_dir, tmp_path, slice(30))
+        assert run("train", "--train", str(tmp_path / "train.tsv"),
+                   "--dimension", "S", "--model", "ridge", "--pca-k", "3",
+                   "--folds", "20", "--out", str(tmp_path)) == 0
+        assert (tmp_path / "model_S_ridge.txt").exists()

@@ -1,5 +1,7 @@
 """Resource loaders and the n-gram language model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from tseval.resources import (
     token_logprobs,
     train_lm,
 )
-from tseval.textproc import tokenize
+from tseval.textproc import TokenizedText, tokenize
 
 
 class TestFrequencyTable:
@@ -215,6 +217,22 @@ class TestLanguageModel:
         assert "alpha" in lm.vocab
         assert "beta" in lm.vocab
         assert "gamma" not in lm.vocab  # singleton -> <unk>
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_token_logprobs_score_through_prob(self, toy_corpus, order):
+        lm = train_lm(toy_corpus, order=order)
+        text = TokenizedText(
+            sentences=(("The", "Cat", "sat", "on", "the", "Zebra"),
+                       ("A", "bird", "Quokka", "flew"),
+                       ("THE", "mat")),
+            punct_tokens=(), char_count=0)
+        expected = []
+        for sent in text.sentences:
+            history = ["<s>"] * (order - 1)
+            for w in sent:
+                expected.append(math.log(lm.prob(w, tuple(history))))
+                history.append(w)
+        assert token_logprobs(lm, text) == expected
 
     def test_deterministic(self, toy_corpus):
         lm1 = train_lm(toy_corpus, order=3)

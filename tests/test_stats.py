@@ -53,6 +53,11 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_observations_degenerate(self, n):
+        with pytest.raises(DegenerateDataError, match="two observations"):
+            pearson([1.0] * n, [2.0] * n)
+
     def test_symmetry(self):
         x, y = [1.0, 4.0, 2.0, 8.0], [3.0, 1.0, 5.0, 2.0]
         assert pearson(x, y) == pearson(y, x)
@@ -184,6 +189,21 @@ class TestRankFeatures:
         table = rank_features(train, y, "G", test_matrix=test,
                               test_labels=y[:10])
         assert table.entries[0].r_test is not None
+
+    def test_interval_empty_below_four_rows(self):
+        table = rank_features(_matrix({"x": [1.0, 3.0, 2.0]}),
+                              [0.0, 2.0, 2.0], "G")
+        entry = table.entries[0]
+        assert entry.r_train == pytest.approx(0.866, abs=1e-3)
+        assert entry.ci_low is None and entry.ci_high is None
+
+    def test_one_row_test_split_leaves_r_test_empty(self):
+        train = _matrix({"x": [1.0, 3.0, 2.0, 5.0]})
+        table = rank_features(train, [0.0, 2.0, 2.0, 1.0], "G",
+                              test_matrix=_matrix({"x": [4.0]}),
+                              test_labels=[1.0])
+        assert table.entries[0].r_test is None
+        assert table.entries[0].ci_low is not None
 
     def test_length_mismatch(self):
         matrix = _matrix({"x": [1.0, 2.0]})
