@@ -16,7 +16,6 @@ from .textproc import TokenizedText, count_syllables, ngrams, porter_stem, token
 from .mtmetrics import (
     BleuConfig,
     EditBreakdown,
-    MeteorConfig,
     bleu,
     meteor,
     rouge,

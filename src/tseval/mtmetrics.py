@@ -19,7 +19,6 @@ from .textproc import TokenizedText, porter_stem
 
 __all__ = [
     "BleuConfig",
-    "MeteorConfig",
     "EditBreakdown",
     "bleu",
     "bleu_counts",
@@ -41,14 +40,21 @@ SMOOTHING_METHODS = (
     "method7",
 )
 
+# Smoothing constants of the seven-method catalogue
+METHOD1_EPSILON = 0.1  # count given to an order with no matches
+METHOD4_K = 5.0        # length scaling of method4 and method7
+METHOD6_ALPHA = 5.0    # weight of method6's geometric prior
+
+# METEOR constants of Banerjee & Lavie (2005)
+METEOR_ALPHA = 0.9  # recall/precision mix: F = PR / (aP + (1-a)R)
+METEOR_GAMMA = 0.5  # fragmentation penalty gamma * (chunks / matches)^beta
+METEOR_BETA = 3.0
+
 
 @dataclass(frozen=True)
 class BleuConfig:
     max_order: int = 4
     smoothing: str = "none"
-    epsilon: float = 0.1  # method1
-    alpha: float = 5.0    # method6
-    k: float = 5.0        # method4
 
     def __post_init__(self):
         if self.max_order not in (1, 2, 3, 4):
@@ -57,22 +63,7 @@ class BleuConfig:
             raise ValueError(f"unknown smoothing {self.smoothing!r}")
 
 
-@dataclass(frozen=True)
-class MeteorConfig:
-    alpha: float = 0.9           # recall/precision mix: F = PR / (aP + (1-a)R)
-    penalty_gamma: float = 0.5
-    penalty_beta: float = 3.0
-    match_stages: tuple[str, ...] = ("exact", "stem")
-
-    def __post_init__(self):
-        if not 0.0 <= self.penalty_gamma <= 1.0:
-            raise ValueError("penalty_gamma must lie in [0, 1]")
-        if self.penalty_beta <= 0:
-            raise ValueError("penalty_beta must be positive")
-
-
 DEFAULT_BLEU = BleuConfig()
-DEFAULT_METEOR = MeteorConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +104,8 @@ def _all_ngrams(text: TokenizedText) -> Counter:
     return counts
 
 
-def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
-            cfg: BleuConfig) -> list[float]:
+def _smooth(raw: list[tuple[int, int]], method: str,
+            hyp_len: int) -> list[float]:
     """Apply one smoothing method from the standard seven-method catalogue.
 
     Only called when at least one precision is zero; callers short-circuit
@@ -124,7 +115,7 @@ def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
 
     if method == "method1":
         # replace zero counts with a small epsilon count
-        p = [(cfg.epsilon / den) if num == 0 else num / den
+        p = [(METHOD1_EPSILON / den) if num == 0 else num / den
              for num, den in raw]
     elif method == "method2":
         # add one to numerator and denominator for orders above unigram
@@ -142,7 +133,7 @@ def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
         inc = 1
         for i, (num, den) in enumerate(raw):
             if num == 0 and hyp_len > 1:
-                p[i] = (math.log(hyp_len) / (2 ** inc * cfg.k)) / den
+                p[i] = (math.log(hyp_len) / (2 ** inc * METHOD4_K)) / den
                 inc += 1
         if method == "method7":
             p = _average_with_neighbours(p)
@@ -153,7 +144,7 @@ def _smooth(raw: list[tuple[int, int]], method: str, hyp_len: int,
         for i, (num, den) in enumerate(raw):
             if i >= 2:
                 pi0 = 0.0 if p[i - 2] == 0 else p[i - 1] ** 2 / p[i - 2]
-                p[i] = (num + cfg.alpha * pi0) / (den + cfg.alpha)
+                p[i] = (num + METHOD6_ALPHA * pi0) / (den + METHOD6_ALPHA)
     return [min(max(x, 0.0), 1.0) for x in p]
 
 
@@ -199,7 +190,7 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
     elif cfg.smoothing == "none":
         return 0.0
     else:
-        precisions = _smooth(raw, cfg.smoothing, out_len, cfg)
+        precisions = _smooth(raw, cfg.smoothing, out_len)
 
     if any(x == 0.0 for x in precisions):
         return 0.0
@@ -256,7 +247,7 @@ class _ChunkSearch:
 
     NODE_BUDGET = 250_000
 
-    def __init__(self, cand: list[str], ref: list[str], use_stem: bool):
+    def __init__(self, cand: list[str], ref: list[str]):
         self.cand = cand
         self.ref = ref
         c_cnt = Counter(cand)
@@ -264,38 +255,32 @@ class _ChunkSearch:
         self.quota_exact = {w: min(c, r_cnt.get(w, 0)) for w, c in c_cnt.items()}
         self.n_exact = sum(self.quota_exact.values())
 
-        self.stem_of = {}
+        self.stem_of = {w: porter_stem(w) for w in set(cand) | set(ref)}
+        res_c: dict[str, int] = {}
+        res_r: dict[str, int] = {}
+        for w, c in c_cnt.items():
+            s = self.stem_of[w]
+            res_c[s] = res_c.get(s, 0) + c - self.quota_exact[w]
+        for w, r in r_cnt.items():
+            s = self.stem_of[w]
+            res_r[s] = res_r.get(s, 0) + r - min(r, c_cnt.get(w, 0))
         self.quota_stem: dict[str, int] = {}
-        if use_stem:
-            for w in set(cand) | set(ref):
-                self.stem_of[w] = porter_stem(w)
-            res_c: dict[str, int] = {}
-            res_r: dict[str, int] = {}
-            for w, c in c_cnt.items():
-                s = self.stem_of[w]
-                res_c[s] = res_c.get(s, 0) + c - self.quota_exact[w]
-            for w, r in r_cnt.items():
-                s = self.stem_of[w]
-                res_r[s] = res_r.get(s, 0) + r - min(r, c_cnt.get(w, 0))
-            for s in res_c:
-                q = min(res_c[s], res_r.get(s, 0))
-                if q > 0:
-                    self.quota_stem[s] = q
+        for s in res_c:
+            q = min(res_c[s], res_r.get(s, 0))
+            if q > 0:
+                self.quota_stem[s] = q
         self.n_stem = sum(self.quota_stem.values())
         self.n_total = self.n_exact + self.n_stem
         self.words_in_class: dict[str, list[str]] = {}
-        if use_stem:
-            for w, q in self.quota_exact.items():
-                if q > 0:
-                    self.words_in_class.setdefault(self.stem_of[w], []).append(w)
+        for w, q in self.quota_exact.items():
+            if q > 0:
+                self.words_in_class.setdefault(self.stem_of[w], []).append(w)
 
         self.ref_pos_by_word: dict[str, list[int]] = {}
+        self.ref_pos_by_stem: dict[str, list[int]] = {}
         for j, w in enumerate(ref):
             self.ref_pos_by_word.setdefault(w, []).append(j)
-        self.ref_pos_by_stem: dict[str, list[int]] = {}
-        if use_stem:
-            for j, w in enumerate(ref):
-                self.ref_pos_by_stem.setdefault(self.stem_of[w], []).append(j)
+            self.ref_pos_by_stem.setdefault(self.stem_of[w], []).append(j)
 
         # occurrences of cand[i]'s word / stem class in cand[i:]
         self.word_after = [0] * len(cand)
@@ -303,12 +288,11 @@ class _ChunkSearch:
         wa, sa = Counter(), Counter()
         for i in range(len(cand) - 1, -1, -1):
             w = cand[i]
+            s = self.stem_of[w]
             wa[w] += 1
+            sa[s] += 1
             self.word_after[i] = wa[w]
-            if use_stem:
-                s = self.stem_of[w]
-                sa[s] += 1
-                self.stem_after[i] = sa[s]
+            self.stem_after[i] = sa[s]
 
     def run(self) -> int:
         if self.n_total == 0:
@@ -399,8 +383,7 @@ class _ChunkSearch:
         self.used[j] = False
 
 
-def meteor(source: TokenizedText, output: TokenizedText,
-           cfg: MeteorConfig = DEFAULT_METEOR) -> float:
+def meteor(source: TokenizedText, output: TokenizedText) -> float:
     """METEOR score of the output against the source as reference.
 
     Unigram alignment maximizes the match count with exact matches taking
@@ -413,7 +396,7 @@ def meteor(source: TokenizedText, output: TokenizedText,
     if not ref or not cand:
         return 0.0
 
-    search = _ChunkSearch(cand, ref, use_stem="stem" in cfg.match_stages)
+    search = _ChunkSearch(cand, ref)
     matches = search.n_total
     if matches == 0:
         return 0.0
@@ -422,8 +405,8 @@ def meteor(source: TokenizedText, output: TokenizedText,
     precision = matches / len(cand)
     recall = matches / len(ref)
     fmean = (precision * recall
-             / (cfg.alpha * precision + (1 - cfg.alpha) * recall))
-    penalty = cfg.penalty_gamma * (chunks / matches) ** cfg.penalty_beta
+             / (METEOR_ALPHA * precision + (1 - METEOR_ALPHA) * recall))
+    penalty = METEOR_GAMMA * (chunks / matches) ** METEOR_BETA
     return fmean * (1.0 - penalty)
 
 
@@ -448,24 +431,6 @@ class EditBreakdown:
     matches: int
     num_errors: int
     normalized_score: float
-
-
-def _edit_distance_ids(src: np.ndarray, out: tuple[int, ...]) -> int:
-    m = len(src)
-    if not out:
-        return m
-    if m == 0:
-        return len(out)
-    idx = np.arange(m + 1)
-    row = idx.copy()
-    for tok in out:
-        new = np.empty(m + 1, dtype=np.int64)
-        new[0] = row[0] + 1
-        np.minimum(row[:-1] + (src != tok), row[1:] + 1, out=new[1:])
-        np.minimum.accumulate(new - idx, out=new)
-        new += idx
-        row = new
-    return int(row[m])
 
 
 def _step_rows(rows: np.ndarray, mismatch: np.ndarray,
@@ -494,6 +459,13 @@ def _dp_rows(mismatch: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for p, step in enumerate(mismatch):
         rows[p + 1] = _step_rows(rows[p], step, idx)
     return rows
+
+
+def _distance_table(src: np.ndarray, out: Sequence[int]) -> np.ndarray:
+    """t[j][i] = edit distance between src[:i] and out[:j], so t[-1, -1]
+    is the distance between the two sequences."""
+    mismatch = src[None, :] != np.asarray(out)[:, None]
+    return _dp_rows(mismatch[:, None, :], np.arange(len(src) + 1))[:, 0, :]
 
 
 def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
@@ -535,10 +507,12 @@ class _ShiftSearch:
         self.src = np.asarray(src_ids, dtype=np.int64)
         self.src_t = src_ids
 
-    def plan(self, out: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-        """Return (shifts, remaining_edit_distance, final_sequence)."""
+    def plan(self, out: tuple[int, ...],
+             ed: int) -> tuple[int, int, tuple[int, ...]]:
+        """Return (shifts, remaining_edit_distance, final_sequence), given
+        the edit distance `ed` of `out` itself."""
         lb = _multiset_lower_bound(self.src_t, out)
-        shifts, ed, final = 0, _edit_distance_ids(self.src, out), out
+        shifts, final = 0, out
         while ed > lb:
             delta, moved = self._best_move(final, ed)
             if moved is None:
@@ -563,7 +537,7 @@ class _ShiftSearch:
             moves, state = heapq.heappop(heap)
             if moves != dist.get(state):
                 continue
-            ed = _edit_distance_ids(self.src, state)
+            ed = int(_distance_table(self.src, state)[-1, -1])
             if moves + ed < best_total:
                 best_total = moves + ed
                 best = (moves, ed, state)
@@ -697,20 +671,18 @@ class _ShiftSearch:
                 lo, cells = b + 1, 0
 
 
-def _decompose(src_ids: tuple[int, ...],
-               out_ids: tuple[int, ...]) -> tuple[int, int, int, int]:
+def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...],
+               table: np.ndarray) -> tuple[int, int, int, int]:
     """Optimal unit-cost alignment counts (insertions, deletions,
-    substitutions, matches) transforming source into output.
+    substitutions, matches) transforming source into output, backtraced
+    through their `_distance_table`.
 
     Backtrace prefers diagonal steps, then deletions, then insertions,
     which fixes one canonical decomposition among cost-equal alignments.
     """
-    n, m = len(src_ids), len(out_ids)
-    mismatch = np.asarray(src_ids)[None, :] != np.asarray(out_ids)[:, None]
-    # dp[i][j] = distance between src[:i] and out[:j]
-    dp = _dp_rows(mismatch[:, None, :], np.arange(n + 1))[:, 0, :].T
+    dp = table.T.tolist()  # dp[i][j] = distance between src[:i] and out[:j]
     ins = dels = subs = matches = 0
-    i, j = n, m
+    i, j = len(src_ids), len(out_ids)
     while i > 0 or j > 0:
         if i > 0 and j > 0:
             step = 0 if src_ids[i - 1] == out_ids[j - 1] else 1
@@ -750,8 +722,12 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
             matches=0, num_errors=n, normalized_score=1.0,
         )
 
-    shifts, _, final = _ShiftSearch(src_ids).plan(out_ids)
-    ins, dels, subs, matches = _decompose(src_ids, final)
+    search = _ShiftSearch(src_ids)
+    table = _distance_table(search.src, out_ids)
+    shifts, _, final = search.plan(out_ids, int(table[-1, -1]))
+    if shifts:  # block moves changed the output: align the moved one
+        table = _distance_table(search.src, final)
+    ins, dels, subs, matches = _decompose(src_ids, final, table)
     num_errors = ins + dels + subs + shifts
     return EditBreakdown(
         insertions=ins,

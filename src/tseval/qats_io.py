@@ -95,9 +95,6 @@ class Dataset:
         return bool(self.records) and self.records[0].labels is not None
 
 
-_OPTIONAL_LABEL_COLUMNS = ("G", "M", "S", "Overall")
-
-
 def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
     """Load a dataset from the canonical TSV format.
 
@@ -117,7 +114,7 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
     expected = (["id"] if has_id else []) + ["original", "simplified"]
     labeled = len(header) > len(expected)
     if labeled:
-        expected += list(_OPTIONAL_LABEL_COLUMNS)
+        expected += list(DIMENSIONS)
     if header != expected:
         raise DataFormatError(
             f"{path}: bad header {header}; expected "
@@ -142,7 +139,7 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
         if labeled:
             labels = {
                 dim: parse_label(fields[dim], f"{path}:{lineno} column {dim}")
-                for dim in _OPTIONAL_LABEL_COLUMNS
+                for dim in DIMENSIONS
             }
         records.append(QatsRecord(id=rid, source_text=source,
                                   output_text=output, labels=labels))
@@ -158,7 +155,7 @@ def serialize_dataset(dataset: Dataset, path: str | Path) -> None:
     labeled = dataset.is_labeled
     header = ["original", "simplified"]
     if labeled:
-        header += list(_OPTIONAL_LABEL_COLUMNS)
+        header += list(DIMENSIONS)
     lines = ["\t".join(header)]
     for record in dataset.records:
         for text in (record.source_text, record.output_text):
@@ -173,7 +170,7 @@ def serialize_dataset(dataset: Dataset, path: str | Path) -> None:
                 raise DataFormatError(
                     f"record {record.id} lacks labels in a labeled dataset"
                 )
-            row += [record.labels[d] for d in _OPTIONAL_LABEL_COLUMNS]
+            row += [record.labels[d] for d in DIMENSIONS]
         lines.append("\t".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -194,7 +191,7 @@ def load_raw_pairs(source_file: str | Path, output_file: str | Path,
     labels_per_dim: dict[str, list[str]] = {}
     if label_files:
         normalized = {normalize_dimension(d): p for d, p in label_files.items()}
-        missing = set(_OPTIONAL_LABEL_COLUMNS) - set(normalized)
+        missing = set(DIMENSIONS) - set(normalized)
         if missing:
             raise DataFormatError(
                 f"label files missing for dimensions {sorted(missing)}"
@@ -216,7 +213,7 @@ def load_raw_pairs(source_file: str | Path, output_file: str | Path,
             raise DataFormatError(f"{source_file}:{i + 1}: empty source")
         labels = None
         if labels_per_dim:
-            labels = {d: labels_per_dim[d][i] for d in _OPTIONAL_LABEL_COLUMNS}
+            labels = {d: labels_per_dim[d][i] for d in DIMENSIONS}
         records.append(QatsRecord(id=str(i + 1), source_text=src,
                                   output_text=out, labels=labels))
     return Dataset(records=tuple(records), split_tag=split_tag)

@@ -204,13 +204,17 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
                        intercept=np.float64(intercept), lam=lam)
 
 
-def _lasso_cd(X: np.ndarray, y: np.ndarray, lam: float,
-              tol: float = 1e-7, max_iter: int = 10_000) -> np.ndarray:
+# Coordinate descent stops when no weight moved by _LASSO_TOL in a sweep.
+_LASSO_TOL = 1e-7
+_LASSO_MAX_ITER = 10_000
+
+
+def _lasso_cd(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     n, d = X.shape
     col_sq = (X * X).sum(axis=0)
     w = np.zeros(d)
     residual = y.copy()
-    for _ in range(max_iter):
+    for _ in range(_LASSO_MAX_ITER):
         max_change = 0.0
         for j in range(d):
             if col_sq[j] == 0.0:
@@ -221,7 +225,7 @@ def _lasso_cd(X: np.ndarray, y: np.ndarray, lam: float,
                 residual -= X[:, j] * (new - w[j])
                 max_change = max(max_change, abs(new - w[j]))
                 w[j] = new
-        if max_change < tol:
+        if max_change < _LASSO_TOL:
             return w
     warnings.warn("lasso coordinate descent hit the iteration cap "
                   "before converging", RuntimeWarning, stacklevel=2)
@@ -278,6 +282,8 @@ def _norm(grad_w: np.ndarray, grad_b: np.ndarray) -> float:
     return math.sqrt(float((grad_w * grad_w).sum() + (grad_b * grad_b).sum()))
 
 
+# fit_classifier stops when the gradient norm falls below this.
+_GRAD_TOL = 1e-6
 # Relative change of the loss that its evaluation cannot resolve.
 _LOSS_ROUNDING = 10 * np.finfo(float).eps
 
@@ -292,12 +298,12 @@ class IterationCapWarning(RuntimeWarning):
 
 
 def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
-                   n_classes: int | None = None, tol: float = 1e-6,
+                   n_classes: int | None = None,
                    max_iter: int = 100) -> LinearModel:
     """Multinomial logistic regression with an L2 penalty on the weights
     (not the intercepts), trained by damped Newton steps with a
     backtracking (Armijo) line search until the gradient norm falls below
-    tol or the iteration cap is reached; reaching the cap first raises an
+    _GRAD_TOL (1e-6) or the iteration cap is reached; reaching the cap first raises an
     IterationCapWarning."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -326,7 +332,7 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     b = np.zeros(C)
     loss, grad_w, grad_b = _nll_and_grad(W, b, X, Y, lam)
     for it in range(max_iter + 1):
-        if _norm(grad_w, grad_b) < tol:
+        if _norm(grad_w, grad_b) < _GRAD_TOL:
             break
         if it == max_iter:
             warnings.warn(IterationCapWarning(lam), stacklevel=2)
@@ -518,9 +524,7 @@ def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
     linreg has no penalty, so the grid collapses to {0}.
     """
     if config.kind == "linreg":
-        lam = 0.0
-        return lam, {lam: cross_validate(matrix, y, replace(config, lam=lam),
-                                         folds, seed)}
+        grid = (0.0,)
     results: dict[float, CVResult] = {}
     best_lam, best_score = None, -math.inf
     for lam in grid:

@@ -84,24 +84,24 @@ class ConcretenessLexicon:
         return len(self.ratings)
 
 
-def load_concreteness(path: str | Path, word_column: str = "Word",
-                      rating_column: str = "Conc.M",
-                      delimiter: str | None = None) -> ConcretenessLexicon:
-    """Load a concreteness lexicon from a delimited file with a header.
+_WORD_COLUMN = "Word"
+_RATING_COLUMN = "Conc.M"
+
+
+def load_concreteness(path: str | Path) -> ConcretenessLexicon:
+    """Load a concreteness lexicon from a delimited file whose header has
+    the columns Word and Conc.M.
 
     The delimiter is sniffed from the header line (tab, comma or
-    semicolon) unless given. Ratings must lie in [1, 5].
+    semicolon). Ratings must lie in [1, 5].
     """
     path = Path(path)
     lines = read_input(path, "concreteness file").splitlines()
     if not lines:
         raise DataFormatError(f"concreteness file {path} is empty")
-    if delimiter is None:
-        header = lines[0]
-        delimiter = max("\t,;", key=header.count)
-    reader = csv.DictReader(lines, delimiter=delimiter)
+    reader = csv.DictReader(lines, delimiter=max("\t,;", key=lines[0].count))
     fields = reader.fieldnames or []
-    for col in (word_column, rating_column):
+    for col in (_WORD_COLUMN, _RATING_COLUMN):
         if col not in fields:
             raise DataFormatError(
                 f"concreteness file {path} is missing column {col!r} "
@@ -109,8 +109,8 @@ def load_concreteness(path: str | Path, word_column: str = "Word",
             )
     ratings: dict[str, float] = {}
     for lineno, row in enumerate(reader, start=2):
-        word = (row[word_column] or "").strip().lower()
-        raw = (row[rating_column] or "").strip()
+        word = (row[_WORD_COLUMN] or "").strip().lower()
+        raw = (row[_RATING_COLUMN] or "").strip()
         if not word:
             continue
         try:
@@ -129,9 +129,8 @@ def load_concreteness(path: str | Path, word_column: str = "Word",
 
 @dataclass(frozen=True)
 class WordVectors:
-    """Word embedding table with a fixed dimensionality."""
+    """Word embedding table; every vector has the same dimensionality."""
 
-    dim: int
     vectors: dict[str, tuple[float, ...]] = field(repr=False)
 
     def vector_of(self, word: str) -> tuple[float, ...] | None:
@@ -178,7 +177,7 @@ def load_vectors(path: str | Path) -> WordVectors:
         vectors.setdefault(word, values)
     if dim is None:
         raise DataFormatError(f"vector file {path} contains no vectors")
-    return WordVectors(dim=dim, vectors=vectors)
+    return WordVectors(vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +198,10 @@ def _grams(words: Sequence[str], vocab: frozenset[str],
 class NgramLanguageModel:
     """Interpolated add-k n-gram model over a closed vocabulary plus <unk>.
 
-    Training words seen only once are mapped to <unk>. Contexts are padded
-    with <s>, which is never predicted, so conditional probabilities over
-    vocabulary + <unk> sum to one for every context and order.
+    Training words seen only once, and literal <s> and <unk> tokens, are
+    mapped to <unk>. Contexts are padded with <s>, which is never
+    predicted, so conditional probabilities over vocabulary + <unk> sum
+    to one for every context and order.
     """
 
     order: int
@@ -248,7 +248,8 @@ def train_lm(corpus: str | Path, order: int = 3,
         raise DataFormatError(f"corpus {path} contains no sentences")
 
     word_counts = Counter(w for sent in sentences for w in sent)
-    vocab = frozenset(w for w, c in word_counts.items() if c >= 2)
+    vocab = frozenset(w for w, c in word_counts.items()
+                      if c >= 2 and w not in (BOS, UNK))
 
     grams = [g for sent in sentences for g in _grams(sent, vocab, order)]
     orders = range(1, order + 1)

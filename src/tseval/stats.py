@@ -127,7 +127,7 @@ def _opt(v: float | None) -> str:
 
 
 def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
-                  dimension: str, level: float = 0.95,
+                  dimension: str,
                   test_matrix: FeatureMatrix | None = None,
                   test_labels: Sequence[float] | None = None) -> RankingTable:
     """Rank features by the absolute Pearson correlation between each
@@ -161,7 +161,7 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
                 degenerate=True,
             ))
             continue
-        ci_low, ci_high = (fisher_ci(r, len(y), level) if len(y) >= 4
+        ci_low, ci_high = (fisher_ci(r, len(y)) if len(y) >= 4
                            else (None, None))
         r_test = None
         if y_test is not None:
