@@ -12,7 +12,7 @@ from .errors import (
     ResourceMissingError,
     TsevalError,
 )
-from .textproc import TokenizedText, count_syllables, ngrams, porter_stem, tokenize
+from .textproc import TokenizedText, count_syllables, porter_stem, tokenize
 from .mtmetrics import (
     BleuConfig,
     EditBreakdown,
@@ -75,8 +75,6 @@ from .qats_io import (
     encode_labels,
     label_distribution,
     load_dataset,
-    load_raw_pairs,
-    serialize_dataset,
     to_pairs,
 )
 

@@ -3,6 +3,7 @@ computation for sentence pairs (source sentence, simplified output)."""
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -304,6 +305,8 @@ class FeatureMatrix:
                 f"feature file {path} must start with an 'id' column"
             )
         names = tuple(header[1:])
+        if not names:
+            raise DataFormatError(f"{path}:1: no feature columns")
         ids = []
         rows = []
         for lineno, line in enumerate(lines[1:], start=2):
@@ -315,11 +318,16 @@ class FeatureMatrix:
                 )
             ids.append(parts[0])
             try:
-                rows.append([float(v) for v in parts[1:]])
+                row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric feature value"
                 ) from exc
+            if not all(map(math.isfinite, row)):
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-finite feature value"
+                )
+            rows.append(row)
         return cls(
             feature_names=names,
             rows=np.asarray(rows, dtype=float).reshape(len(ids), len(names)),

@@ -29,21 +29,9 @@ __all__ = [
     "SMOOTHING_METHODS",
 ]
 
-SMOOTHING_METHODS = (
-    "none",
-    "method1",
-    "method2",
-    "method3",
-    "method4",
-    "method5",
-    "method6",
-    "method7",
-)
+SMOOTHING_METHODS = ("none", "method7")
 
-# Smoothing constants of the seven-method catalogue
-METHOD1_EPSILON = 0.1  # count given to an order with no matches
-METHOD4_K = 5.0        # length scaling of method4 and method7
-METHOD6_ALPHA = 5.0    # weight of method6's geometric prior
+METHOD4_K = 5.0  # length scaling of method 7's zero-precision decay
 
 # METEOR constants of Banerjee & Lavie (2005)
 METEOR_ALPHA = 0.9  # recall/precision mix: F = PR / (aP + (1-a)R)
@@ -104,47 +92,21 @@ def _all_ngrams(text: TokenizedText) -> Counter:
     return counts
 
 
-def _smooth(raw: list[tuple[int, int]], method: str,
-            hyp_len: int) -> list[float]:
-    """Apply one smoothing method from the standard seven-method catalogue.
+def _smooth(raw: list[tuple[int, int]], hyp_len: int) -> list[float]:
+    """Smoothing method 7 of Chen & Cherry (2014): method 4's decay for
+    zero precisions, scaled down for short candidates, then each precision
+    averaged with its neighbours.
 
     Only called when at least one precision is zero; callers short-circuit
     otherwise so that smoothing never changes an all-nonzero score.
     """
     p = [num / den for num, den in raw]
-
-    if method == "method1":
-        # replace zero counts with a small epsilon count
-        p = [(METHOD1_EPSILON / den) if num == 0 else num / den
-             for num, den in raw]
-    elif method == "method2":
-        # add one to numerator and denominator for orders above unigram
-        p = [num / den if i == 0 else (num + 1) / (den + 1)
-             for i, (num, den) in enumerate(raw)]
-    elif method == "method3":
-        # geometric decay: k-th zero precision becomes 1 / (2^k * den)
-        inc = 1
-        for i, (num, den) in enumerate(raw):
-            if num == 0:
-                p[i] = 1.0 / (2 ** inc * den)
-                inc += 1
-    elif method in ("method4", "method7"):
-        # like method3 but scaled down for short candidates
-        inc = 1
-        for i, (num, den) in enumerate(raw):
-            if num == 0 and hyp_len > 1:
-                p[i] = (math.log(hyp_len) / (2 ** inc * METHOD4_K)) / den
-                inc += 1
-        if method == "method7":
-            p = _average_with_neighbours(p)
-    elif method == "method5":
-        p = _average_with_neighbours(p)
-    elif method == "method6":
-        # interpolate order >= 3 with a geometric prior from lower orders
-        for i, (num, den) in enumerate(raw):
-            if i >= 2:
-                pi0 = 0.0 if p[i - 2] == 0 else p[i - 1] ** 2 / p[i - 2]
-                p[i] = (num + METHOD6_ALPHA * pi0) / (den + METHOD6_ALPHA)
+    inc = 1
+    for i, (num, den) in enumerate(raw):
+        if num == 0 and hyp_len > 1:
+            p[i] = (math.log(hyp_len) / (2 ** inc * METHOD4_K)) / den
+            inc += 1
+    p = _average_with_neighbours(p)
     return [min(max(x, 0.0), 1.0) for x in p]
 
 
@@ -166,7 +128,7 @@ def bleu(source: TokenizedText, output: TokenizedText,
     Geometric mean of modified n-gram precisions up to cfg.max_order,
     restricted to orders for which the output has at least one n-gram,
     times the brevity penalty exp(min(0, 1 - |source| / |output|)).
-    Smoothing only kicks in when some precision is zero, so every method
+    Smoothing only kicks in when some precision is zero, so method 7
     agrees with the unsmoothed score on inputs with all-positive matches.
     """
     return bleu_from_counts(bleu_counts(source, output), source.word_count,
@@ -190,7 +152,7 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
     elif cfg.smoothing == "none":
         return 0.0
     else:
-        precisions = _smooth(raw, cfg.smoothing, out_len)
+        precisions = _smooth(raw, out_len)
 
     if any(x == 0.0 for x in precisions):
         return 0.0

@@ -2,8 +2,7 @@
 
 The canonical format is a UTF-8 TSV with header
 ``original<TAB>simplified[<TAB>G<TAB>M<TAB>S<TAB>Overall]`` and an
-optional leading ``id`` column; a converter for the raw distribution
-(paired sentence files plus per-dimension label files) is also provided.
+optional leading ``id`` column.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +26,6 @@ __all__ = [
     "parse_label",
     "normalize_dimension",
     "load_dataset",
-    "serialize_dataset",
-    "load_raw_pairs",
     "label_distribution",
     "encode_labels",
     "decode_labels",
@@ -143,79 +140,6 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
             }
         records.append(QatsRecord(id=rid, source_text=source,
                                   output_text=output, labels=labels))
-    return Dataset(records=tuple(records), split_tag=split_tag)
-
-
-def serialize_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Write the canonical TSV (LF line endings, no id column).
-
-    Texts containing literal tabs cannot be represented and are rejected,
-    which keeps load/serialize round trips bit-exact.
-    """
-    labeled = dataset.is_labeled
-    header = ["original", "simplified"]
-    if labeled:
-        header += list(DIMENSIONS)
-    lines = ["\t".join(header)]
-    for record in dataset.records:
-        for text in (record.source_text, record.output_text):
-            if "\t" in text or "\n" in text:
-                raise DataFormatError(
-                    f"record {record.id}: text contains a tab or newline "
-                    "and cannot be serialized to TSV"
-                )
-        row = [record.source_text, record.output_text]
-        if labeled:
-            if record.labels is None:
-                raise DataFormatError(
-                    f"record {record.id} lacks labels in a labeled dataset"
-                )
-            row += [record.labels[d] for d in DIMENSIONS]
-        lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_raw_pairs(source_file: str | Path, output_file: str | Path,
-                   label_files: Mapping[str, str | Path] | None = None,
-                   split_tag: str = "unlabeled") -> Dataset:
-    """Build a dataset from the raw distribution layout: one sentence per
-    line in paired source/output files, plus optional per-dimension label
-    files (one label per line, all four dimensions required)."""
-    sources = read_input(source_file, "source file").splitlines()
-    outputs = read_input(output_file, "output file").splitlines()
-    if len(sources) != len(outputs):
-        raise DataFormatError(
-            f"{source_file} has {len(sources)} lines but {output_file} "
-            f"has {len(outputs)}"
-        )
-    labels_per_dim: dict[str, list[str]] = {}
-    if label_files:
-        normalized = {normalize_dimension(d): p for d, p in label_files.items()}
-        missing = set(DIMENSIONS) - set(normalized)
-        if missing:
-            raise DataFormatError(
-                f"label files missing for dimensions {sorted(missing)}"
-            )
-        for dim, lpath in normalized.items():
-            values = read_input(lpath, "label file").splitlines()
-            if len(values) != len(sources):
-                raise DataFormatError(
-                    f"{lpath} has {len(values)} labels for "
-                    f"{len(sources)} sentence pairs"
-                )
-            labels_per_dim[dim] = [
-                parse_label(v, f"{lpath}:{i + 1}")
-                for i, v in enumerate(values)
-            ]
-    records = []
-    for i, (src, out) in enumerate(zip(sources, outputs)):
-        if not src.strip():
-            raise DataFormatError(f"{source_file}:{i + 1}: empty source")
-        labels = None
-        if labels_per_dim:
-            labels = {d: labels_per_dim[d][i] for d in DIMENSIONS}
-        records.append(QatsRecord(id=str(i + 1), source_text=src,
-                                  output_text=out, labels=labels))
     return Dataset(records=tuple(records), split_tag=split_tag)
 
 

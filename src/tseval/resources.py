@@ -32,6 +32,7 @@ __all__ = [
 
 BOS = "<s>"
 UNK = "<unk>"
+ADD_K = 0.1  # add-k count of every LM event
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,10 @@ def load_vectors(path: str | Path) -> WordVectors:
             raise DataFormatError(
                 f"{path}:{lineno}: non-numeric vector component"
             ) from exc
+        if not all(map(math.isfinite, values)):
+            raise DataFormatError(
+                f"{path}:{lineno}: non-finite vector component"
+            )
         if dim is None:
             dim = len(values)
             if dim == 0:
@@ -205,7 +210,6 @@ class NgramLanguageModel:
     """
 
     order: int
-    add_k: float
     vocab: frozenset[str]
     context_counts: tuple[dict, ...] = field(repr=False)  # per order 1..n
     continuation_counts: tuple[dict, ...] = field(repr=False)
@@ -226,17 +230,16 @@ class NgramLanguageModel:
 
     def _gram_prob(self, gram: tuple[str, ...]) -> float:
         """prob of gram[-1] after gram[:-1], for one of _grams' events."""
-        smooth = self.add_k * self.event_count
+        smooth = ADD_K * self.event_count
         total = 0.0
         for n in range(1, self.order + 1):
             num = self.continuation_counts[n - 1].get(gram[-n:], 0)
             den = self.context_counts[n - 1].get(gram[-n:-1], 0)
-            total += (num + self.add_k) / (den + smooth)
+            total += (num + ADD_K) / (den + smooth)
         return total / self.order
 
 
-def train_lm(corpus: str | Path, order: int = 3,
-             add_k: float = 0.1) -> NgramLanguageModel:
+def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
     """Train an interpolated add-k n-gram model on a plain-text corpus,
     one sentence per line, whitespace tokenized and lowercased."""
     if order < 2:
@@ -255,7 +258,6 @@ def train_lm(corpus: str | Path, order: int = 3,
     orders = range(1, order + 1)
     return NgramLanguageModel(
         order=order,
-        add_k=add_k,
         vocab=vocab,
         context_counts=tuple(
             dict(Counter(g[-n:-1] for g in grams)) for n in orders),

@@ -1,5 +1,5 @@
 """Deterministic tokenization, sentence splitting, syllable counting and
-n-gram extraction.
+Porter stemming.
 
 All functions here are pure: no randomness, no global state other than
 porter_stem's memo, safe for concurrent use. The tokenizer is
@@ -13,15 +13,12 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = [
     "TokenizedText",
-    "NgramProfile",
     "tokenize",
     "count_syllables",
-    "ngrams",
     "porter_stem",
     "is_punctuation",
 ]
@@ -154,29 +151,6 @@ def count_syllables(word: str) -> int:
     ):
         groups -= 1
     return max(groups, 1)
-
-
-@dataclass(frozen=True)
-class NgramProfile:
-    """Multiset of n-grams of one order, never crossing sentence bounds."""
-
-    order: int
-    counts: Counter
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def ngrams(text: TokenizedText, n: int) -> NgramProfile:
-    """Extract the order-n n-gram profile of a tokenized text."""
-    if n < 1:
-        raise ValueError(f"n-gram order must be >= 1, got {n}")
-    counts: Counter = Counter()
-    for sent in text.sentences:
-        for i in range(len(sent) - n + 1):
-            counts[sent[i : i + n]] += 1
-    return NgramProfile(order=n, counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -465,6 +465,32 @@ class TestFeatureRowsMatchDataset:
                 f"{dataset}: {detail}") in capsys.readouterr().err
 
 
+class TestFeatureFileValues:
+    """A features_<split>.tsv that compute_matrix could not have written is
+    a data error at its line, not a ranking or model built on it."""
+
+    @pytest.mark.parametrize("command", ["rank", "train"])
+    @pytest.mark.parametrize("defect", ["nan", "inf", "id-only"])
+    def test_defect_is_data_error_with_line(self, inputs_dir, tmp_path,
+                                            capsys, command, defect):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        split, argv = TestFeatureRowsMatchDataset.COMMANDS[command]
+        path = tmp_path / f"features_{split}.tsv"
+        lines = path.read_text().splitlines()
+        if defect == "id-only":
+            lines = [line.split("\t", 1)[0] for line in lines]
+            where = f"{path}:1: no feature columns"
+        else:
+            cells = lines[2].split("\t")
+            cells[1] = defect
+            lines[2] = "\t".join(cells)
+            where = f"{path}:3: non-finite feature value"
+        path.write_text("\n".join(lines) + "\n")
+        argv = [a.format(d=tmp_path) for a in argv]
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert where in capsys.readouterr().err
+
+
 class TestTooFewRows:
     FEATURES = "NBOutputWords,ROUGE,TypeTokenRatio,BLEU_1gram,METEOR"
 

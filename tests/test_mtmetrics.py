@@ -5,6 +5,7 @@ import heapq
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,7 @@ from tseval.mtmetrics import (
     METEOR_ALPHA,
     METEOR_BETA,
     METEOR_GAMMA,
-    METHOD1_EPSILON,
     METHOD4_K,
-    METHOD6_ALPHA,
     BleuConfig,
     EditBreakdown,
     SMOOTHING_METHODS,
@@ -27,7 +26,7 @@ from tseval.mtmetrics import (
     ter_align,
 )
 from tseval.mtmetrics import _ShiftSearch
-from tseval.textproc import ngrams, porter_stem, tokenize
+from tseval.textproc import porter_stem, tokenize
 
 
 def T(s):
@@ -53,13 +52,19 @@ def lcs_oracle(a, b):
     return best
 
 
+def ngram_counts(text, n):
+    """Multiset of the text's order-n n-grams, never crossing sentences."""
+    return Counter(sent[i:i + n] for sent in text.sentences
+                   for i in range(len(sent) - n + 1))
+
+
 def bleu_counts_oracle(source, output):
-    """(clipped matches, candidate total) for orders 1..4, one ngrams
-    profile per order and text."""
+    """(clipped matches, candidate total) for orders 1..4, one n-gram
+    multiset per order and text."""
     out = []
     for n in range(1, 5):
-        cand = ngrams(output, n).counts
-        ref = ngrams(source, n).counts
+        cand = ngram_counts(output, n)
+        ref = ngram_counts(source, n)
         out.append((sum(min(c, ref[g]) for g, c in cand.items()),
                     sum(cand.values())))
     return tuple(out)
@@ -75,8 +80,8 @@ def bleu_recount_oracle(source, output, cfg):
     def raw_precisions(orders):
         out = []
         for n in orders:
-            cand = ngrams(output, n).counts
-            ref = ngrams(source, n).counts
+            cand = ngram_counts(output, n)
+            ref = ngram_counts(source, n)
             num = sum(min(c, ref.get(g, 0)) for g, c in cand.items())
             out.append((num, max(1, sum(cand.values()))))
         return out
@@ -91,46 +96,22 @@ def bleu_recount_oracle(source, output, cfg):
         return out
 
     orders = [n for n in range(1, cfg.max_order + 1)
-              if ngrams(output, n).total > 0]
+              if ngram_counts(output, n)]
     raw = raw_precisions(orders)
-    method = cfg.smoothing
     if all(num > 0 for num, _ in raw):
         p = [num / den for num, den in raw]
-    elif method == "none":
+    elif cfg.smoothing == "none":
         return 0.0
-    else:
-        p_next = 0.0
-        if method in ("method5", "method7"):
-            (num, den), = raw_precisions([orders[-1] + 1])
-            p_next = num / den
+    else:  # method7
+        (num, den), = raw_precisions([orders[-1] + 1])
+        p_next = num / den
         p = [num / den for num, den in raw]
-        if method == "method1":
-            p = [(METHOD1_EPSILON / den) if num == 0 else num / den
-                 for num, den in raw]
-        elif method == "method2":
-            p = [num / den if i == 0 else (num + 1) / (den + 1)
-                 for i, (num, den) in enumerate(raw)]
-        elif method == "method3":
-            inc = 1
-            for i, (num, den) in enumerate(raw):
-                if num == 0:
-                    p[i] = 1.0 / (2 ** inc * den)
-                    inc += 1
-        elif method in ("method4", "method7"):
-            inc = 1
-            for i, (num, den) in enumerate(raw):
-                if num == 0 and out_len > 1:
-                    p[i] = (math.log(out_len) / (2 ** inc * METHOD4_K)) / den
-                    inc += 1
-            if method == "method7":
-                p = neighbours(p, p_next)
-        elif method == "method5":
-            p = neighbours(p, p_next)
-        elif method == "method6":
-            for i, (num, den) in enumerate(raw):
-                if i >= 2:
-                    pi0 = 0.0 if p[i - 2] == 0 else p[i - 1] ** 2 / p[i - 2]
-                    p[i] = (num + METHOD6_ALPHA * pi0) / (den + METHOD6_ALPHA)
+        inc = 1
+        for i, (num, den) in enumerate(raw):
+            if num == 0 and out_len > 1:
+                p[i] = (math.log(out_len) / (2 ** inc * METHOD4_K)) / den
+                inc += 1
+        p = neighbours(p, p_next)
         p = [min(max(x, 0.0), 1.0) for x in p]
     if any(x == 0.0 for x in p):
         return 0.0
@@ -318,24 +299,25 @@ class TestBleu:
         src, out = T(" ".join(a)), T(" ".join(b))
         plain = bleu(src, out)
         assert 0.0 <= plain <= 1.0
-        raws = [bleu(src, out, BleuConfig(max_order=4, smoothing=m))
-                for m in SMOOTHING_METHODS[1:]]
-        for smoothed in raws:
-            assert 0.0 <= smoothed <= 1.0
-            assert smoothed >= plain - 1e-12
+        smoothed = bleu(src, out, BleuConfig(max_order=4, smoothing="method7"))
+        assert 0.0 <= smoothed <= 1.0
+        assert smoothed >= plain - 1e-12
         # when no precision is zero, smoothing must not change the score
         orders = [n for n in range(1, 5)
                   if any(len(s) >= n for s in out.sentences)]
         counts = bleu_counts(src, out)
         raw = [counts[n - 1] for n in orders]
         if all(num > 0 for num, _ in raw):
-            for smoothed in raws:
-                assert smoothed == pytest.approx(plain, abs=1e-12)
+            assert smoothed == pytest.approx(plain, abs=1e-12)
 
     # Tokens ending in "." close a sentence, so n-grams must stop at
     # sentence bounds; "c." next to "c" shares the word.
     _multi_sentence = st.lists(st.sampled_from("a b c d a. c.".split()),
                                min_size=0, max_size=14)
+
+    def test_counts_stop_at_sentence_bounds(self):
+        # "b c" is a bigram of the output but spans two source sentences
+        assert bleu_counts(T("a b. c d."), T("b c."))[1] == (0, 1)
 
     @given(_multi_sentence.filter(bool), _multi_sentence)
     @settings(max_examples=150, deadline=None)
@@ -358,52 +340,20 @@ class TestBleu:
                    BleuConfig(max_order=4, smoothing="method7"))
         assert 0.0 < got < 1.0
 
-    # Hand-computed smoothing fixtures. src "a b c d", out "a b x" with
-    # max_order=3 gives raw precisions p1=2/3, p2=1/2, p3=0/1 and brevity
-    # penalty exp(1 - 4/3); each method rewrites the zero p3 differently.
-    _SRC = "a b c d"
-    _OUT = "a b x"
-    _BP = math.exp(1 - 4 / 3)
-
-    def _smoothed(self, method):
-        return bleu(T(self._SRC), T(self._OUT),
-                    BleuConfig(max_order=3, smoothing=method))
-
-    def test_method1_epsilon_count(self):
-        expected = self._BP * ((2 / 3) * (1 / 2) * (0.1 / 1)) ** (1 / 3)
-        assert self._smoothed("method1") == pytest.approx(expected, abs=1e-12)
-
-    def test_method2_add_one_above_unigram(self):
-        expected = self._BP * ((2 / 3) * (2 / 3) * (1 / 2)) ** (1 / 3)
-        assert self._smoothed("method2") == pytest.approx(expected, abs=1e-12)
-
-    def test_method3_geometric_decay(self):
-        expected = self._BP * ((2 / 3) * (1 / 2) * (1 / 2)) ** (1 / 3)
-        assert self._smoothed("method3") == pytest.approx(expected, abs=1e-12)
-
-    def test_method4_scales_by_candidate_length(self):
-        # zero precision becomes (ln 3 / (2 * 5)) / 1
-        expected = self._BP * ((2 / 3) * (1 / 2)
-                               * (math.log(3) / 10)) ** (1 / 3)
-        assert self._smoothed("method4") == pytest.approx(expected, abs=1e-12)
-
-    def test_method5_neighbour_averaging(self):
-        # p4 (order max+1) has no candidate 4-grams -> 0; then
+    def test_method7_hand_computed(self):
+        # src "a b c d", out "a b x", max_order=3: raw precisions
+        # p1 = 2/3, p2 = 1/2, p3 = 0/1 and brevity penalty exp(1 - 4/3).
+        # Method 4's decay makes p3 (ln 3 / (2 * 5)) / 1; then
         # p1' = (p1+1 + p1 + p2)/3, p2' = (p1' + p2 + p3)/3,
-        # p3' = (p2' + p3 + p4)/3, each capped at 1
-        p1, p2, p3, p4 = 2 / 3, 1 / 2, 0.0, 0.0
+        # p3' = (p2' + p3 + p4)/3 with p4 = 0 (no candidate 4-grams).
+        p1, p2, p3, p4 = 2 / 3, 1 / 2, math.log(3) / 10, 0.0
         m1 = ((p1 + 1) + p1 + p2) / 3
         m2 = (m1 + p2 + p3) / 3
         m3 = (m2 + p3 + p4) / 3
-        expected = self._BP * (min(m1, 1.0) * m2 * m3) ** (1 / 3)
-        assert self._smoothed("method5") == pytest.approx(expected, abs=1e-12)
-
-    def test_method6_interpolated_prior(self):
-        # order 3 interpolates with pi0 = p2^2 / p1; numerator 0, alpha 5
-        pi0 = (1 / 2) ** 2 / (2 / 3)
-        p3 = (0 + 5 * pi0) / (1 + 5)
-        expected = self._BP * ((2 / 3) * (1 / 2) * p3) ** (1 / 3)
-        assert self._smoothed("method6") == pytest.approx(expected, abs=1e-12)
+        expected = math.exp(1 - 4 / 3) * (m1 * m2 * m3) ** (1 / 3)
+        got = bleu(T("a b c d"), T("a b x"),
+                   BleuConfig(max_order=3, smoothing="method7"))
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

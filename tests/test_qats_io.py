@@ -1,4 +1,4 @@
-"""Dataset loading, validation, label handling and round trips."""
+"""Dataset loading, validation and label handling."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,12 @@ import pytest
 from tseval.errors import DataFormatError
 from tseval.qats_io import (
     Dataset,
-    QatsRecord,
     decode_labels,
     encode_labels,
     label_distribution,
     load_dataset,
-    load_raw_pairs,
     normalize_dimension,
     parse_label,
-    serialize_dataset,
     to_pairs,
 )
 
@@ -126,64 +123,6 @@ class TestLoadDataset:
         crlf = load_dataset(path)
         lf = load_dataset(write(tmp_path, "lf.tsv", LABELED))
         assert crlf.records == lf.records
-
-
-class TestRoundTrip:
-    def test_load_serialize_load_identity(self, tmp_path):
-        ds = load_dataset(write(tmp_path, "d.tsv", LABELED))
-        out = tmp_path / "copy.tsv"
-        serialize_dataset(ds, out)
-        again = load_dataset(out)
-        assert [
-            (r.source_text, r.output_text, r.labels) for r in again.records
-        ] == [
-            (r.source_text, r.output_text, r.labels) for r in ds.records
-        ]
-        serialize_dataset(again, tmp_path / "copy2.tsv")
-        assert (tmp_path / "copy2.tsv").read_bytes() == out.read_bytes()
-
-    def test_tab_in_text_rejected(self, tmp_path):
-        ds = Dataset(records=(
-            QatsRecord(id="1", source_text="a\tb", output_text="c"),
-        ))
-        with pytest.raises(DataFormatError, match="tab"):
-            serialize_dataset(ds, tmp_path / "x.tsv")
-
-
-class TestRawConverter:
-    def test_paired_files_with_labels(self, tmp_path):
-        src = write(tmp_path, "src.txt", "The cat sat.\nA dog ran.\n")
-        out = write(tmp_path, "out.txt", "Cat sat.\nDog ran.\n")
-        labels = {
-            dim: write(tmp_path, f"{dim}.txt", "good\nbad\n")
-            for dim in ("G", "M", "S", "Overall")
-        }
-        ds = load_raw_pairs(src, out, labels, "train")
-        assert len(ds) == 2
-        assert ds.records[1].labels["S"] == "Bad"
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        src = write(tmp_path, "src.txt", "One.\nTwo.\n")
-        out = write(tmp_path, "out.txt", "One.\n")
-        with pytest.raises(DataFormatError, match="lines"):
-            load_raw_pairs(src, out)
-
-    def test_missing_dimension_rejected(self, tmp_path):
-        src = write(tmp_path, "src.txt", "One.\n")
-        out = write(tmp_path, "out.txt", "One.\n")
-        with pytest.raises(DataFormatError, match="missing"):
-            load_raw_pairs(src, out, {"G": write(tmp_path, "g.txt", "ok\n")})
-
-    def test_missing_file_rejected(self, tmp_path):
-        out = write(tmp_path, "out.txt", "One.\n")
-        with pytest.raises(DataFormatError, match="cannot read source file"):
-            load_raw_pairs(tmp_path / "none.txt", out)
-
-    def test_unlabeled_pairs(self, tmp_path):
-        src = write(tmp_path, "src.txt", "One.\n")
-        out = write(tmp_path, "out.txt", "Uno.\n")
-        ds = load_raw_pairs(src, out)
-        assert not ds.is_labeled
 
 
 class TestLabels:

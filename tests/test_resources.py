@@ -128,6 +128,14 @@ class TestWordVectors:
         with pytest.raises(DataFormatError, match="no vectors"):
             load_vectors(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_names_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"dog 0.1 0.2\ncat {value} 0.3\n")
+        with pytest.raises(DataFormatError,
+                           match=":2: non-finite vector component"):
+            load_vectors(path)
+
 
 @pytest.fixture
 def toy_corpus(tmp_path):

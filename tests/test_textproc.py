@@ -1,4 +1,4 @@
-"""Tokenization, sentence splitting, syllables, n-grams, Porter stemmer."""
+"""Tokenization, sentence splitting, syllables, Porter stemmer."""
 
 import string
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tseval.textproc import (
     count_syllables,
     is_punctuation,
-    ngrams,
     porter_stem,
     tokenize,
 )
@@ -137,45 +136,6 @@ class TestSyllables:
     @settings(max_examples=300)
     def test_always_at_least_one(self, word):
         assert count_syllables(word) >= 1
-
-
-class TestNgrams:
-    def _text(self, *sent_strings):
-        return tokenize(" ".join(s + "." for s in sent_strings))
-
-    def test_unigrams(self):
-        prof = ngrams(self._text("a b c"), 1)
-        assert prof.counts == {("a",): 1, ("b",): 1, ("c",): 1}
-
-    def test_bigrams(self):
-        prof = ngrams(self._text("a b c"), 2)
-        assert prof.counts == {("a", "b"): 1, ("b", "c"): 1}
-
-    def test_repeated_bigram(self):
-        prof = ngrams(self._text("a a a"), 2)
-        assert prof.counts == {("a", "a"): 2}
-
-    def test_ngrams_do_not_cross_sentences(self):
-        prof = ngrams(self._text("a b", "c d"), 2)
-        assert ("b", "c") not in prof.counts
-        assert prof.total == 2
-
-    def test_order_beyond_length_is_empty(self):
-        prof = ngrams(self._text("a b"), 5)
-        assert prof.total == 0
-
-    def test_invalid_order(self):
-        with pytest.raises(ValueError):
-            ngrams(self._text("a"), 0)
-
-    @given(texts, st.integers(min_value=1, max_value=5))
-    @settings(max_examples=200)
-    def test_total_counts_formula(self, text, n):
-        t = tokenize(text)
-        prof = ngrams(t, n)
-        expected = sum(max(0, len(s) - n + 1) for s in t.sentences)
-        assert prof.total == expected
-        assert prof.total <= t.word_count
 
 
 class TestPorterStemmer:
