@@ -105,11 +105,10 @@ def _avg_cosine(ctx: _PairContext) -> float:
     vectors = ctx.resources.vectors
     means = []
     for text in (ctx.pair.source, ctx.pair.output):
-        vecs = [vectors.vector_of(w) for w in text.words]
-        vecs = [v for v in vecs if v is not None]
-        if not vecs:
+        rows = [r for r in map(vectors.row_of, text.words) if r is not None]
+        if not rows:
             return 0.0
-        means.append(np.mean(np.asarray(vecs, dtype=float), axis=0))
+        means.append(np.mean(vectors.matrix[rows], axis=0))
     a, b = means
     denom = float(np.linalg.norm(a) * np.linalg.norm(b))
     return float(np.dot(a, b) / denom) if denom > 0 else 0.0

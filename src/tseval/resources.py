@@ -12,7 +12,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import dropwhile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import DataFormatError, read_input
 from .textproc import TokenizedText
@@ -130,21 +132,41 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
 
 @dataclass(frozen=True)
 class WordVectors:
-    """Word embedding table; every vector has the same dimensionality."""
+    """Word embedding table: a word -> row index and one read-only float64
+    matrix with a row per word."""
 
-    vectors: dict[str, tuple[float, ...]] = field(repr=False)
+    rows: dict[str, int] = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
-    def vector_of(self, word: str) -> tuple[float, ...] | None:
-        return self.vectors.get(word.lower())
+    def row_of(self, word: str) -> int | None:
+        return self.rows.get(word.lower())
+
+    def vector_of(self, word: str) -> np.ndarray | None:
+        row = self.row_of(word)
+        return None if row is None else self.matrix[row]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+
+def _vector_line_defect(fields: list[str], dim: int) -> str | None:
+    """What is wrong with the components of one data line, if anything."""
+    try:
+        values = [float(p) for p in fields]
+    except ValueError:
+        return "non-numeric vector component"
+    if not all(map(math.isfinite, values)):
+        return "non-finite vector component"
+    if len(values) != dim:
+        return f"expected {dim} values, found {len(values)}"
+    return None
 
 
 def load_vectors(path: str | Path) -> WordVectors:
     """Load word vectors in the standard text format: an optional
     "count dim" header line, then one "word v1 ... vdim" line per word.
-    The dimensionality is inferred from the first data line."""
+    The dimensionality is inferred from the first data line. A repeated
+    word keeps its first vector, but every line is checked."""
     path = Path(path)
     lines = read_input(path, "vector file").splitlines()
     start = 0
@@ -152,51 +174,54 @@ def load_vectors(path: str | Path) -> WordVectors:
         head = lines[0].split()
         if len(head) == 2 and all(p.lstrip("+-").isdigit() for p in head):
             start = 1
-    dim = None
-    vectors: dict[str, tuple[float, ...]] = {}
+    rows: dict[str, int] = {}
+    values: list[str] = []  # the components of every line, in file order
+    widths: list[int] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
         parts = line.split()
-        if not parts:
-            continue
-        word = parts[0].lower()
-        try:
-            values = tuple(float(p) for p in parts[1:])
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}:{lineno}: non-numeric vector component"
-            ) from exc
-        if not all(map(math.isfinite, values)):
-            raise DataFormatError(
-                f"{path}:{lineno}: non-finite vector component"
-            )
-        if dim is None:
-            dim = len(values)
-            if dim == 0:
-                raise DataFormatError(
-                    f"{path}:{lineno}: first data line has no vector values"
-                )
-        elif len(values) != dim:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {dim} values, found {len(values)}"
-            )
-        vectors.setdefault(word, values)
-    if dim is None:
+        if parts:
+            rows.setdefault(parts[0].lower(), len(linenos))
+            values += parts[1:]
+            widths.append(len(parts) - 1)
+            linenos.append(lineno)
+    if not linenos:
         raise DataFormatError(f"vector file {path} contains no vectors")
-    return WordVectors(vectors=vectors)
+    dim = widths[0]
+    if dim == 0:
+        raise DataFormatError(
+            f"{path}:{linenos[0]}: first data line has no vector values")
+    try:
+        matrix = np.array(values, dtype=float)  # float() of every field
+    except ValueError:  # a non-numeric field
+        matrix = None
+    if (matrix is None or widths.count(dim) < len(widths)
+            or not np.isfinite(matrix).all()):
+        for lineno in linenos:
+            defect = _vector_line_defect(lines[lineno - 1].split()[1:], dim)
+            if defect:
+                raise DataFormatError(f"{path}:{lineno}: {defect}")
+    matrix = matrix.reshape(len(linenos), dim)
+    if len(rows) < len(linenos):
+        matrix = matrix[list(rows.values())]
+        rows = {word: i for i, word in enumerate(rows)}
+    matrix.flags.writeable = False
+    return WordVectors(rows=rows, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
 # n-gram language model
 # ---------------------------------------------------------------------------
 
-def _grams(words: Sequence[str], vocab: frozenset[str],
-           order: int) -> list[tuple[str, ...]]:
-    """The LM events of one sentence: one order-gram per word, after
-    lowercasing, mapping words outside `vocab` to <unk> and padding the
-    start with order - 1 <s>."""
-    padded = [BOS] * (order - 1) + [
-        w if w in vocab else UNK for w in (x.lower() for x in words)]
-    return [tuple(padded[i:i + order]) for i in range(len(words))]
+BOS_ID = 0
+UNK_ID = 1
+
+
+def _ids(words: Iterable[str], word_ids: dict[str, int]) -> list[int]:
+    """Word ids after lowercasing; words outside the vocabulary are
+    <unk>."""
+    get = word_ids.get
+    return [get(w.lower(), UNK_ID) for w in words]
 
 
 @dataclass(frozen=True)
@@ -207,17 +232,31 @@ class NgramLanguageModel:
     mapped to <unk>. Contexts are padded with <s>, which is never
     predicted, so conditional probabilities over vocabulary + <unk> sum
     to one for every context and order.
+
+    Words are ids: <s> is 0, <unk> is 1 and vocabulary words 2 and up.
+    The order-n event (w1, ..., wn) is the integer key whose base-`base`
+    digits are the ids, w1 the highest; its context (w1, ..., wn-1) is
+    key // base, which is 0 for every event of order 1.
     """
 
     order: int
-    vocab: frozenset[str]
-    context_counts: tuple[dict, ...] = field(repr=False)  # per order 1..n
-    continuation_counts: tuple[dict, ...] = field(repr=False)
+    word_ids: dict[str, int] = field(repr=False)
+    context_counts: tuple[dict[int, int], ...] = field(repr=False)  # 1..n
+    continuation_counts: tuple[dict[int, int], ...] = field(repr=False)
+
+    @property
+    def vocab(self) -> frozenset[str]:
+        return frozenset(self.word_ids)
 
     @property
     def event_count(self) -> int:
         """Size of the predicted event space (vocabulary plus <unk>)."""
-        return len(self.vocab) + 1
+        return len(self.word_ids) + 1
+
+    @property
+    def base(self) -> int:
+        """Radix of the event keys: the number of ids, <s> included."""
+        return len(self.word_ids) + 2
 
     def prob(self, word: str, context: tuple[str, ...]) -> float:
         """Interpolated conditional probability with uniform order weights.
@@ -226,17 +265,37 @@ class NgramLanguageModel:
         context shorter than order - 1 words is padded the same way.
         """
         words = [*dropwhile(BOS.__eq__, context[-(self.order - 1):]), word]
-        return self._gram_prob(_grams(words, self.vocab, self.order)[-1])
+        return self._probs(_ids(words, self.word_ids))[-1]
 
-    def _gram_prob(self, gram: tuple[str, ...]) -> float:
-        """prob of gram[-1] after gram[:-1], for one of _grams' events."""
+    def _probs(self, ids: list[int]) -> list[float]:
+        """prob of every word of one sentence, given as ids, after its
+        history."""
+        order, base = self.order, self.base
         smooth = ADD_K * self.event_count
-        total = 0.0
-        for n in range(1, self.order + 1):
-            num = self.continuation_counts[n - 1].get(gram[-n:], 0)
-            den = self.context_counts[n - 1].get(gram[-n:-1], 0)
-            total += (num + ADD_K) / (den + smooth)
-        return total / self.order
+        padded = [BOS_ID] * (order - 1) + ids
+        probs = []
+        for end in range(order - 1, len(padded)):
+            total = 0.0
+            key, digit = 0, 1
+            for n in range(1, order + 1):
+                key += padded[end - n + 1] * digit
+                digit *= base
+                num = self.continuation_counts[n - 1].get(key, 0)
+                den = self.context_counts[n - 1].get(key // base, 0)
+                total += (num + ADD_K) / (den + smooth)
+            probs.append(total / order)
+        return probs
+
+
+def _counts(keys: np.ndarray, base: int) -> tuple[dict, dict]:
+    """(context counts, continuation counts) of one order's event keys.
+    A context's count is the sum of its continuations' counts."""
+    keys, counts = np.unique(keys, return_counts=True)
+    contexts = keys // base
+    starts = np.flatnonzero(np.r_[True, contexts[1:] != contexts[:-1]])
+    return (dict(zip(contexts[starts].tolist(),
+                     np.add.reduceat(counts, starts).tolist())),
+            dict(zip(keys.tolist(), counts.tolist())))
 
 
 def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
@@ -250,28 +309,42 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
     if not sentences:
         raise DataFormatError(f"corpus {path} contains no sentences")
 
-    word_counts = Counter(w for sent in sentences for w in sent)
-    vocab = frozenset(w for w, c in word_counts.items()
-                      if c >= 2 and w not in (BOS, UNK))
+    tokens = [w for sent in sentences for w in sent]
+    word_counts = Counter(tokens)
+    word_ids = {w: i for i, w in enumerate(
+        (w for w, c in word_counts.items()
+         if c >= 2 and w not in (BOS, UNK)), start=UNK_ID + 1)}
+    id_of = dict(zip(word_counts, _ids(word_counts, word_ids)))
+    base = len(word_ids) + 2
+    # Python ints where an order-n key could overflow int64
+    dtype = np.int64 if base ** order < 2 ** 63 else object
 
-    grams = [g for sent in sentences for g in _grams(sent, vocab, order)]
-    orders = range(1, order + 1)
-    return NgramLanguageModel(
-        order=order,
-        vocab=vocab,
-        context_counts=tuple(
-            dict(Counter(g[-n:-1] for g in grams)) for n in orders),
-        continuation_counts=tuple(
-            dict(Counter(g[-n:] for g in grams)) for n in orders),
-    )
+    # each sentence follows order - 1 <s> ids in one padded sequence
+    pad = order - 1
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    where = np.arange(len(tokens)) + pad * np.repeat(
+        np.arange(1, len(sentences) + 1), lengths)
+    ids = np.array(list(map(id_of.__getitem__, tokens)), dtype=dtype)
+    padded = np.zeros(len(tokens) + pad * len(sentences), dtype=dtype)
+    padded[where] = ids
+
+    keys = ids
+    tables = [_counts(keys, base)]
+    for back in range(1, order):
+        keys = keys + padded[where - back] * base ** back
+        tables.append(_counts(keys, base))
+    context_counts, continuation_counts = zip(*tables)
+    return NgramLanguageModel(order=order, word_ids=word_ids,
+                              context_counts=context_counts,
+                              continuation_counts=continuation_counts)
 
 
 def token_logprobs(model: NgramLanguageModel,
                    text: TokenizedText) -> list[float]:
     """Natural-log conditional probability of every word token, with
     sentence-initial contexts padded by <s>."""
-    return [math.log(model._gram_prob(g)) for sent in text.sentences
-            for g in _grams(sent, model.vocab, model.order)]
+    return [math.log(p) for sent in text.sentences
+            for p in model._probs(_ids(sent, model.word_ids))]
 
 
 @dataclass(frozen=True)

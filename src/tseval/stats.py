@@ -28,12 +28,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
     Raises DegenerateDataError when either input has zero variance, where
     the correlation is undefined; fewer than two observations count as
-    zero variance.
+    zero variance. Raises ValueError on a NaN or infinite value.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("pearson expects two equal-length vectors")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("pearson expects finite values")
     if xa.size < 2:
         raise DegenerateDataError(
             "correlation undefined: fewer than two observations")

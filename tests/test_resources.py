@@ -1,6 +1,8 @@
 """Resource loaders and the n-gram language model."""
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -107,14 +109,14 @@ class TestWordVectors:
         path.write_text("cat 1 0 0\ndog 0 1 0\n")
         vecs = load_vectors(path)
         assert len(vecs) == 2
-        assert vecs.vector_of("cat") == (1.0, 0.0, 0.0)
+        assert vecs.vector_of("cat").tolist() == [1.0, 0.0, 0.0]
 
     def test_header_consumed(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\ncat 1 0 0\ndog 0 1 0\n")
         vecs = load_vectors(path)
         assert len(vecs) == 2
-        assert vecs.vector_of("dog") == (0.0, 1.0, 0.0)
+        assert vecs.vector_of("dog").tolist() == [0.0, 1.0, 0.0]
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -135,6 +137,70 @@ class TestWordVectors:
         with pytest.raises(DataFormatError,
                            match=":2: non-finite vector component"):
             load_vectors(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        # a non-finite value on line 2 comes before a wrong width on line 4
+        (["dog 0.1 0.2", "cat nan 0.3", "cow 0.1 0.2", "owl 0.1"],
+         ":2: non-finite vector component"),
+        (["dog 0.1 0.2", "cat 0.1 0.3", "cow 0.1 x", "owl 0.1"],
+         ":3: non-numeric vector component"),
+        (["dog 0.1 0.2", "cat 0.1", "cow inf 0.2", "owl x 1"],
+         ":2: expected 2 values, found 1"),
+        (["cat", "dog 0.1 0.2"], ":1: first data line has no vector values"),
+    ])
+    def test_first_bad_line_in_file_order_is_named(self, tmp_path, lines,
+                                                   message):
+        path = tmp_path / "vec.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=message):
+            load_vectors(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("cat 0.5 x", ":3: non-numeric"),
+        ("cat 0.5 -inf", ":3: non-finite"),
+        ("cat 0.5", ":3: expected 2 values"),
+    ])
+    def test_bad_value_on_duplicate_word_line_fails(self, tmp_path, line,
+                                                    message):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"cat 1 2\ndog 3 4\n{line}\n")
+        with pytest.raises(DataFormatError, match=message):
+            load_vectors(path)
+
+    def test_duplicate_word_keeps_first_vector(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1 2\ndog 3 4\nCAT 5 6\nowl 7 8\n")
+        vecs = load_vectors(path)
+        assert len(vecs) == 3
+        assert vecs.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [7.0, 8.0]]
+        assert vecs.vector_of("Cat").tolist() == [1.0, 2.0]
+        assert vecs.vector_of("owl").tolist() == [7.0, 8.0]
+        assert vecs.vector_of("emu") is None
+
+    def test_matrix_holds_float_of_every_field(self, tmp_path):
+        fields = ["1_0", "-0", "+.5", "1.", "2e-3", "-1E+2", "0.1"]
+        path = tmp_path / "vec.txt"
+        path.write_text("w " + " ".join(fields) + "\n")
+        matrix = load_vectors(path).matrix
+        assert matrix.dtype == np.float64 and matrix.shape == (1, 7)
+        expected = [float(p) for p in fields]
+        assert matrix[0].tolist() == expected
+        assert [math.copysign(1.0, v) for v in matrix[0]] == [
+            math.copysign(1.0, v) for v in expected]  # keeps -0.0
+
+    def test_overflowing_component_is_non_finite(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("dog 0.1 0.2\ncat 0.3 1e400\n")
+        with pytest.raises(DataFormatError,
+                           match=":2: non-finite vector component"):
+            load_vectors(path)
+
+    def test_matrix_is_read_only(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("cat 1 0\n")
+        vecs = load_vectors(path)
+        with pytest.raises(ValueError):
+            vecs.matrix[0, 0] = 2.0
 
 
 @pytest.fixture
@@ -252,3 +318,103 @@ class TestLanguageModel:
         lm2 = train_lm(toy_corpus, order=3)
         text = tokenize("the dog flew over a cat")
         assert token_logprobs(lm1, text) == token_logprobs(lm2, text)
+
+
+def reference_counts(sentences, order):
+    """Tuple-keyed (context, continuation) Counters of every order 1..order,
+    counted from the events of the documented rule: lowercase, words seen
+    once and literal <s>/<unk> become <unk>, order - 1 <s> pad the start,
+    one event per word."""
+    words = [w.lower() for sent in sentences for w in sent]
+    vocab = {w for w, c in Counter(words).items()
+             if c >= 2 and w not in ("<s>", "<unk>")}
+    grams = []
+    for sent in sentences:
+        padded = ["<s>"] * (order - 1) + [
+            w if w in vocab else "<unk>" for w in map(str.lower, sent)]
+        grams += [tuple(padded[i:i + order]) for i in range(len(sent))]
+    contexts = [Counter(g[-n:-1] for g in grams) for n in range(1, order + 1)]
+    continuations = [Counter(g[-n:] for g in grams)
+                     for n in range(1, order + 1)]
+    return vocab, contexts, continuations
+
+
+def decoded(lm, table, width):
+    """A table of integer keys with `width` base-`lm.base` digits, keyed by
+    word tuples instead."""
+    word_of = {0: "<s>", 1: "<unk>"}
+    word_of.update((i, w) for w, i in lm.word_ids.items())
+    out = {}
+    for key, count in table.items():
+        digits = []
+        for _ in range(width):
+            key, digit = divmod(key, lm.base)
+            digits.append(word_of[digit])
+        assert key == 0
+        out[tuple(reversed(digits))] = count
+    return out
+
+
+def reference_logprobs(sentences, order, text):
+    """token_logprobs from the tuple-keyed reference counts, with the
+    model's float operations in the same order."""
+    vocab, contexts, continuations = reference_counts(sentences, order)
+    smooth = 0.1 * (len(vocab) + 1)
+    out = []
+    for sent in text.sentences:
+        padded = ["<s>"] * (order - 1) + [
+            w if w in vocab else "<unk>" for w in map(str.lower, sent)]
+        for i in range(len(sent)):
+            gram = tuple(padded[i:i + order])
+            total = 0.0
+            for n in range(1, order + 1):
+                total += ((continuations[n - 1][gram[-n:]] + 0.1)
+                          / (contexts[n - 1][gram[-n:-1]] + smooth))
+            out.append(math.log(total / order))
+    return out
+
+
+def _random_corpus(seed, n_words, n_sentences):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(n_words)] + ["<s>", "<unk>", "The"]
+    return [[rng.choice(words) for _ in range(rng.randint(1, 9))]
+            for _ in range(n_sentences)]
+
+
+class TestLanguageModelCounts:
+    """The integer-keyed tables against tuple-keyed Counters."""
+
+    def _check(self, tmp_path, sentences, order, text):
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(" ".join(s) + "\n" for s in sentences))
+        lm = train_lm(path, order=order)
+        vocab, contexts, continuations = reference_counts(sentences, order)
+        assert lm.vocab == vocab
+        for n in range(1, order + 1):
+            assert decoded(lm, lm.continuation_counts[n - 1], n) == \
+                continuations[n - 1]
+            assert decoded(lm, lm.context_counts[n - 1], n - 1) == \
+                contexts[n - 1]
+        assert token_logprobs(lm, text) == reference_logprobs(
+            sentences, order, text)
+        return lm
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_counts_match_reference(self, tmp_path, order, seed):
+        sentences = _random_corpus(seed, n_words=40, n_sentences=60)
+        text = tokenize("w1 w2 w3 the <unk> w39. Zebra w4 <s> w5!")
+        self._check(tmp_path, sentences, order, text)
+
+    def test_keys_beyond_int64_are_exact(self, tmp_path):
+        # 1 500 words seen twice each at order 6: base**6 > 2**63, so the
+        # keys are Python ints
+        rng = random.Random(6)
+        words = [f"v{i}" for i in range(1500)]
+        stream = words + words
+        rng.shuffle(stream)
+        sentences = [stream[i:i + 12] for i in range(0, len(stream), 12)]
+        text = tokenize(" ".join(sentences[0] + sentences[-1]) + " nope.")
+        lm = self._check(tmp_path, sentences, 6, text)
+        assert lm.base ** 6 > 2 ** 63
+        assert max(lm.continuation_counts[5]) >= 2 ** 63

@@ -58,6 +58,16 @@ class TestPearson:
         with pytest.raises(DegenerateDataError, match="two observations"):
             pearson([1.0] * n, [2.0] * n)
 
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0]),
+        ([-math.inf, 2.0, 3.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_non_finite_input_rejected(self, x, y):
+        # the clamp to [-1, 1] used to turn the NaN result into -1.0
+        with pytest.raises(ValueError, match="finite"):
+            pearson(x, y)
+
     def test_symmetry(self):
         x, y = [1.0, 4.0, 2.0, 8.0], [3.0, 1.0, 5.0, 2.0]
         assert pearson(x, y) == pearson(y, x)
@@ -153,6 +163,14 @@ class TestRankFeatures:
         assert by_name["const"].degenerate
         assert by_name["const"].r_train == 0.0
         assert not by_name["ok"].degenerate
+
+    def test_non_finite_column_is_an_error(self):
+        matrix = _matrix({
+            "ok": [1.0, 2.0, 3.0, 1.0, 2.5],
+            "bad": [1.0, math.nan, 3.0, 1.0, 2.5],
+        })
+        with pytest.raises(ValueError, match="finite"):
+            rank_features(matrix, [0.0, 1.0, 2.0, 0.0, 1.0], "M")
 
     def test_output_is_permutation_of_features(self):
         rng = np.random.default_rng(5)
