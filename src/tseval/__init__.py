@@ -66,6 +66,7 @@ from .qemodel import (
     load_pipeline,
     predict,
     save_pipeline,
+    score_pipeline,
     select_lambda,
 )
 from .qats_io import (

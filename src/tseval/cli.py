@@ -13,12 +13,12 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TsevalError, read_input
+from .errors import DataFormatError, TsevalError, read_input
 from . import qats_io
 from .features import FeatureMatrix, compute_matrix, registry
 from .qemodel import (
@@ -29,8 +29,8 @@ from .qemodel import (
     PipelineConfig,
     fit_pipeline,
     load_pipeline,
-    predict,
     save_pipeline,
+    score_pipeline,
     select_lambda,
 )
 from .resources import (
@@ -40,7 +40,7 @@ from .resources import (
     load_vectors,
     train_lm,
 )
-from .stats import pearson, rank_features, weighted_f1
+from .stats import rank_features
 
 RESOURCE_ENV = "TSEVAL_RESOURCES"
 DEFAULT_SEED = 42
@@ -69,56 +69,73 @@ class UsageError(Exception):
     """Bad flag combination discovered after argument parsing."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; this CLI reserves 2 for data
-    errors, so usage errors exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(self._usage_exit(message))
-
-    def _usage_exit(self, message) -> int:
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+def _at_least(low, convert):
+    """A converter that also rejects a value below `low` or not finite."""
+    def check(text: str):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise ValueError(f"must be a finite value >= {low:g}, got {value}")
+        return value
+    return check
 
 
-@dataclass
-class RunConfig:
-    """Effective settings of one command after merging flags and the
-    optional key=value config file (flags win)."""
-
-    command: str
-    train: str | None = None
-    test: str | None = None
-    freq_table: str | None = None
-    concreteness: str | None = None
-    vectors: str | None = None
-    lm_corpus: str | None = None
-    features: list[str] | None = None
-    dimension: str | None = None
-    model: str = "ridge"
-    lam: float | None = None
-    pca_k: int = DEFAULT_PCA_COMPONENTS
-    folds: int = 5
-    seed: int = DEFAULT_SEED
-    out: str = "."
+def _feature_list(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
 
 
-# Settings a flag or the config file may give, with the conversion of a
-# config-file value; field types are strings under postponed annotations.
+def _dimension(text: str) -> str:
+    try:
+        return qats_io.normalize_dimension(text)
+    except DataFormatError as exc:
+        raise ValueError(exc) from None
+
+
+def _model_kind(text: str) -> str:
+    if text not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {text!r} "
+                         f"(choose from {', '.join(MODEL_KINDS)})")
+    return text
+
+
+# Every setting a flag or a config-file line may give: the converter of
+# its text, which raises ValueError with the reason, and its help.
 _SETTINGS = {
-    f.name: {"int": int, "float": float}.get(f.type.split(" | ")[0], str)
-    for f in fields(RunConfig) if f.name != "command"
+    "train": (str, "training dataset TSV"),
+    "test": (str, "test dataset TSV"),
+    "freq_table": (str, "word frequency table (one word per line)"),
+    "concreteness": (str, "concreteness lexicon file"),
+    "vectors": (str, "word vectors in text format"),
+    "lm_corpus": (str, "language-model training corpus (one sentence/line)"),
+    "features": (_feature_list, "comma-separated feature subset (default: "
+                                "all whose resources are available)"),
+    "dimension": (_dimension, "quality dimension: G, M, S or overall"),
+    "model": (_model_kind, "model kind: " + ", ".join(MODEL_KINDS)),
+    "lam": (_at_least(0.0, float), "fixed regularization strength (default: "
+                                   "pick from the grid by cross-validation)"),
+    "pca_k": (_at_least(1, int), "number of PCA components"),
+    "folds": (_at_least(2, int), "number of cross-validation folds"),
+    "seed": (_at_least(0, int), "seed of the cross-validation folds"),
+    "out": (str, "output directory"),
 }
-# Lowest valid value of each numeric setting.
-_MINIMUM = {"folds": 2, "pca_k": 1, "lam": 0.0}
+# The value of each setting that neither a flag nor the config file gives.
+_DEFAULTS = dict.fromkeys(_SETTINGS) | {
+    "model": "ridge", "pca_k": DEFAULT_PCA_COMPONENTS, "folds": 5,
+    "seed": DEFAULT_SEED, "out": ".",
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="tseval",
         description="Reference-less quality estimation for text simplification",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    group = shared.add_argument_group("shared options")
+    group.add_argument("--config", help="key=value settings file; flags win")
+    for key, (_, help_text) in _SETTINGS.items():
+        if _DEFAULTS[key] is not None:
+            help_text += f" (default: {_DEFAULTS[key]})"
+        group.add_argument("--" + key.replace("_", "-"), help=help_text)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("features", "compute the elementary-metric matrix for each split"),
@@ -127,41 +144,12 @@ def _build_parser() -> _Parser:
         ("evaluate", "score a trained pipeline on the test split"),
         ("report", "tabulate the label distribution of each split"),
     ):
-        sub.add_parser(name, help=help_text, parents=[_shared_flags()])
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 
-def _shared_flags() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    g = shared.add_argument_group("shared options")
-    g.add_argument("--config", help="key=value settings file; flags win")
-    g.add_argument("--train", help="training dataset TSV")
-    g.add_argument("--test", help="test dataset TSV")
-    g.add_argument("--freq-table", dest="freq_table",
-                   help="word frequency table (one word per line)")
-    g.add_argument("--concreteness", help="concreteness lexicon file")
-    g.add_argument("--vectors", help="word vectors in text format")
-    g.add_argument("--lm-corpus", dest="lm_corpus",
-                   help="language-model training corpus (one sentence/line)")
-    g.add_argument("--features",
-                   help="comma-separated feature subset (default: all whose "
-                        "resources are available)")
-    g.add_argument("--dimension",
-                   help="quality dimension: G, M, S or overall")
-    g.add_argument("--model", choices=MODEL_KINDS)
-    g.add_argument("--lam", type=float,
-                   help="fixed regularization strength (default: pick from "
-                        "the grid by cross-validation)")
-    g.add_argument("--pca-k", dest="pca_k", type=int)
-    g.add_argument("--folds", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", help="output directory (default: .)")
-    return shared
-
-
 def _parse_config_file(path: str) -> dict:
-    """Settings from a key = value file, converted and checked like the
-    matching flags."""
+    """Settings from a key = value file, each converted like its flag."""
     settings: dict = {}
     text = read_input(path, "config file")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -174,43 +162,28 @@ def _parse_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _SETTINGS:
             raise TsevalError(f"{path}:{lineno}: unknown setting {key!r}")
-        value = value.strip().strip("\"'")
+        convert, _ = _SETTINGS[key]
         try:
-            settings[key] = _SETTINGS[key](value)
-            _check_range(key, settings[key])
+            settings[key] = convert(value.strip().strip("\"'"))
         except ValueError as exc:
             raise TsevalError(f"{path}:{lineno}: {key}: {exc}") from None
-        if key == "model" and value not in MODEL_KINDS:
-            raise TsevalError(
-                f"{path}:{lineno}: model: unknown model kind {value!r} "
-                f"(choose from {', '.join(MODEL_KINDS)})")
     return settings
 
 
-def _check_range(key: str, value) -> None:
-    """Raise ValueError if a numeric setting is below its minimum or not
-    finite."""
-    low = _MINIMUM.get(key)
-    if low is not None and not (math.isfinite(value) and value >= low):
-        raise ValueError(f"must be a finite value >= {low:g}, got {value}")
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged = _parse_config_file(args.config) if args.config else {}
-    for key in _SETTINGS:
-        value = getattr(args, key)
-        if value is not None:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The effective settings of one command: flags win over the config
+    file, which wins over the defaults."""
+    flags = {}
+    for key, (convert, _) in _SETTINGS.items():
+        text = getattr(args, key)
+        if text is not None:
             try:
-                _check_range(key, value)
+                flags[key] = convert(text)
             except ValueError as exc:
                 raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
-            merged[key] = value
-    if isinstance(merged.get("features"), str):
-        merged["features"] = [f.strip() for f in merged["features"].split(",")
-                              if f.strip()]
-    if merged.get("dimension") is not None:
-        merged["dimension"] = qats_io.normalize_dimension(merged["dimension"])
-    return RunConfig(command=args.command, **merged)
+    config = _parse_config_file(args.config) if args.config else {}
+    return argparse.Namespace(command=args.command,
+                              **(_DEFAULTS | config | flags))
 
 
 def _resolve_resource(path: str | None) -> Path | None:
@@ -227,7 +200,7 @@ def _resolve_resource(path: str | None) -> Path | None:
     return p
 
 
-def _load_resources(cfg: RunConfig) -> Resources:
+def _load_resources(cfg: argparse.Namespace) -> Resources:
     freq = conc = vec = lm = None
     if cfg.freq_table:
         freq = load_frequency_table(_resolve_resource(cfg.freq_table))
@@ -240,7 +213,8 @@ def _load_resources(cfg: RunConfig) -> Resources:
     return Resources(freq_table=freq, concreteness=conc, vectors=vec, lm=lm)
 
 
-def _selected_features(cfg: RunConfig, resources: Resources) -> list[str]:
+def _selected_features(cfg: argparse.Namespace,
+                       resources: Resources) -> list[str]:
     """Explicit subset if given (missing resources then fail later with a
     precise error), else every feature whose resources are loaded."""
     if cfg.features:
@@ -249,7 +223,7 @@ def _selected_features(cfg: RunConfig, resources: Resources) -> list[str]:
             if all(resources.has(kind) for kind in spec.requires)]
 
 
-def _require(cfg: RunConfig, attribute: str) -> str:
+def _require(cfg: argparse.Namespace, attribute: str) -> str:
     value = getattr(cfg, attribute)
     if value is None:
         raise UsageError(
@@ -266,11 +240,11 @@ def _model_path(out: Path, dimension: str, kind: str) -> Path:
     return out / f"model_{dimension}_{kind}.txt"
 
 
-def _dimensions(cfg: RunConfig) -> list[str]:
+def _dimensions(cfg: argparse.Namespace) -> list[str]:
     return [cfg.dimension] if cfg.dimension else list(qats_io.DIMENSIONS)
 
 
-def _labeled_split(cfg: RunConfig,
+def _labeled_split(cfg: argparse.Namespace,
                    split: str) -> tuple[qats_io.Dataset, FeatureMatrix]:
     """The labeled dataset of `split` and the features_<split>.tsv written
     for it, checked to hold the same ids in the same order."""
@@ -298,7 +272,7 @@ def _labeled_split(cfg: RunConfig,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_features(cfg: RunConfig) -> int:
+def cmd_features(cfg: argparse.Namespace) -> int:
     datasets = []
     for split, path in (("train", _require(cfg, "train")), ("test", cfg.test)):
         if path:
@@ -332,7 +306,7 @@ def cmd_features(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_rank(cfg: RunConfig) -> int:
+def cmd_rank(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     train_ds, train_matrix = _labeled_split(cfg, "train")
     test_ds = test_matrix = None
@@ -361,7 +335,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     dimension = cfg.dimension or "Overall"
     train_ds, matrix = _labeled_split(cfg, "train")
@@ -370,8 +344,7 @@ def cmd_train(cfg: RunConfig) -> int:
         raise TsevalError(f"{cfg.folds} folds need at least {cfg.folds} "
                           f"training rows, found {n_rows}")
 
-    encoded = qats_io.encode_labels(train_ds, dimension)
-    y = encoded.astype(int) if cfg.model == "logistic" else encoded
+    y = qats_io.encode_labels(train_ds, dimension)
     config = PipelineConfig(kind=cfg.model, pca_k=cfg.pca_k)
     grid = LAMBDA_GRID if cfg.lam is None else (cfg.lam,)
     # Cap warnings of the CV and final fits are counted, not shown one by
@@ -410,30 +383,23 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     dimension = cfg.dimension or "Overall"
     test_ds, matrix = _labeled_split(cfg, "test")
     pipeline = load_pipeline(_model_path(out_dir, dimension, cfg.model))
 
-    lines = []
+    score = score_pipeline(pipeline, matrix,
+                           qats_io.encode_labels(test_ds, dimension))
     if pipeline.is_classifier:
-        predicted = qats_io.decode_labels(predict(pipeline, matrix))
-        gold = [r.labels[dimension] for r in test_ds.records]
-        score = weighted_f1(predicted, gold) * 100.0
-        lines.append(f"{dimension} {cfg.model}: weighted F1 = {score:.2f}")
+        metric, shown = "weighted F1", f"{score * 100.0:.2f}"
         reference = LEADERBOARD_F1[dimension]
-        metric = "weighted F1"
     else:
-        scores = predict(pipeline, matrix)
-        gold = qats_io.encode_labels(test_ds, dimension)
-        score = pearson(scores, gold)
-        lines.append(f"{dimension} {cfg.model}: Pearson r = {score:.4f}")
+        metric, shown = "Pearson r", f"{score:.4f}"
         reference = LEADERBOARD_PEARSON[dimension]
-        metric = "Pearson r"
-    lines.append(f"QATS 2016 leaderboard reference points ({metric}):")
-    for system, value in reference:
-        lines.append(f"  {value:<8g} {system}")
+    lines = [f"{dimension} {cfg.model}: {metric} = {shown}",
+             f"QATS 2016 leaderboard reference points ({metric}):"]
+    lines += [f"  {value:<8g} {system}" for system, value in reference]
 
     report = "\n".join(lines) + "\n"
     print(report, end="")
@@ -443,7 +409,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     blocks_tsv = ["split\tdimension\tBad\tOK\tGood"]
     blocks_md = ["| split | dimension | Bad | OK | Good |",
@@ -491,7 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 2 on a usage error, a code this CLI keeps for data
+        # errors
+        return 1 if exc.code else 0
     try:
         cfg = _merge_config(args)
         return _COMMANDS[args.command](cfg)

@@ -244,29 +244,12 @@ def _select(which: Sequence[str] | None,
     return specs
 
 
-def _row(pair: SentencePair, specs: Sequence[FeatureSpec],
-         resources: Resources,
-         timings: dict[str, float] | None = None) -> list[float]:
-    """Feature values of one pair; per-feature wall time is added to
-    timings when it is given."""
-    ctx = _PairContext(pair, resources)
-    row = []
-    for spec in specs:
-        start = time.perf_counter()
-        row.append(float(spec.compute(ctx)))
-        if timings is not None:
-            timings[spec.name] = (timings.get(spec.name, 0.0)
-                                  + time.perf_counter() - start)
-    return row
-
-
 def compute_features(pair: SentencePair,
                      resources: Resources = EMPTY_RESOURCES,
                      which: Sequence[str] | None = None) -> dict[str, float]:
     """Compute the named features of one pair as an ordered name -> value map."""
-    specs = _select(which, resources)
-    values = _row(pair, specs, resources)
-    return {spec.name: value for spec, value in zip(specs, values)}
+    matrix = compute_matrix([pair], resources, which)
+    return dict(zip(matrix.feature_names, matrix.rows[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -351,10 +334,18 @@ def compute_matrix(pairs: Sequence[SentencePair],
     specs = _select(which, resources)
     rows = []
     for pair in pairs:
+        ctx = _PairContext(pair, resources)
+        row = []
         try:
-            rows.append(_row(pair, specs, resources, timings))
+            for spec in specs:
+                start = time.perf_counter()
+                row.append(float(spec.compute(ctx)))
+                if timings is not None:
+                    timings[spec.name] = (timings.get(spec.name, 0.0)
+                                          + time.perf_counter() - start)
         except Exception as exc:
             raise DegenerateDataError(f"pair {pair.id!r}: {exc}") from exc
+        rows.append(row)
 
     data = np.asarray(rows, dtype=float).reshape(len(rows), len(specs))
     if not np.all(np.isfinite(data)):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import DataFormatError, read_input
 from .features import SentencePair
-from .textproc import tokenize
 
 __all__ = [
     "LABELS",
@@ -32,9 +31,9 @@ __all__ = [
     "to_pairs",
 ]
 
-LABELS = ("Bad", "OK", "Good")
-_LABEL_VALUE = {"bad": 0.0, "ok": 1.0, "good": 2.0}
-_CANONICAL = {"bad": "Bad", "ok": "OK", "good": "Good"}
+LABELS = ("Bad", "OK", "Good")  # encode_labels maps each to its index
+_LABEL_VALUE = {label.lower(): float(i) for i, label in enumerate(LABELS)}
+_CANONICAL = {label.lower(): label for label in LABELS}
 
 DIMENSIONS = ("G", "M", "S", "Overall")
 _DIMENSION_ALIASES = {
@@ -170,8 +169,5 @@ def decode_labels(values: Sequence[int]) -> list[str]:
 
 def to_pairs(dataset: Dataset) -> list[SentencePair]:
     """Tokenize every record into a SentencePair, preserving order."""
-    return [
-        SentencePair(source=tokenize(r.source_text),
-                     output=tokenize(r.output_text), id=r.id)
-        for r in dataset.records
-    ]
+    return [SentencePair.from_text(r.source_text, r.output_text, id=r.id)
+            for r in dataset.records]

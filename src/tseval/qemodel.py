@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataFormatError, DegenerateDataError, read_input
 from .features import FeatureMatrix
+from .qats_io import LABELS
 from .stats import pearson, weighted_f1
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "fit_classifier",
     "fit_pipeline",
     "predict",
+    "score_pipeline",
     "cross_validate",
     "select_lambda",
     "save_pipeline",
@@ -46,7 +48,7 @@ __all__ = [
 MODEL_KINDS = ("linreg", "ridge", "lasso", "logistic")
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 DEFAULT_PCA_COMPONENTS = 25
-_N_CLASSES = 3  # Bad, OK, Good
+_N_CLASSES = len(LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +457,18 @@ def predict(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.ndarray:
     return pipeline.model.predict_scores(projected)
 
 
+def score_pipeline(pipeline: TrainedPipeline, matrix: FeatureMatrix,
+                   y: Sequence[float]) -> float:
+    """Weighted F1 of a classification pipeline's classes, or Pearson r of
+    a regression pipeline's scores, against the ordinal labels y that
+    encode_labels returns."""
+    predictions = predict(pipeline, matrix)
+    if pipeline.is_classifier:
+        return weighted_f1(predictions.tolist(),
+                           np.asarray(y, dtype=int).tolist())
+    return pearson(predictions, y)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation and hyperparameter selection
 # ---------------------------------------------------------------------------
@@ -503,11 +517,8 @@ def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
             row_ids=tuple(np.asarray(matrix.row_ids)[held_out]),
         )
         pipeline = fit_pipeline(train, y[mask], "", config)
-        predictions = predict(pipeline, test)
-        if classification:
-            return weighted_f1(list(predictions), list(y[held_out]))
         try:
-            return pearson(predictions, y[held_out])
+            return score_pipeline(pipeline, test, y[held_out])
         except DegenerateDataError:
             return 0.0
 

@@ -291,6 +291,7 @@ class TestConfigFileAndErrors:
         ("folds = 1", "folds: must be a finite value >= 2, got 1"),
         ("pca_k = 0", "pca_k: must be a finite value >= 1, got 0"),
         ("lam = -0.5", "lam: must be a finite value >= 0, got -0.5"),
+        ("seed = -1", "seed: must be a finite value >= 0, got -1"),
     ])
     def test_bad_config_value_is_data_error(self, tmp_path, capsys, line,
                                             message):
@@ -301,12 +302,43 @@ class TestConfigFileAndErrors:
 
     @pytest.mark.parametrize("flag,value", [
         ("--folds", "1"), ("--pca-k", "0"), ("--lam", "-0.5"),
-        ("--lam", "nan"),
+        ("--lam", "nan"), ("--seed", "-1"),
     ])
     def test_bad_flag_value_is_usage_error(self, capsys, flag, value):
         assert run("train", flag, value) == 1
         assert f"tseval: error: {flag}: must be a finite value >= " \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,text,reason", [
+        ("folds", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("pca_k", "0", "must be a finite value >= 1, got 0"),
+        ("lam", "abc", "could not convert string to float: 'abc'"),
+        ("seed", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("model", "foo", "unknown model kind 'foo' (choose from "),
+        ("dimension", "bogus", "unknown dimension 'bogus'"),
+    ])
+    def test_flag_and_config_line_agree(self, tmp_path, capsys, key, text,
+                                        reason):
+        flag = "--" + key.replace("_", "-")
+        assert run("train", flag, text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"tseval: error: {flag}: {reason}")
+        full_reason = err.split(": ", 3)[3]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\n{key} = {text}\n")
+        assert run("train", "--config", str(config)) == 2
+        assert capsys.readouterr().err == \
+            f"tseval: error: {config}:2: {key}: {full_reason}"
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_every_setting(self, capsys, command):
+        assert run(command, "--help") == 0
+        shown = capsys.readouterr().out
+        for flag in ["--config"] + ["--" + key.replace("_", "-")
+                                    for key in cli._SETTINGS]:
+            assert f" {flag} " in shown
+        for kind in qemodel.MODEL_KINDS:
+            assert kind in shown
 
     def test_more_folds_than_rows_is_data_error(self, synthetic_dataset_dir,
                                                 workflow_dir, tmp_path,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tseval import features
-from tseval.errors import DataFormatError, ResourceMissingError
+from tseval.errors import (DataFormatError, DegenerateDataError,
+                           ResourceMissingError)
 from tseval.features import (
     FeatureMatrix,
     SentencePair,
@@ -15,6 +16,7 @@ from tseval.features import (
 )
 from tseval.mtmetrics import BleuConfig, bleu
 from tseval.resources import (
+    ConcretenessLexicon,
     Resources,
     load_concreteness,
     load_frequency_table,
@@ -172,6 +174,18 @@ class TestComputeFeatures:
         pair = SentencePair.from_text("a", "b", id="1")
         with pytest.raises(DataFormatError, match="unknown feature"):
             compute_features(pair, which=["NotAFeature"])
+
+    @pytest.mark.parametrize("rating,message", [
+        (float("nan"), r"non-finite feature values for pairs \['p7'\]"),
+        ("high", r"^pair 'p7': "),
+    ])
+    def test_bad_value_is_degenerate_data_naming_pair(self, rating, message):
+        # the same checks as a row of compute_matrix
+        lexicon = ConcretenessLexicon(ratings={"cat": rating})
+        pair = SentencePair.from_text("the cat", "the cat", id="p7")
+        with pytest.raises(DegenerateDataError, match=message):
+            compute_features(pair, Resources(concreteness=lexicon),
+                             which=["AvgConcreteness"])
 
     def test_deterministic(self, full_resources):
         pair = SentencePair.from_text("the cat sat on the mat",
