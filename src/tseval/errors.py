@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the one reader of
-input files."""
+"""Exception types shared across the package, the one reader of input
+files and the one check of a line of numbers read from them."""
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from pathlib import Path
 
 
@@ -51,3 +53,20 @@ def read_input(path: str | Path, what: str) -> str:
             f"{path}:{line}: {what} is not valid UTF-8 "
             f"(byte 0x{exc.object[exc.start]:02x})"
         ) from None
+
+
+def parse_row(fields: Sequence[str], width: int, path: str | Path,
+              line: int, what: str) -> list[float]:
+    """The fields of one input line as exactly `width` finite floats, or
+    DataFormatError at `path:line` naming the first defect in this order:
+    a field that is not a number, a value that is not finite, the count."""
+    try:
+        values = [float(x) for x in fields]
+    except ValueError:
+        raise DataFormatError(f"{path}:{line}: non-numeric {what}") from None
+    if not all(map(math.isfinite, values)):
+        raise DataFormatError(f"{path}:{line}: non-finite {what}")
+    if len(values) != width:
+        raise DataFormatError(
+            f"{path}:{line}: expected {width} values, found {len(values)}")
+    return values

@@ -3,7 +3,6 @@ computation for sentence pairs (source sentence, simplified output)."""
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -13,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataFormatError, DegenerateDataError,
-                     ResourceMissingError, read_input)
+                     ResourceMissingError, parse_row, read_input)
 from .mtmetrics import (BleuConfig, bleu_counts, bleu_from_counts, meteor,
                         rouge, ter_align)
 from .resources import EMPTY_RESOURCES, Resources, token_logprobs
@@ -226,6 +225,16 @@ def feature_names() -> tuple[str, ...]:
     return tuple(spec.name for spec in _REGISTRY)
 
 
+def name_defect(names: Sequence[str]) -> tuple[int, str] | None:
+    """The index of the first feature name that is empty or repeated, and
+    what is wrong with it."""
+    for i, name in enumerate(names):
+        if not name or name in names[:i]:
+            return i, (f"repeated feature name {name!r}" if name
+                       else "empty feature name")
+    return None
+
+
 def _select(which: Sequence[str] | None,
             resources: Resources) -> tuple[FeatureSpec, ...]:
     """The named specs (all when which is None), each checked to have its
@@ -236,6 +245,8 @@ def _select(which: Sequence[str] | None,
         for name in which:
             if name not in _BY_NAME:
                 raise DataFormatError(f"unknown feature {name!r}")
+        if defect := name_defect(which):
+            raise DataFormatError(defect[1])
         specs = tuple(_BY_NAME[name] for name in which)
     for spec in specs:
         for kind in spec.requires:
@@ -289,27 +300,15 @@ class FeatureMatrix:
         names = tuple(header[1:])
         if not names:
             raise DataFormatError(f"{path}:1: no feature columns")
+        if defect := name_defect(names):
+            raise DataFormatError(f"{path}:1: {defect[1]}")
         ids = []
         rows = []
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split("\t")
-            if len(parts) != len(names) + 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(names) + 1} columns, "
-                    f"found {len(parts)}"
-                )
             ids.append(parts[0])
-            try:
-                row = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric feature value"
-                ) from exc
-            if not all(map(math.isfinite, row)):
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-finite feature value"
-                )
-            rows.append(row)
+            rows.append(parse_row(parts[1:], len(names), path, lineno,
+                                  "feature value"))
         return cls(
             feature_names=names,
             rows=np.asarray(rows, dtype=float).reshape(len(ids), len(names)),

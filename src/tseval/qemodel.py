@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, DegenerateDataError, read_input
-from .features import FeatureMatrix
+from .errors import (DataFormatError, DegenerateDataError, parse_row,
+                     read_input)
+from .features import FeatureMatrix, name_defect
 from .qats_io import LABELS
 from .stats import pearson, weighted_f1
 
@@ -553,6 +554,24 @@ def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
 
 _FORMAT_HEADER = "tseval-pipeline 1"
 
+# The numeric sections of a model file after the feature names, in file
+# order, as (name, rows, width); the model's own two follow. A size is 1
+# or a named count. A section of one row is a vector; one whose rows are
+# a count gives the count on its section line ("components 4") and is a
+# matrix. The features line gives "features"; "classes" is _N_CLASSES.
+_SECTIONS = (
+    ("means", 1, "features"),
+    ("stds", 1, "features"),
+    ("pca_mean", 1, "features"),
+    ("components", "components", "features"),
+    ("explained_variance", 1, "components"),
+)
+_MODEL_SECTIONS = {
+    False: (("weights", 1, "components"), ("intercept", 1, 1)),
+    True: (("class_weights", "classes", "components"),
+           ("intercepts", 1, "classes")),
+}
+
 
 def _fmt_vector(v: np.ndarray) -> str:
     return " ".join(repr(float(x)) for x in np.atleast_1d(v))
@@ -568,83 +587,51 @@ def save_pipeline(pipeline: TrainedPipeline, path: str | Path) -> None:
         f"lambda {p.model.lam!r}",
         f"features {len(p.feature_names)}",
         *p.feature_names,
-        "means",
-        _fmt_vector(p.standardizer.means),
-        "stds",
-        _fmt_vector(p.standardizer.stds),
-        "pca_mean",
-        _fmt_vector(p.pca.mean),
-        f"components {p.pca.k}",
-        *[_fmt_vector(row) for row in p.pca.components],
-        "explained_variance",
-        _fmt_vector(p.pca.explained_variance),
     ]
-    if p.is_classifier:
-        lines.append(f"class_weights {p.model.weights.shape[0]}")
-        lines.extend(_fmt_vector(row) for row in p.model.weights)
-        lines.append("intercepts")
-        lines.append(_fmt_vector(p.model.intercept))
-    else:
-        lines.append("weights")
-        lines.append(_fmt_vector(p.model.weights))
-        lines.append("intercept")
-        lines.append(repr(float(p.model.intercept)))
+    arrays = (p.standardizer.means, p.standardizer.stds, p.pca.mean,
+              p.pca.components, p.pca.explained_variance, p.model.weights,
+              p.model.intercept)
+    for (name, rows, _), array in zip(
+            _SECTIONS + _MODEL_SECTIONS[p.is_classifier], arrays):
+        if rows == 1:
+            lines += [name, _fmt_vector(array)]
+        else:
+            lines += [f"{name} {len(array)}", *map(_fmt_vector, array)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class _Reader:
+    """The lines of a model file in order; pos is the number of the last
+    line read."""
+
     def __init__(self, path: Path):
         self.path = path
         self.lines = read_input(path, "pipeline file").splitlines()
         self.pos = 0
 
-    def next(self, expect: str | None = None) -> str:
+    def line(self) -> str:
         if self.pos >= len(self.lines):
             raise DataFormatError(f"{self.path}: truncated pipeline file")
-        line = self.lines[self.pos]
         self.pos += 1
-        if expect is not None:
-            parts = line.split()
-            if not parts or parts[0] != expect:
-                raise DataFormatError(
-                    f"{self.path}:{self.pos}: expected section {expect!r}, "
-                    f"found {line!r}"
-                )
-        return line
+        return self.lines[self.pos - 1]
 
-    def value(self, section: str, convert=str):
-        """The value after the section name on the next line, converted;
-        convert raises ValueError on a bad value."""
-        line = self.next(section)
+    def section(self, name: str, convert=None):
+        """Read the line that opens section `name` and return the value
+        after the name, converted, if convert is given (it raises
+        ValueError on a bad value)."""
+        line = self.line()
         parts = line.split(maxsplit=1)
+        if parts[:1] != [name]:
+            raise DataFormatError(
+                f"{self.path}:{self.pos}: expected section {name!r}, "
+                f"found {line!r}"
+            )
         try:
-            return convert(parts[1])
+            return convert(parts[1]) if convert else None
         except (IndexError, ValueError):
             raise DataFormatError(
                 f"{self.path}:{self.pos}: bad value in {line!r}"
             ) from None
-
-    def vector(self, section: str, width: int) -> np.ndarray:
-        """The next line as exactly width finite numbers."""
-        try:
-            v = np.array([float(x) for x in self.next().split()], dtype=float)
-        except ValueError:
-            raise DataFormatError(
-                f"{self.path}:{self.pos}: non-numeric value in {section}"
-            ) from None
-        if v.shape != (width,):
-            raise DataFormatError(
-                f"{self.path}:{self.pos}: {section} has {v.size} values, "
-                f"expected {width}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DataFormatError(
-                f"{self.path}:{self.pos}: non-finite value in {section}"
-            )
-        return v
-
-    def matrix(self, section: str, rows: int, width: int) -> np.ndarray:
-        return np.vstack([self.vector(section, width) for _ in range(rows)])
 
 
 def _count(text: str) -> int:
@@ -665,52 +652,45 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
     """Load a pipeline serialized by save_pipeline.
 
     Every section is checked against the feature, component and class
-    counts and for finite values; a malformed file raises DataFormatError.
+    counts and for finite values, and every feature name must be distinct;
+    a malformed file raises DataFormatError.
     """
     reader = _Reader(Path(path))
-    header = reader.next()
+    header = reader.line()
     if header != _FORMAT_HEADER:
         raise DataFormatError(
             f"{path}: unsupported pipeline format {header!r}"
         )
-    dimension = reader.value("dimension")
-    kind = reader.value("kind")
+    dimension = reader.section("dimension", str)
+    kind = reader.section("kind", str)
     if kind not in MODEL_KINDS:
         raise DataFormatError(f"{path}:{reader.pos}: unknown model kind "
                               f"{kind!r}")
-    lam = reader.value("lambda", _finite)
-    n_features = reader.value("features", _count)
-    names = tuple(reader.next() for _ in range(n_features))
-    reader.next("means")
-    means = reader.vector("means", n_features)
-    reader.next("stds")
-    stds = reader.vector("stds", n_features)
-    reader.next("pca_mean")
-    pca_mean = reader.vector("pca_mean", n_features)
-    k = reader.value("components", _count)
-    components = reader.matrix("components", k, n_features)
-    reader.next("explained_variance")
-    explained = reader.vector("explained_variance", k)
-    if kind == "logistic":
-        classes = reader.value("class_weights", int)
-        if classes != _N_CLASSES:
-            raise DataFormatError(f"{path}:{reader.pos}: {classes} classes, "
-                                  f"expected {_N_CLASSES}")
-        weights = reader.matrix("class_weights", classes, k)
-        reader.next("intercepts")
-        intercept = reader.vector("intercepts", classes)
-    else:
-        reader.next("weights")
-        weights = reader.vector("weights", k)
-        reader.next("intercept")
-        intercept = reader.vector("intercept", 1)[0]
-    model = LinearModel(kind=kind, weights=weights, intercept=intercept,
-                        lam=lam)
+    lam = reader.section("lambda", _finite)
+    sizes = {1: 1, "features": reader.section("features", _count),
+             "classes": _N_CLASSES}
+    first = reader.pos + 1
+    names = tuple(reader.line() for _ in range(sizes["features"]))
+    if defect := name_defect(names):
+        raise DataFormatError(f"{path}:{first + defect[0]}: {defect[1]}")
+    arrays = []
+    for name, rows, width in _SECTIONS + _MODEL_SECTIONS[kind == "logistic"]:
+        count = reader.section(name, None if rows == 1 else _count)
+        if count is not None and sizes.setdefault(rows, count) != count:
+            raise DataFormatError(f"{path}:{reader.pos}: {count} {rows}, "
+                                  f"expected {sizes[rows]}")
+        values = [parse_row(reader.line().split(), sizes[width], path,
+                            reader.pos, f"value in {name}")
+                  for _ in range(sizes[rows])]
+        arrays.append(np.array(values[0] if rows == 1 else values))
+    means, stds, pca_mean, components, explained, weights, intercept = arrays
     return TrainedPipeline(
         standardizer=Standardizer(means=means, stds=stds),
         pca=PcaBasis(mean=pca_mean, components=components,
                      explained_variance=explained),
-        model=model,
+        model=LinearModel(kind=kind, weights=weights, lam=lam,
+                          intercept=intercept if kind == "logistic"
+                          else intercept[0]),
         dimension=dimension,
         feature_names=names,
     )

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataFormatError, read_input
+from .errors import DataFormatError, parse_row, read_input
 from .textproc import TokenizedText
 
 __all__ = [
@@ -149,19 +149,6 @@ class WordVectors:
         return len(self.rows)
 
 
-def _vector_line_defect(fields: list[str], dim: int) -> str | None:
-    """What is wrong with the components of one data line, if anything."""
-    try:
-        values = [float(p) for p in fields]
-    except ValueError:
-        return "non-numeric vector component"
-    if not all(map(math.isfinite, values)):
-        return "non-finite vector component"
-    if len(values) != dim:
-        return f"expected {dim} values, found {len(values)}"
-    return None
-
-
 def load_vectors(path: str | Path) -> WordVectors:
     """Load word vectors in the standard text format: an optional
     "count dim" header line, then one "word v1 ... vdim" line per word.
@@ -198,9 +185,8 @@ def load_vectors(path: str | Path) -> WordVectors:
     if (matrix is None or widths.count(dim) < len(widths)
             or not np.isfinite(matrix).all()):
         for lineno in linenos:
-            defect = _vector_line_defect(lines[lineno - 1].split()[1:], dim)
-            if defect:
-                raise DataFormatError(f"{path}:{lineno}: {defect}")
+            parse_row(lines[lineno - 1].split()[1:], dim, path, lineno,
+                      "vector component")
     matrix = matrix.reshape(len(linenos), dim)
     if len(rows) < len(linenos):
         matrix = matrix[list(rows.values())]

@@ -523,6 +523,48 @@ class TestFeatureFileValues:
         assert where in capsys.readouterr().err
 
 
+class TestRepeatedFeatureName:
+    """A feature name that is repeated, wherever feature names enter, is a
+    data error naming it, not a second copy of the column."""
+
+    def test_features_flag(self, inputs_dir, tmp_path, capsys):
+        assert run("features", "--train", str(inputs_dir / "train.tsv"),
+                   "--features", "ROUGE,ROUGE,TERp",
+                   "--out", str(tmp_path)) == 2
+        assert "repeated feature name 'ROUGE'" in capsys.readouterr().err
+        assert not (tmp_path / "features_train.tsv").exists()
+
+    @pytest.mark.parametrize("name,message", [
+        ("{first}", "repeated feature name '{first}'"),
+        ("", "empty feature name"),
+    ], ids=["repeated", "empty"])
+    def test_feature_file_header(self, inputs_dir, tmp_path, capsys, name,
+                                 message):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "features_train.tsv"
+        header, *rows = path.read_text().splitlines()
+        cells = header.split("\t")
+        cells[2] = name.format(first=cells[1])
+        path.write_text("\n".join(["\t".join(cells)] + rows) + "\n")
+        assert run("rank", "--train", str(tmp_path / "train.tsv"),
+                   "--out", str(tmp_path)) == 2
+        assert (f"{path}:1: " + message.format(first=cells[1])
+                in capsys.readouterr().err)
+
+    def test_model_file(self, inputs_dir, tmp_path, capsys):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "model_S_linreg.txt"
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("features ")
+        lines[6] = lines[5]  # lines 6 and 7 hold the same name
+        path.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--test", str(tmp_path / "test.tsv"),
+                   "--dimension", "S", "--model", "linreg",
+                   "--out", str(tmp_path)) == 2
+        assert (f"{path}:7: repeated feature name {lines[5]!r}"
+                in capsys.readouterr().err)
+
+
 class TestTooFewRows:
     FEATURES = "NBOutputWords,ROUGE,TypeTokenRatio,BLEU_1gram,METEOR"
 

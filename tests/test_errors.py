@@ -1,4 +1,5 @@
-"""The one reader of input files, and a guard that it stays the only one."""
+"""The one reader of input files, a guard that it stays the only one, and
+the one check of a line of numbers."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import tseval
-from tseval.errors import DataFormatError, read_input
+from tseval.errors import DataFormatError, parse_row, read_input
 
 SRC = Path(tseval.__file__).parent
 
@@ -35,6 +36,29 @@ def test_bad_byte_reports_its_line(tmp_path, data, line, byte):
     with pytest.raises(DataFormatError) as info:
         read_input(path, "vector file")
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line,defect", [
+    ("1 x 2", "non-numeric cell"),
+    ("1 nan 2", "non-finite cell"),
+    ("-inf 1 2", "non-finite cell"),
+    ("1 2 1e999", "non-finite cell"),
+    ("1 2", "expected 3 values, found 2"),
+    ("1 2 3 4", "expected 3 values, found 4"),
+    # two defects: the first in check order is the one reported
+    ("1 nan x", "non-numeric cell"),
+    ("inf 2", "non-finite cell"),
+], ids=["x", "nan", "-inf", "1e999", "short", "long", "nan-and-x",
+        "inf-and-short"])
+def test_row_check_reports_first_defect_in_order(line, defect):
+    with pytest.raises(DataFormatError) as info:
+        parse_row(line.split(), 3, "data.txt", 4, "cell")
+    assert str(info.value) == f"data.txt:4: {defect}"
+
+
+def test_row_check_returns_the_floats():
+    assert parse_row(["1", "-0.5", "2e3"], 3, "data.txt", 1, "cell") == [
+        1.0, -0.5, 2000.0]
 
 
 def test_no_other_module_reads_files():

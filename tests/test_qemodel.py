@@ -9,6 +9,7 @@ import pytest
 from tseval.errors import DataFormatError, DegenerateDataError
 from tseval.features import FeatureMatrix
 from tseval.qemodel import (
+    MODEL_KINDS,
     PipelineConfig,
     cross_validate,
     fit_classifier,
@@ -468,11 +469,11 @@ class TestPipeline:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("pattern,replacement,message", [
-        (r"(\nweights\n[^\n]*)", r"\1 0.5", "weights has 5 values"),
+        (r"(\nweights\n[^\n]*)", r"\1 0.5", "expected 4 values, found 5"),
         (r"(\nweights\n)[^\n]*", r"\1nan nan nan nan", "non-finite"),
         (r"(\nmeans\n)\S+", r"\1abc", "non-numeric value in means"),
         (r"(\nexplained_variance\n\S+)[^\n]*", r"\1",
-         "explained_variance has 1 values"),
+         "expected 4 values, found 1"),
         (r"\nkind ridge\n", r"\nkind bogus\n", "unknown model kind"),
         (r"\nlambda [^\n]*", r"\nlambda", "bad value"),
     ], ids=["extra-weight", "nan-weights", "non-numeric", "short-variance",
@@ -489,6 +490,44 @@ class TestPipeline:
         path.write_text(text)
         with pytest.raises(DataFormatError, match=message):
             load_pipeline(path)
+
+
+class TestModelFile:
+    """A model file of each kind: loading and saving it again keeps its
+    bytes, and any line cut, deleted or blanked is a data error."""
+
+    @pytest.fixture(scope="class", params=MODEL_KINDS)
+    def model_file(self, request, tmp_path_factory):
+        rng = np.random.default_rng(30)
+        X = rng.normal(size=(45, 6))
+        y = rng.integers(0, 3, size=45)
+        pipeline = fit_pipeline(matrix_from(X), y, "M",
+                                PipelineConfig(kind=request.param, lam=0.5,
+                                               pca_k=4))
+        path = tmp_path_factory.mktemp(request.param) / "model.txt"
+        save_pipeline(pipeline, path)
+        return path
+
+    def test_save_load_save_keeps_bytes(self, model_file, tmp_path):
+        again = tmp_path / "again.txt"
+        save_pipeline(load_pipeline(model_file), again)
+        assert again.read_bytes() == model_file.read_bytes()
+
+    def test_cut_deleted_or_blank_line_is_data_error(self, model_file,
+                                                     tmp_path):
+        lines = model_file.read_text().splitlines()
+        edits = {}
+        for i in range(len(lines)):
+            if i + 1 < len(lines):
+                edits[f"cut after line {i + 1}"] = lines[:i + 1]
+            edits[f"line {i + 1} deleted"] = lines[:i] + lines[i + 1:]
+            edits[f"line {i + 1} blank"] = lines[:i] + [""] + lines[i + 1:]
+        path = tmp_path / "edited.txt"
+        for edit, edited in edits.items():
+            path.write_text("".join(line + "\n" for line in edited))
+            with pytest.raises(DataFormatError):
+                load_pipeline(path)
+                pytest.fail(f"{edit}: loaded without error")
 
 
 class TestCrossValidation:
