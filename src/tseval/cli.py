@@ -22,7 +22,9 @@ from .errors import DataFormatError, TsevalError, read_input
 from . import qats_io
 from .features import FeatureMatrix, compute_matrix, registry
 from .qemodel import (
+    DEFAULT_FOLDS,
     DEFAULT_PCA_COMPONENTS,
+    DEFAULT_SEED,
     LAMBDA_GRID,
     MODEL_KINDS,
     IterationCapWarning,
@@ -43,7 +45,6 @@ from .resources import (
 from .stats import rank_features
 
 RESOURCE_ENV = "TSEVAL_RESOURCES"
-DEFAULT_SEED = 42
 
 # QATS 2016 shared-task leaderboard reference points (plus the linear-model
 # entries added alongside them), printed by `evaluate` for context.
@@ -119,8 +120,8 @@ _SETTINGS = {
 }
 # The value of each setting that neither a flag nor the config file gives.
 _DEFAULTS = dict.fromkeys(_SETTINGS) | {
-    "model": "ridge", "pca_k": DEFAULT_PCA_COMPONENTS, "folds": 5,
-    "seed": DEFAULT_SEED, "out": ".",
+    "model": "ridge", "pca_k": DEFAULT_PCA_COMPONENTS,
+    "folds": DEFAULT_FOLDS, "seed": DEFAULT_SEED, "out": ".",
 }
 
 

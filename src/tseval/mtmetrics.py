@@ -37,6 +37,7 @@ METHOD4_K = 5.0  # length scaling of method 7's zero-precision decay
 METEOR_ALPHA = 0.9  # recall/precision mix: F = PR / (aP + (1-a)R)
 METEOR_GAMMA = 0.5  # fragmentation penalty gamma * (chunks / matches)^beta
 METEOR_BETA = 3.0
+NODE_BUDGET = 250_000  # search nodes of the exact chunk count (see _align)
 
 
 @dataclass(frozen=True)
@@ -195,154 +196,98 @@ def rouge(source: TokenizedText, output: TokenizedText) -> float:
 # METEOR
 # ---------------------------------------------------------------------------
 
-class _ChunkSearch:
-    """Minimize chunk count over unigram alignments with fixed stage quotas.
+def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
+    """(matches, chunks) of METEOR's unigram alignment of cand to ref.
 
-    The alignment must contain, for every word, exactly the maximal number
-    of exact matches (stage priority), and for every stem class exactly
-    the maximal number of stem matches among the remaining occurrences.
-    The search is depth-first over candidate positions with quota
-    feasibility pruning and branch-and-bound on the chunk count; it is
-    exhaustive (exact) up to a node budget, beyond which the best
-    alignment found so far is used.
+    Every word gets exactly its maximal number of exact matches (stage
+    priority), and every stem class exactly the maximal number of stem
+    matches among the occurrences left over. Among those alignments a
+    depth-first search over cand positions, with quota feasibility pruning
+    and branch-and-bound, minimises the chunk count. It is exact up to
+    NODE_BUDGET search nodes; beyond that the best alignment found so far
+    is returned.
     """
+    c_cnt, r_cnt = Counter(cand), Counter(ref)
+    exact = c_cnt & r_cnt
+    stem_of = {w: porter_stem(w) for w in c_cnt.keys() | r_cnt.keys()}
 
-    NODE_BUDGET = 250_000
+    def by_stem(left: Counter) -> Counter:
+        tally: Counter = Counter()
+        for w, n in left.items():
+            tally[stem_of[w]] += n
+        return tally
 
-    def __init__(self, cand: list[str], ref: list[str]):
-        self.cand = cand
-        self.ref = ref
-        c_cnt = Counter(cand)
-        r_cnt = Counter(ref)
-        self.quota_exact = {w: min(c, r_cnt.get(w, 0)) for w, c in c_cnt.items()}
-        self.n_exact = sum(self.quota_exact.values())
+    stem = by_stem(c_cnt - exact) & by_stem(r_cnt - exact)
+    matches = sum(exact.values()) + sum(stem.values())
+    if matches == 0:
+        return 0, 0
 
-        self.stem_of = {w: porter_stem(w) for w in set(cand) | set(ref)}
-        res_c: dict[str, int] = {}
-        res_r: dict[str, int] = {}
-        for w, c in c_cnt.items():
-            s = self.stem_of[w]
-            res_c[s] = res_c.get(s, 0) + c - self.quota_exact[w]
-        for w, r in r_cnt.items():
-            s = self.stem_of[w]
-            res_r[s] = res_r.get(s, 0) + r - min(r, c_cnt.get(w, 0))
-        self.quota_stem: dict[str, int] = {}
-        for s in res_c:
-            q = min(res_c[s], res_r.get(s, 0))
-            if q > 0:
-                self.quota_stem[s] = q
-        self.n_stem = sum(self.quota_stem.values())
-        self.n_total = self.n_exact + self.n_stem
-        self.words_in_class: dict[str, list[str]] = {}
-        for w, q in self.quota_exact.items():
-            if q > 0:
-                self.words_in_class.setdefault(self.stem_of[w], []).append(w)
+    in_class: dict[str, list[str]] = {}  # stem class -> exactly matched words
+    for w in exact:
+        in_class.setdefault(stem_of[w], []).append(w)
+    at_word: dict[str, list[int]] = {}  # ref positions, ascending
+    at_stem: dict[str, list[int]] = {}
+    for j, w in enumerate(ref):
+        at_word.setdefault(w, []).append(j)
+        at_stem.setdefault(stem_of[w], []).append(j)
+    # occurrences of cand[i]'s word / stem class in cand[i:]
+    m = len(cand)
+    word_after, stem_after = [0] * m, [0] * m
+    seen_w: dict[str, int] = {}
+    seen_s: dict[str, int] = {}
+    for i in range(m - 1, -1, -1):
+        w = cand[i]
+        s = stem_of[w]
+        word_after[i] = seen_w[w] = seen_w.get(w, 0) + 1
+        stem_after[i] = seen_s[s] = seen_s.get(s, 0) + 1
 
-        self.ref_pos_by_word: dict[str, list[int]] = {}
-        self.ref_pos_by_stem: dict[str, list[int]] = {}
-        for j, w in enumerate(ref):
-            self.ref_pos_by_word.setdefault(w, []).append(j)
-            self.ref_pos_by_stem.setdefault(self.stem_of[w], []).append(j)
+    used = [False] * len(ref)
+    rem_exact, rem_stem, free = dict(exact), dict(stem), dict(r_cnt)
+    best, nodes = matches, 0  # one chunk per match is always feasible
 
-        # occurrences of cand[i]'s word / stem class in cand[i:]
-        self.word_after = [0] * len(cand)
-        self.stem_after = [0] * len(cand)
-        wa, sa = Counter(), Counter()
-        for i in range(len(cand) - 1, -1, -1):
-            w = cand[i]
-            s = self.stem_of[w]
-            wa[w] += 1
-            sa[s] += 1
-            self.word_after[i] = wa[w]
-            self.stem_after[i] = sa[s]
+    def take(i, j, quota, key, remaining, last_j, chunks):
+        rw = ref[j]
+        used[j] = True
+        free[rw] -= 1
+        quota[key] -= 1
+        dfs(i + 1, remaining - 1, j, chunks if j == last_j + 1 else chunks + 1)
+        quota[key] += 1
+        free[rw] += 1
+        used[j] = False
 
-    def run(self) -> int:
-        if self.n_total == 0:
-            return 0
-        self.best = self.n_total  # every match its own chunk, always feasible
-        self.nodes = 0
-        self.used = [False] * len(self.ref)
-        self.rem_exact = dict(self.quota_exact)
-        self.rem_stem = dict(self.quota_stem)
-        self.ref_avail_word = {w: len(p) for w, p in self.ref_pos_by_word.items()}
-        self._dfs(0, self.n_total, -2, 0)
-        return self.best
-
-    def _feasible_skip(self, i: int, w: str) -> bool:
-        """Can quotas still be met if cand position i stays unmatched?
-
-        Necessary conditions only: exact matches for word w must come from
-        later occurrences of w, and all remaining quotas of w's stem class
-        must fit into later occurrences of that class.
-        """
-        if self.rem_exact.get(w, 0) > self.word_after[i] - 1:
-            return False
-        if self.quota_stem:
-            s = self.stem_of[w]
-            need = self.rem_stem.get(s, 0) + sum(
-                self.rem_exact[v] for v in self.words_in_class.get(s, ())
-            )
-            if need > self.stem_after[i] - 1:
-                return False
-        return True
-
-    def _dfs(self, i: int, remaining: int, last_j: int, chunks: int) -> None:
+    def dfs(i, remaining, last_j, chunks):
+        nonlocal best, nodes
         if remaining == 0:
-            if chunks < self.best:
-                self.best = chunks
+            best = min(best, chunks)
             return
-        if chunks >= self.best or self.nodes > self.NODE_BUDGET:
+        if chunks >= best or nodes > NODE_BUDGET or m - i < remaining:
             return
-        m = len(self.cand)
-        if i >= m or m - i < remaining:
-            return
-        self.nodes += 1
-        w = self.cand[i]
-
-        # exact matches first, in ascending ref position
-        if self.rem_exact.get(w, 0) > 0:
-            for j in self.ref_pos_by_word[w]:
-                if self.used[j]:
-                    continue
-                self._take(i, j, w, None, remaining, last_j, chunks)
-        # stem-stage matches
-        if self.quota_stem:
-            s = self.stem_of[w]
-            if (
-                self.rem_stem.get(s, 0) > 0
-                and self.word_after[i] - 1 >= self.rem_exact.get(w, 0)
-            ):
-                for j in self.ref_pos_by_stem[s]:
-                    rw = self.ref[j]
-                    if self.used[j] or rw == w:
-                        continue
+        nodes += 1
+        w = cand[i]
+        need = rem_exact.get(w, 0)
+        if need > 0:  # exact matches first, in ascending ref position
+            for j in at_word[w]:
+                if not used[j]:
+                    take(i, j, rem_exact, w, remaining, last_j, chunks)
+        # a stem match or no match at i leaves w's exact quota to cand[i+1:]
+        later = need < word_after[i]
+        if stem:
+            s = stem_of[w]
+            if later and rem_stem.get(s, 0) > 0:
+                for j in at_stem[s]:
+                    rw = ref[j]
                     # keep enough ref occurrences of rw for its exact quota
-                    if (
-                        self.ref_avail_word[rw] - 1
-                        < self.rem_exact.get(rw, 0)
-                    ):
-                        continue
-                    self._take(i, j, w, s, remaining, last_j, chunks)
-        # leave i unmatched
-        if self._feasible_skip(i, w):
-            self._dfs(i + 1, remaining, -2, chunks)
+                    if (not used[j] and rw != w
+                            and free[rw] > rem_exact.get(rw, 0)):
+                        take(i, j, rem_stem, s, remaining, last_j, chunks)
+            # no match at i also leaves the quotas of w's class to cand[i+1:]
+            later = later and rem_stem.get(s, 0) + sum(
+                rem_exact[v] for v in in_class.get(s, ())) < stem_after[i]
+        if later:
+            dfs(i + 1, remaining, -2, chunks)
 
-    def _take(self, i, j, w, stem_class, remaining, last_j, chunks):
-        rw = self.ref[j]
-        self.used[j] = True
-        self.ref_avail_word[rw] -= 1
-        if stem_class is None:
-            self.rem_exact[w] -= 1
-        else:
-            self.rem_stem[stem_class] -= 1
-        new_chunks = chunks if j == last_j + 1 else chunks + 1
-        self._dfs(i + 1, remaining - 1, j, new_chunks)
-        if stem_class is None:
-            self.rem_exact[w] += 1
-        else:
-            self.rem_stem[stem_class] += 1
-        self.ref_avail_word[rw] += 1
-        self.used[j] = False
+    dfs(0, matches, -2, 0)
+    return matches, best
 
 
 def meteor(source: TokenizedText, output: TokenizedText) -> float:
@@ -351,18 +296,19 @@ def meteor(source: TokenizedText, output: TokenizedText) -> float:
     Unigram alignment maximizes the match count with exact matches taking
     priority over stem matches, then minimizes the number of chunks; the
     final score is the recall-weighted F-mean scaled by the fragmentation
-    penalty 1 - gamma * (chunks / matches) ** beta.
+    penalty 1 - gamma * (chunks / matches) ** beta. The chunk count is
+    exact when its search ends within NODE_BUDGET nodes; otherwise it is
+    that of the best alignment found so far, an upper bound, so the score
+    can be lower than the exact one.
     """
     ref = source.words
     cand = output.words
     if not ref or not cand:
         return 0.0
 
-    search = _ChunkSearch(cand, ref)
-    matches = search.n_total
+    matches, chunks = _align(cand, ref)
     if matches == 0:
         return 0.0
-    chunks = search.run()
 
     precision = matches / len(cand)
     recall = matches / len(ref)

@@ -49,6 +49,8 @@ __all__ = [
 MODEL_KINDS = ("linreg", "ridge", "lasso", "logistic")
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 DEFAULT_PCA_COMPONENTS = 25
+DEFAULT_FOLDS = 5  # cross-validation folds and the seed that splits them
+DEFAULT_SEED = 42
 _N_CLASSES = len(LABELS)
 
 
@@ -490,7 +492,8 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
-                   folds: int = 5, seed: int = 42) -> CVResult:
+                   folds: int = DEFAULT_FOLDS,
+                   seed: int = DEFAULT_SEED) -> CVResult:
     """K-fold cross-validation with the standardizer, PCA and model all
     refit on each fold's training part.
 
@@ -529,8 +532,9 @@ def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
 
 
 def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
-                  grid: Sequence[float] = LAMBDA_GRID, folds: int = 5,
-                  seed: int = 42) -> tuple[float, dict[float, CVResult]]:
+                  grid: Sequence[float] = LAMBDA_GRID,
+                  folds: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED
+                  ) -> tuple[float, dict[float, CVResult]]:
     """Pick the regularization strength with the best mean CV score.
 
     linreg has no penalty, so the grid collapses to {0}.

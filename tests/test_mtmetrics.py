@@ -25,6 +25,7 @@ from tseval.mtmetrics import (
     rouge,
     ter_align,
 )
+from tseval import mtmetrics
 from tseval.mtmetrics import _ShiftSearch
 from tseval.textproc import porter_stem, tokenize
 
@@ -435,6 +436,72 @@ class TestMeteor:
         expected = meteor_score_from(exact, total, neg_chunks,
                                      len(out.words), len(src.words))
         assert meteor(src, out) == pytest.approx(expected, abs=1e-12)
+
+    def test_inflected_pairs_match_alignment_oracle(self):
+        # porter_stem leaves words of at most two letters as they are, so
+        # only longer inflected words reach the stem stage, the ref
+        # availability guard and the stem-class feasibility check
+        words = ("the a run runs running runner "
+                 "jump jumps jumped jumping").split()
+        rng = random.Random(7)
+        with_stem_matches = 0
+        for _ in range(300):
+            src = T(" ".join(rng.choices(words, k=rng.randint(1, 6))))
+            out = T(" ".join(rng.choices(words, k=rng.randint(1, 6))))
+            exact, total, neg_chunks = meteor_alignment_oracle(out.words,
+                                                               src.words)
+            with_stem_matches += total > exact
+            expected = meteor_score_from(exact, total, neg_chunks,
+                                         len(out.words), len(src.words))
+            assert meteor(src, out) == pytest.approx(expected, abs=1e-12)
+        assert with_stem_matches >= 100
+
+    # Scores of four function-word-heavy pairs with inflected words, per
+    # node budget, as the earlier class-based chunk search gave them.
+    # Budgets 82 and 549 are one node short of a better alignment that
+    # budgets 83 and 550 reach, so moving the point where nodes are
+    # counted, or any pruning that changes the visit order, changes a
+    # score.
+    BUDGET_SCORES = {
+        82: (0.47861409796893667, 0.6845025226653265,
+             0.7378569647088166, 0.5190548780487805),
+        83: (0.47861409796893667, 0.7373721752914113,
+             0.7378569647088166, 0.5190548780487805),
+        549: (0.47861409796893667, 0.7373721752914113,
+              0.7378569647088166, 0.5190548780487805),
+        550: (0.47861409796893667, 0.7373721752914113,
+              0.7744107744107744, 0.5190548780487805),
+        mtmetrics.NODE_BUDGET: (0.7193548387096774, 0.7373721752914113,
+                                0.8053529118343934, 0.5711699695121951),
+    }
+
+    @staticmethod
+    def heavy_pairs():
+        heavy = ("the", "a", "of", "and", "an", "or")
+        inflections = (("run", "runs", "running"), ("jump", "jumps", "jumped"))
+        rng = random.Random(3)
+        for _ in range(4):
+            src = [rng.choice(heavy) if rng.random() < 0.7
+                   else rng.choice(rng.choice(inflections))
+                   for _ in range(rng.randint(18, 22))]
+            out = [rng.choice(next(f for f in inflections if w in f))
+                   if rng.random() < 0.5 and len(w) > 3 else w
+                   for w in src if rng.random() < 0.8]
+            rng.shuffle(out)
+            yield T(" ".join(src)), T(" ".join(out))
+
+    @pytest.mark.parametrize("budget", sorted(BUDGET_SCORES))
+    def test_node_budget_pins_scores(self, budget, monkeypatch):
+        monkeypatch.setattr(mtmetrics, "NODE_BUDGET", budget)
+        got = tuple(meteor(src, out) for src, out in self.heavy_pairs())
+        assert got == self.BUDGET_SCORES[budget]
+
+    def test_small_budget_trips_on_heavy_pairs(self):
+        # the budgets above stop the search short of the exact chunk count
+        exact = self.BUDGET_SCORES[mtmetrics.NODE_BUDGET]
+        assert all(any(a != b for a, b in zip(scores, exact))
+                   for budget, scores in self.BUDGET_SCORES.items()
+                   if budget < mtmetrics.NODE_BUDGET)
 
 
 # ---------------------------------------------------------------------------
