@@ -8,6 +8,7 @@ token sequence; sentence boundaries only constrain n-gram extraction.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -167,15 +168,19 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
 # ---------------------------------------------------------------------------
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004). After
+    each word of b, bit i of v is 0 exactly when a[:i + 1] has a longer
+    LCS with the words read so far than a[:i] has, so the LCS length is
+    the number of zero bits among the low len(a)."""
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge(source: TokenizedText, output: TokenizedText) -> float:
@@ -369,11 +374,24 @@ def _dp_rows(mismatch: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _distance_table(src: np.ndarray, out: Sequence[int]) -> np.ndarray:
-    """t[j][i] = edit distance between src[:i] and out[:j], so t[-1, -1]
+def _distance_table(src: Sequence[int],
+                    out: Sequence[int]) -> list[list[int]]:
+    """t[i][j] = edit distance between src[:i] and out[:j], so t[-1][-1]
     is the distance between the two sequences."""
-    mismatch = src[None, :] != np.asarray(out)[:, None]
-    return _dp_rows(mismatch[:, None, :], np.arange(len(src) + 1))[:, 0, :]
+    row = list(range(len(out) + 1))
+    table = [row]
+    for i, s in enumerate(src, start=1):
+        prev, row, left = row, [i], i
+        for diag, up, o in zip(prev, prev[1:], out):
+            cell = diag if s == o else diag + 1
+            if up + 1 < cell:
+                cell = up + 1
+            if left + 1 < cell:
+                cell = left + 1
+            row.append(cell)
+            left = cell
+        table.append(row)
+    return table
 
 
 def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
@@ -435,8 +453,6 @@ class _ShiftSearch:
         greedy solution. Block moves only permute `out`, and a state is
         pushed only when its move count strictly improves, so each of the
         at most EXACT_LIMIT! permutations is expanded once."""
-        import heapq
-
         best_total = greedy[0] + greedy[1]
         best = greedy
         dist = {out: 0}
@@ -445,7 +461,7 @@ class _ShiftSearch:
             moves, state = heapq.heappop(heap)
             if moves != dist.get(state):
                 continue
-            ed = int(_distance_table(self.src, state)[-1, -1])
+            ed = _distance_table(self.src_t, state)[-1][-1]
             if moves + ed < best_total:
                 best_total = moves + ed
                 best = (moves, ed, state)
@@ -580,15 +596,15 @@ class _ShiftSearch:
 
 
 def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...],
-               table: np.ndarray) -> tuple[int, int, int, int]:
+               dp: list[list[int]]) -> tuple[int, int, int, int]:
     """Optimal unit-cost alignment counts (insertions, deletions,
     substitutions, matches) transforming source into output, backtraced
-    through their `_distance_table`.
+    through their source-major `_distance_table` dp, where dp[i][j] is
+    the distance between src_ids[:i] and out_ids[:j].
 
     Backtrace prefers diagonal steps, then deletions, then insertions,
     which fixes one canonical decomposition among cost-equal alignments.
     """
-    dp = table.T.tolist()  # dp[i][j] = distance between src[:i] and out[:j]
     ins = dels = subs = matches = 0
     i, j = len(src_ids), len(out_ids)
     while i > 0 or j > 0:
@@ -631,10 +647,10 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
         )
 
     search = _ShiftSearch(src_ids)
-    table = _distance_table(search.src, out_ids)
-    shifts, _, final = search.plan(out_ids, int(table[-1, -1]))
+    table = _distance_table(src_ids, out_ids)
+    shifts, _, final = search.plan(out_ids, table[-1][-1])
     if shifts:  # block moves changed the output: align the moved one
-        table = _distance_table(search.src, final)
+        table = _distance_table(src_ids, final)
     ins, dels, subs, matches = _decompose(src_ids, final, table)
     num_errors = ins + dels + subs + shifts
     return EditBreakdown(

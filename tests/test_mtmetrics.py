@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tseval.mtmetrics import (
@@ -51,6 +51,17 @@ def lcs_oracle(a, b):
             if all(tok in it for tok in combo):
                 return k
     return best
+
+
+def lcs_dp_oracle(a, b):
+    """Longest common subsequence by the quadratic dynamic program."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
 
 
 def ngram_counts(text, n):
@@ -391,6 +402,15 @@ class TestRouge:
         assert 0.0 <= got <= 1.0
         assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_long_inputs_match_quadratic_lcs(self):
+        # masks up to 200 bits wide, well past one machine word
+        rng = random.Random(2004)
+        words = ("the", "a", "of", "cat", "sat")
+        for _ in range(40):
+            a = [rng.choice(words) for _ in range(rng.randint(0, 200))]
+            b = [rng.choice(words) for _ in range(rng.randint(0, 200))]
+            assert mtmetrics._lcs_length(a, b) == lcs_dp_oracle(a, b), (a, b)
+
 
 # ---------------------------------------------------------------------------
 # METEOR
@@ -507,6 +527,22 @@ class TestMeteor:
 # ---------------------------------------------------------------------------
 # TER
 # ---------------------------------------------------------------------------
+
+class TestDistanceTable:
+    @given(st.lists(st.integers(0, 3), max_size=8),
+           st.lists(st.integers(0, 3), max_size=8))
+    @example([0, 1, 2], [])
+    @example([0], [0])
+    @example([0], [1])
+    @example([1], [0, 1, 1])
+    @settings(max_examples=150, deadline=None)
+    def test_every_cell_is_the_prefix_edit_distance(self, a, b):
+        table = mtmetrics._distance_table(a, b)
+        assert len(table) == len(a) + 1
+        for i, row in enumerate(table):
+            assert row == [lev_oracle(a[:i], b[:j])
+                           for j in range(len(b) + 1)], (a, b, i)
+
 
 class TestTerAlign:
     def test_identity(self):
