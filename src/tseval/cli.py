@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataFormatError, TsevalError, read_input
 from . import qats_io
 from .features import FeatureMatrix, compute_matrix, registry
+from .mtmetrics import SearchBudgetWarning
 from .qemodel import (
     DEFAULT_FOLDS,
     DEFAULT_PCA_COMPONENTS,
@@ -273,6 +274,15 @@ def _labeled_split(cfg: argparse.Namespace,
 # commands
 # ---------------------------------------------------------------------------
 
+def _split_warnings(caught, kind) -> tuple[list, dict[str, None]]:
+    """The caught warnings of one kind, and the distinct messages of the
+    others, in the order they were first issued."""
+    mine = [w.message for w in caught if isinstance(w.message, kind)]
+    other = dict.fromkeys(str(w.message) for w in caught
+                          if not isinstance(w.message, kind))
+    return mine, other
+
+
 def cmd_features(cfg: argparse.Namespace) -> int:
     datasets = []
     for split, path in (("train", _require(cfg, "train")), ("test", cfg.test)):
@@ -284,15 +294,25 @@ def cmd_features(cfg: argparse.Namespace) -> int:
 
     results = []
     timing_total: dict[str, float] = {}
-    for split, dataset in datasets:
-        pairs = qats_io.to_pairs(dataset)
-        start = time.perf_counter()
-        matrix = compute_matrix(pairs, resources, names,
-                                timings=timing_total)
-        elapsed = time.perf_counter() - start
-        results.append((split, matrix))
-        print(f"{split}: {len(pairs)} pairs x {len(names)} features "
-              f"in {elapsed:.2f}s")
+    # Budget warnings of the METEOR search are counted, not shown one by
+    # one; any other warning is shown once, as a plain line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for split, dataset in datasets:
+            pairs = qats_io.to_pairs(dataset)
+            start = time.perf_counter()
+            matrix = compute_matrix(pairs, resources, names,
+                                    timings=timing_total)
+            elapsed = time.perf_counter() - start
+            results.append((split, matrix))
+            print(f"{split}: {len(pairs)} pairs x {len(names)} features "
+                  f"in {elapsed:.2f}s")
+    stopped, other = _split_warnings(caught, SearchBudgetWarning)
+    if stopped:
+        print(f"warning: {len(stopped)} METEOR alignments stopped at the "
+              f"node budget; their chunk counts are upper bounds")
+    for message in other:
+        print(f"warning: {message}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for split, matrix in results:
@@ -356,10 +376,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
                                         folds=cfg.folds, seed=cfg.seed)
         pipeline = fit_pipeline(matrix, y, dimension,
                                 replace(config, lam=lam))
-    capped = [w.message.lam for w in caught
-              if isinstance(w.message, IterationCapWarning)]
-    other = dict.fromkeys(str(w.message) for w in caught
-                          if not isinstance(w.message, IterationCapWarning))
+    capped, other = _split_warnings(caught, IterationCapWarning)
 
     print(f"cross-validation ({cfg.folds} folds, seed {cfg.seed}):")
     for grid_lam, result in cv_results.items():
@@ -370,7 +387,8 @@ def cmd_train(cfg: argparse.Namespace) -> int:
 
     if capped:
         fits = sum(len(r.fold_scores) for r in cv_results.values()) + 1
-        lams = ", ".join(f"{x:g}" for x in dict.fromkeys(capped))
+        lams = ", ".join(f"{x:g}" for x in
+                         dict.fromkeys(w.lam for w in capped))
         print(f"warning: {len(capped)} of {fits} logistic fits stopped at "
               f"the iteration cap (lambda = {lams})")
     for message in other:

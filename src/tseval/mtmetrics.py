@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
+from bisect import bisect_left, insort
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "bleu_from_counts",
     "rouge",
     "meteor",
+    "SearchBudgetWarning",
     "ter_align",
     "SMOOTHING_METHODS",
 ]
@@ -201,79 +205,150 @@ def rouge(source: TokenizedText, output: TokenizedText) -> float:
 # METEOR
 # ---------------------------------------------------------------------------
 
-def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
-    """(matches, chunks) of METEOR's unigram alignment of cand to ref.
+class SearchBudgetWarning(RuntimeWarning):
+    """METEOR's chunk search stopped at NODE_BUDGET, so its chunk count
+    is that of the best alignment found, an upper bound."""
 
-    Every word gets exactly its maximal number of exact matches (stage
-    priority), and every stem class exactly the maximal number of stem
-    matches among the occurrences left over. Among those alignments a
-    depth-first search over cand positions, with quota feasibility pruning
-    and branch-and-bound, minimises the chunk count. It is exact up to
-    NODE_BUDGET search nodes; beyond that the best alignment found so far
-    is returned.
-    """
+
+def _quotas(cand: list[str], ref: list[str]
+            ) -> tuple[dict[str, str], dict[str, int], dict[str, int]]:
+    """(stem_of, exact, stem): the stem class of every word of either
+    text, each word's maximal number of exact matches, and each stem
+    class's maximal number of stem matches among the occurrences the
+    exact stage leaves over. Only positive quotas are kept."""
     c_cnt, r_cnt = Counter(cand), Counter(ref)
-    exact = c_cnt & r_cnt
     stem_of = {w: porter_stem(w) for w in c_cnt.keys() | r_cnt.keys()}
+    exact: dict[str, int] = {}
+    c_left: dict[str, int] = {}
+    for w, n in c_cnt.items():
+        k = min(n, r_cnt.get(w, 0))
+        if k:
+            exact[w] = k
+        if n > k:
+            s = stem_of[w]
+            c_left[s] = c_left.get(s, 0) + n - k
+    r_left: dict[str, int] = {}
+    for w, n in r_cnt.items():
+        n -= exact.get(w, 0)
+        if n:
+            s = stem_of[w]
+            r_left[s] = r_left.get(s, 0) + n
+    stem = {s: min(n, r_left[s]) for s, n in c_left.items() if s in r_left}
+    return stem_of, exact, stem
 
-    def by_stem(left: Counter) -> Counter:
-        tally: Counter = Counter()
-        for w, n in left.items():
-            tally[stem_of[w]] += n
-        return tally
 
-    stem = by_stem(c_cnt - exact) & by_stem(r_cnt - exact)
-    matches = sum(exact.values()) + sum(stem.values())
-    if matches == 0:
-        return 0, 0
+def _chunk_bound(cand: list[str], ref: list[str], stem_of: dict[str, str],
+                 exact: dict[str, int], stem: dict[str, int]
+                 ) -> Callable[[int, int, int], int]:
+    """fewest_new_chunks(i, remaining, last_j): a lower bound on the
+    chunks an alignment must still open to place `remaining` matches in
+    cand[i:], after cand[i - 1] was matched to ref[last_j] (last_j < 0:
+    it was not).
 
-    in_class: dict[str, list[str]] = {}  # stem class -> exactly matched words
-    for w in exact:
-        in_class.setdefault(stem_of[w], []).append(w)
-    at_word: dict[str, list[int]] = {}  # ref positions, ascending
-    at_stem: dict[str, list[int]] = {}
-    for j, w in enumerate(ref):
-        at_word.setdefault(w, []).append(j)
-        at_stem.setdefault(stem_of[w], []).append(j)
-    # occurrences of cand[i]'s word / stem class in cand[i:]
+    A chunk never crosses a segment of cand, a run of matchable positions
+    in which each adjacent pair's stem classes are also adjacent somewhere
+    in ref. So the bound is the fewest segments of cand[i:], longest
+    first, that can hold `remaining` matches; the segment at i costs
+    nothing when the open chunk may run on into it.
+    """
+    ref_cls = [stem_of[w] for w in ref]
+    adjacent = set(zip(ref_cls, ref_cls[1:]))
+    # head[i]: the matchable positions from i to the end of i's segment;
+    # after[i]: cumulative lengths of the later segments, longest first
     m = len(cand)
-    word_after, stem_after = [0] * m, [0] * m
-    seen_w: dict[str, int] = {}
-    seen_s: dict[str, int] = {}
+    head = [0] * (m + 1)
+    after: list[list[int]] = [[]] * m
+    lengths: list[int] = []  # negated, ascending
+    cums: list[int] = []
+    nxt = None  # stem class of cand[i + 1]
     for i in range(m - 1, -1, -1):
         w = cand[i]
         s = stem_of[w]
-        word_after[i] = seen_w[w] = seen_w.get(w, 0) + 1
-        stem_after[i] = seen_s[s] = seen_s.get(s, 0) + 1
+        if w in exact or s in stem:
+            head[i] = head[i + 1] + 1 if (s, nxt) in adjacent else 1
+        if head[i + 1] and head[i] != head[i + 1] + 1:  # i + 1 starts one
+            insort(lengths, -head[i + 1])
+            cums = [-x for x in accumulate(lengths)]
+        after[i] = cums
+        nxt = s
+
+    def fewest_new_chunks(i, remaining, last_j):
+        h, later = head[i], after[i]
+        rest = remaining - h  # left for the later segments if i's is full
+        if last_j >= 0 and head[i - 1] > 1:
+            return 0 if rest <= 0 else bisect_left(later, rest) + 1
+        skip = bisect_left(later, remaining) + 1
+        if h == 0:
+            return skip
+        return min(skip, 1 if rest <= 0 else bisect_left(later, rest) + 2)
+
+    return fewest_new_chunks
+
+
+def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
+    """(matches, chunks, exhaustive) of METEOR's unigram alignment of
+    cand to ref.
+
+    Every word gets exactly its maximal number of exact matches (stage
+    priority), and every stem class exactly the maximal number of stem
+    matches among the occurrences left over (_quotas). Among those
+    alignments a depth-first search over cand positions, with quota
+    feasibility pruning and branch-and-bound on _chunk_bound, minimises
+    the chunk count. It stops as soon as it reaches the bound at the
+    root. It runs from an explicit stack of child generators, not by
+    recursion, so it does not depend on the depth of the caller's stack
+    and a long cand cannot exhaust it.
+
+    The chunk count is exact when ``exhaustive`` is true. Otherwise a
+    node was cut by NODE_BUDGET (expanded search nodes), and the count
+    is that of the best alignment found, an upper bound.
+    """
+    stem_of, exact, stem = _quotas(cand, ref)
+    matches = sum(exact.values()) + sum(stem.values())
+    if matches == 0:
+        return 0, 0, True
+    fewest_new_chunks = _chunk_bound(cand, ref, stem_of, exact, stem)
+
+    at_word: dict[str, list[int]] = {}  # ref positions, ascending
+    for j, w in enumerate(ref):
+        at_word.setdefault(w, []).append(j)
+    # occurrences of cand[i]'s word in cand[i:]
+    m = len(cand)
+    word_after = [0] * m
+    seen: dict[str, int] = {}
+    for i in range(m - 1, -1, -1):
+        w = cand[i]
+        word_after[i] = seen[w] = seen.get(w, 0) + 1
+    if stem:  # the same for stem classes, and their exactly matched words
+        at_stem: dict[str, list[int]] = {}
+        for j, w in enumerate(ref):
+            at_stem.setdefault(stem_of[w], []).append(j)
+        stem_after = [0] * m
+        seen = {}
+        for i in range(m - 1, -1, -1):
+            s = stem_of[cand[i]]
+            stem_after[i] = seen[s] = seen.get(s, 0) + 1
+        in_class: dict[str, list[str]] = {}
+        for w in exact:
+            in_class.setdefault(stem_of[w], []).append(w)
 
     used = [False] * len(ref)
-    rem_exact, rem_stem, free = dict(exact), dict(stem), dict(r_cnt)
-    best, nodes = matches, 0  # one chunk per match is always feasible
+    rem_exact, rem_stem, free = dict(exact), dict(stem), Counter(ref)
 
-    def take(i, j, quota, key, remaining, last_j, chunks):
-        rw = ref[j]
-        used[j] = True
-        free[rw] -= 1
-        quota[key] -= 1
-        dfs(i + 1, remaining - 1, j, chunks if j == last_j + 1 else chunks + 1)
-        quota[key] += 1
-        free[rw] += 1
-        used[j] = False
-
-    def dfs(i, remaining, last_j, chunks):
-        nonlocal best, nodes
-        if remaining == 0:
-            best = min(best, chunks)
-            return
-        if chunks >= best or nodes > NODE_BUDGET or m - i < remaining:
-            return
-        nodes += 1
+    def children(i, remaining, last_j, chunks):
         w = cand[i]
         need = rem_exact.get(w, 0)
         if need > 0:  # exact matches first, in ascending ref position
             for j in at_word[w]:
                 if not used[j]:
-                    take(i, j, rem_exact, w, remaining, last_j, chunks)
+                    used[j] = True
+                    free[w] -= 1
+                    rem_exact[w] -= 1
+                    yield (i + 1, remaining - 1, j,
+                           chunks if j == last_j + 1 else chunks + 1)
+                    rem_exact[w] += 1
+                    free[w] += 1
+                    used[j] = False
         # a stem match or no match at i leaves w's exact quota to cand[i+1:]
         later = need < word_after[i]
         if stem:
@@ -284,15 +359,41 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int]:
                     # keep enough ref occurrences of rw for its exact quota
                     if (not used[j] and rw != w
                             and free[rw] > rem_exact.get(rw, 0)):
-                        take(i, j, rem_stem, s, remaining, last_j, chunks)
+                        used[j] = True
+                        free[rw] -= 1
+                        rem_stem[s] -= 1
+                        yield (i + 1, remaining - 1, j,
+                               chunks if j == last_j + 1 else chunks + 1)
+                        rem_stem[s] += 1
+                        free[rw] += 1
+                        used[j] = False
             # no match at i also leaves the quotas of w's class to cand[i+1:]
             later = later and rem_stem.get(s, 0) + sum(
                 rem_exact[v] for v in in_class.get(s, ())) < stem_after[i]
         if later:
-            dfs(i + 1, remaining, -2, chunks)
+            yield i + 1, remaining, -2, chunks
 
-    dfs(0, matches, -2, 0)
-    return matches, best
+    root = fewest_new_chunks(0, matches, -2)
+    best, nodes, cut = matches, 0, False  # one chunk per match is feasible
+    stack = [iter([(0, matches, -2, 0)])]
+    while stack and best > root:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        i, remaining, last_j, chunks = node
+        if remaining == 0:
+            best = min(best, chunks)
+            continue
+        if (m - i < remaining
+                or chunks + fewest_new_chunks(i, remaining, last_j) >= best):
+            continue
+        if nodes > NODE_BUDGET:
+            cut = True
+            continue
+        nodes += 1
+        stack.append(children(i, remaining, last_j, chunks))
+    return matches, best, best == root or not cut
 
 
 def meteor(source: TokenizedText, output: TokenizedText) -> float:
@@ -302,16 +403,22 @@ def meteor(source: TokenizedText, output: TokenizedText) -> float:
     priority over stem matches, then minimizes the number of chunks; the
     final score is the recall-weighted F-mean scaled by the fragmentation
     penalty 1 - gamma * (chunks / matches) ** beta. The chunk count is
-    exact when its search ends within NODE_BUDGET nodes; otherwise it is
-    that of the best alignment found so far, an upper bound, so the score
-    can be lower than the exact one.
+    exact unless a SearchBudgetWarning is issued: then the search stopped
+    at NODE_BUDGET nodes, the count is that of the best alignment found,
+    an upper bound, and the score can be lower than the exact one. The
+    search does not recurse, so it works the same at any stack depth.
     """
     ref = source.words
     cand = output.words
     if not ref or not cand:
         return 0.0
 
-    matches, chunks = _align(cand, ref)
+    matches, chunks, exhaustive = _align(cand, ref)
+    if not exhaustive:
+        warnings.warn(SearchBudgetWarning(
+            f"METEOR chunk search stopped at NODE_BUDGET ({NODE_BUDGET} "
+            f"nodes) on a {len(cand)}-word output; its chunk count "
+            f"{chunks} is an upper bound"), stacklevel=2)
     if matches == 0:
         return 0.0
 

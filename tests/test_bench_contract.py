@@ -2,14 +2,16 @@
 
 bench/run.py and bench/spans.py are kept unchanged between versions so
 that runs stay comparable; these tests catch an API change that would
-break their set-up or their per-layer tracing (``--trace 1``).
+break their set-up or their per-layer tracing (``--trace 1``), or a
+search that stops at its budget on a benchmark pair.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-from tseval import qats_io, resources
+from tseval import mtmetrics, qats_io, resources
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +46,15 @@ def test_setup_calls_of_the_benchmark(synthetic_dataset_dir):
     )
     assert all(bundle.has(kind)
                for kind in ("freq_table", "concreteness", "vectors", "lm"))
+
+
+def test_meteor_search_is_exhaustive_on_every_benchmark_pair(monkeypatch):
+    # Features computed by two versions of the chunk search can only be
+    # compared byte for byte where both searches are exact.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
+    workloads = importlib.import_module("workloads")
+    for name in workloads.SPECS:
+        work = workloads.generate(name, 1)
+        for pair in work.train + work.test:
+            assert mtmetrics._align(pair.out, pair.src)[2], (name, pair.id)

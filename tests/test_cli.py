@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from tseval import cli, qemodel
+from tseval import cli, mtmetrics, qemodel
 from tseval.cli import main
 
 
@@ -86,6 +86,29 @@ class TestFeaturesCommand:
         for name in ("features_train.tsv", "features_test.tsv"):
             assert (tmp_path / name).read_bytes() == \
                 (workflow_dir / name).read_bytes()
+
+
+    def test_meteor_budget_stops_counted(self, tmp_path, capsys, monkeypatch):
+        # the last two pairs are function-word-heavy reorderings whose chunk
+        # search runs past five nodes; the first is exact at the root bound
+        monkeypatch.setattr(mtmetrics, "NODE_BUDGET", 5)
+        rows = [("The cat sat on the mat.", "The cat sat on the mat."),
+                ("The a of the and a of the and the a of an or the.",
+                 "Of the a and the of a the an the and of or a."),
+                ("A cat and a dog of the town and the city.",
+                 "The dog and the cat of a city and a town.")]
+        (tmp_path / "train.tsv").write_text(
+            "original\tsimplified\tG\tM\tS\tOverall\n"
+            + "".join(f"{src}\t{out}\tOK\tOK\tOK\tOK\n" for src, out in rows))
+        code = run("features", "--train", str(tmp_path / "train.tsv"),
+                   "--features", "METEOR", "--out", str(tmp_path))
+        assert code == 0
+        captured = capsys.readouterr()
+        stopped = [line for line in captured.out.splitlines()
+                   if "METEOR" in line and "warning" in line]
+        assert stopped == ["warning: 2 METEOR alignments stopped at the node "
+                           "budget; their chunk counts are upper bounds"]
+        assert "SearchBudgetWarning" not in captured.err
 
 
 class TestRankCommand:

@@ -2,9 +2,13 @@
 oracles. The oracles are implemented here, independently of the package."""
 
 import heapq
+import inspect
 import itertools
 import math
 import random
+import string
+import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -19,6 +23,7 @@ from tseval.mtmetrics import (
     BleuConfig,
     EditBreakdown,
     SMOOTHING_METHODS,
+    SearchBudgetWarning,
     bleu,
     bleu_counts,
     meteor,
@@ -253,6 +258,28 @@ def meteor_alignment_oracle(cand, ref, use_stem=True):
     return best
 
 
+inflected_lists = st.lists(st.sampled_from(
+    "the a run runs running jump jumps jumped".split()),
+    min_size=1, max_size=6)
+
+
+def adversarial_pairs(n):
+    """(source, output) word lists on which METEOR's chunk search can reach
+    NODE_BUDGET: 36-40 source words, 80 % of them drawn from 15 function
+    words, and the output an 80 % subsample of the source, shuffled."""
+    function_words = ("the", "a", "of", "and", "an", "or", "was", "were",
+                      "on", "in", "to", "which", "is", "that", "with")
+    rng = random.Random(2019)
+    for _ in range(n):
+        src = [rng.choice(function_words) if rng.random() < 0.8
+               else "".join(rng.choices(string.ascii_lowercase,
+                                        k=rng.randint(3, 9)))
+               for _ in range(rng.randint(36, 40))]
+        out = [w for w in src if rng.random() < 0.8]
+        rng.shuffle(out)
+        yield src, out
+
+
 def meteor_score_from(exact, total, neg_chunks, n_cand, n_ref):
     if total == 0:
         return 0.0
@@ -477,12 +504,14 @@ class TestMeteor:
         assert with_stem_matches >= 100
 
     # Scores of four function-word-heavy pairs with inflected words, per
-    # node budget, as the earlier class-based chunk search gave them.
-    # Budgets 82 and 549 are one node short of a better alignment that
-    # budgets 83 and 550 reach, so moving the point where nodes are
-    # counted, or any pruning that changes the visit order, changes a
-    # score.
-    BUDGET_SCORES = {
+    # node budget. UNBOUNDED_SCORES are those of the same search without
+    # the segment bound: budgets 82 and 549 were one node short of a
+    # better alignment that budgets 83 and 550 reached. The bound prunes
+    # nodes that search expanded, and at each budget here the search gets
+    # at least as far: each pinned score is at least the unbounded one.
+    # Moving the point where nodes are counted, or any pruning that
+    # changes the visit order, changes a score.
+    UNBOUNDED_SCORES = {
         82: (0.47861409796893667, 0.6845025226653265,
              0.7378569647088166, 0.5190548780487805),
         83: (0.47861409796893667, 0.7373721752914113,
@@ -491,6 +520,18 @@ class TestMeteor:
               0.7378569647088166, 0.5190548780487805),
         550: (0.47861409796893667, 0.7373721752914113,
               0.7744107744107744, 0.5190548780487805),
+        mtmetrics.NODE_BUDGET: (0.7193548387096774, 0.7373721752914113,
+                                0.8053529118343934, 0.5711699695121951),
+    }
+    BUDGET_SCORES = {
+        82: (0.47861409796893667, 0.7373721752914113,
+             0.7378569647088166, 0.5711699695121951),
+        83: (0.47861409796893667, 0.7373721752914113,
+             0.7378569647088166, 0.5711699695121951),
+        549: (0.47861409796893667, 0.7373721752914113,
+              0.7744107744107744, 0.5711699695121951),
+        550: (0.47861409796893667, 0.7373721752914113,
+              0.7744107744107744, 0.5711699695121951),
         mtmetrics.NODE_BUDGET: (0.7193548387096774, 0.7373721752914113,
                                 0.8053529118343934, 0.5711699695121951),
     }
@@ -510,11 +551,34 @@ class TestMeteor:
             rng.shuffle(out)
             yield T(" ".join(src)), T(" ".join(out))
 
+    @pytest.mark.filterwarnings("ignore::tseval.mtmetrics.SearchBudgetWarning")
     @pytest.mark.parametrize("budget", sorted(BUDGET_SCORES))
     def test_node_budget_pins_scores(self, budget, monkeypatch):
         monkeypatch.setattr(mtmetrics, "NODE_BUDGET", budget)
         got = tuple(meteor(src, out) for src, out in self.heavy_pairs())
         assert got == self.BUDGET_SCORES[budget]
+        assert all(a >= b for a, b in zip(got, self.UNBOUNDED_SCORES[budget]))
+
+    def test_chunks_never_rise_with_budget(self, monkeypatch):
+        budgets = sorted({0, 10, 100, 1000, 5000, *self.BUDGET_SCORES})
+        rows = []
+        for budget in budgets:
+            monkeypatch.setattr(mtmetrics, "NODE_BUDGET", budget)
+            rows.append([mtmetrics._align(out.words, src.words)[1]
+                         for src, out in self.heavy_pairs()])
+        for budget, fewer, more in zip(budgets[1:], rows, rows[1:]):
+            assert all(b <= a for a, b in zip(fewer, more)), budget
+
+    def test_budget_stop_is_flagged(self, monkeypatch):
+        src, out = next(self.heavy_pairs())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            meteor(src, out)
+        assert mtmetrics._align(out.words, src.words)[2]
+        monkeypatch.setattr(mtmetrics, "NODE_BUDGET", 82)
+        assert not mtmetrics._align(out.words, src.words)[2]
+        with pytest.warns(SearchBudgetWarning, match="NODE_BUDGET"):
+            assert meteor(src, out) == self.BUDGET_SCORES[82][0]
 
     def test_small_budget_trips_on_heavy_pairs(self):
         # the budgets above stop the search short of the exact chunk count
@@ -522,6 +586,48 @@ class TestMeteor:
         assert all(any(a != b for a, b in zip(scores, exact))
                    for budget, scores in self.BUDGET_SCORES.items()
                    if budget < mtmetrics.NODE_BUDGET)
+
+    @given(inflected_lists, inflected_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_root_bound_is_admissible(self, cand, ref):
+        _, total, neg_chunks = meteor_alignment_oracle(cand, ref)
+        stem_of, exact, stem = mtmetrics._quotas(cand, ref)
+        matches = sum(exact.values()) + sum(stem.values())
+        assert matches == total
+        if total:
+            fewest_new_chunks = mtmetrics._chunk_bound(cand, ref, stem_of,
+                                                       exact, stem)
+            assert 1 <= fewest_new_chunks(0, matches, -2) <= -neg_chunks
+
+    def test_search_does_not_recurse(self):
+        # The output is the 300-word source with about a fifth of its words
+        # replaced, so the search path runs through 300 output positions,
+        # and each kept run is one chunk of the optimum. A search that
+        # recursed once per position would overflow the limit below.
+        rng = random.Random(0)
+        ref = [f"w{rng.randrange(1000)}" for _ in range(300)]
+        cand = [w if rng.random() < 0.8 else "x" for w in ref]
+        runs = sum(w != "x" and (i == 0 or cand[i - 1] == "x")
+                   for i, w in enumerate(cand))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            got = mtmetrics._align(cand, ref)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == (300 - cand.count("x"), runs, True)
+
+    # Chunk counts of the first five adversarial pairs at a budget of
+    # 20 000 nodes, as the search without the segment bound gave them; it
+    # stopped at the budget on all five.
+    ADVERSARIAL_UNBOUNDED_CHUNKS = (27, 30, 28, 26, 27)
+
+    def test_adversarial_pairs_no_worse_at_the_budget(self, monkeypatch):
+        monkeypatch.setattr(mtmetrics, "NODE_BUDGET", 20_000)
+        got = tuple(mtmetrics._align(cand, ref)[1]
+                    for ref, cand in adversarial_pairs(5))
+        assert all(a <= b for a, b in
+                   zip(got, self.ADVERSARIAL_UNBOUNDED_CHUNKS)), got
 
 
 # ---------------------------------------------------------------------------
