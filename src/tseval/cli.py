@@ -320,7 +320,7 @@ def cmd_features(cfg: argparse.Namespace) -> int:
         matrix.to_tsv(path)
         print(f"wrote {path}")
     if timing_total:
-        print("\nper-feature time (s):")
+        print("\ntime per intermediate and feature (s):")
         for name, seconds in sorted(timing_total.items(),
                                     key=lambda kv: -kv[1]):
             print(f"  {name:28s} {seconds:8.3f}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,41 +53,12 @@ class SentencePair:
         return cls(source=tokenize(source), output=tokenize(output), id=id)
 
 
-class _PairContext:
-    """Caches intermediates shared between features of one pair."""
-
-    def __init__(self, pair: SentencePair, resources: Resources):
-        self.pair = pair
-        self.resources = resources
-
-    @cached_property
-    def ter(self):
-        return ter_align(self.pair.source, self.pair.output)
-
-    @cached_property
-    def bleu_counts(self) -> tuple[tuple[int, int], ...]:
-        return bleu_counts(self.pair.source, self.pair.output)
-
-    @cached_property
-    def logprobs(self) -> list[float]:
-        return token_logprobs(self.resources.lm, self.pair.output)
-
-    @cached_property
-    def output_syllables(self) -> int:
-        return sum(count_syllables(w) for w in self.pair.output.words)
-
-
 def _per_sentence(total: float, text: TokenizedText) -> float:
     return total / text.sentence_count if text.sentence_count else 0.0
 
 
 def _words_per_sentence(text: TokenizedText) -> float:
     return _per_sentence(text.word_count, text)
-
-
-def _syllables_per_word(ctx: _PairContext) -> float:
-    n = ctx.pair.output.word_count
-    return ctx.output_syllables / n if n else 0.0
 
 
 def _type_token_ratio(out: TokenizedText) -> float:
@@ -100,10 +71,10 @@ def _words_in_common(src: TokenizedText, out: TokenizedText) -> float:
     return len(src_types & set(out.words)) / len(src_types)
 
 
-def _avg_cosine(ctx: _PairContext) -> float:
-    vectors = ctx.resources.vectors
+def _avg_cosine(pair: SentencePair, resources: Resources) -> float:
+    vectors = resources.vectors
     means = []
-    for text in (ctx.pair.source, ctx.pair.output):
+    for text in (pair.source, pair.output):
         rows = [r for r in map(vectors.row_of, text.words) if r is not None]
         if not rows:
             return 0.0
@@ -113,103 +84,112 @@ def _avg_cosine(ctx: _PairContext) -> float:
     return float(np.dot(a, b) / denom) if denom > 0 else 0.0
 
 
-def _avg_concreteness(ctx: _PairContext) -> float:
-    lex = ctx.resources.concreteness
-    covered = [r for r in (lex.rating_of(w) for w in ctx.pair.output.words)
+def _avg_concreteness(pair: SentencePair, resources: Resources) -> float:
+    lex = resources.concreteness
+    covered = [r for r in (lex.rating_of(w) for w in pair.output.words)
                if r is not None]
     return sum(covered) / len(covered) if covered else 0.0
 
 
-def _max_freq_rank(ctx: _PairContext) -> float:
-    words = ctx.pair.output.words
-    if not words:
-        return 0.0
-    table = ctx.resources.freq_table
-    return float(max(table.rank_of(w) for w in words))
-
-
-def _fkgl(ctx: _PairContext) -> float:
-    out = ctx.pair.output
+def _fkgl(pair: SentencePair, resources: Resources, syllables: int) -> float:
+    out = pair.output
     if out.word_count == 0:
         return 0.0
     return (0.39 * _words_per_sentence(out)
-            + 11.8 * _syllables_per_word(ctx) - 15.59)
+            + 11.8 * (syllables / out.word_count) - 15.59)
 
 
-def _fre(ctx: _PairContext) -> float:
-    out = ctx.pair.output
+def _fre(pair: SentencePair, resources: Resources, syllables: int) -> float:
+    out = pair.output
     if out.word_count == 0:
         return 0.0
     return (206.835 - 1.015 * _words_per_sentence(out)
-            - 84.6 * _syllables_per_word(ctx))
+            - 84.6 * (syllables / out.word_count))
 
 
-def _bleu(ctx: _PairContext, cfg: BleuConfig) -> float:
-    return bleu_from_counts(ctx.bleu_counts, ctx.pair.source.word_count,
-                            ctx.pair.output.word_count, cfg)
-
-
-def _lm_feature(ctx: _PairContext, reduce) -> float:
-    if ctx.pair.output.word_count == 0:
-        return LOGPROB_FLOOR
-    return float(reduce(ctx.logprobs))
+# Values that several features read, by name. Each is a function of
+# (pair, resources), computed for the pairs of one compute_matrix call
+# only when a selected feature reads it. The metric functions are looked
+# up by their global names at call time, so a caller can wrap them.
+_INTERMEDIATES = {
+    "ter": lambda p, r: ter_align(p.source, p.output),
+    "bleu_counts": lambda p, r: bleu_counts(p.source, p.output),
+    # An output without words is not scored: its features read
+    # LOGPROB_FLOOR.
+    "logprobs": lambda p, r: (token_logprobs(r.lm, p.output)
+                              if p.output.word_count else []),
+    "output_syllables": lambda p, r: sum(count_syllables(w)
+                                         for w in p.output.words),
+}
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """A named elementary metric."""
+    """A named elementary metric: compute(pair, resources, *values) gives
+    its value for one pair, where values holds the pair's value of each
+    intermediate named in reads."""
 
     name: str
     requires: frozenset[str]
     compute: callable = field(repr=False)
+    reads: tuple[str, ...] = ()
 
 
-def _spec(name, compute, requires=()):
+def _spec(name, compute, requires=(), reads=()):
     return FeatureSpec(name=name, requires=frozenset(requires),
-                       compute=compute)
+                       compute=compute, reads=tuple(reads))
 
 
 _BLEU_UNSMOOTHED = {n: BleuConfig(max_order=n) for n in (1, 2, 3, 4)}
 _BLEU_SMOOTHED = BleuConfig(max_order=4, smoothing="method7")
 
 
+def _bleu_spec(name, cfg):
+    return _spec(name, lambda p, r, counts: bleu_from_counts(
+        counts, p.source.word_count, p.output.word_count, cfg),
+        reads=("bleu_counts",))
+
+
 _REGISTRY: tuple[FeatureSpec, ...] = (
-    _spec("NBSourcePunct", lambda c: float(len(c.pair.source.punct_tokens))),
-    _spec("NBSourceWords", lambda c: float(c.pair.source.word_count)),
-    _spec("NBOutputPunct", lambda c: float(len(c.pair.output.punct_tokens))),
-    _spec("TypeTokenRatio", lambda c: _type_token_ratio(c.pair.output)),
-    _spec("TERp_Del", lambda c: float(c.ter.deletions)),
-    _spec("TERp_NumEr", lambda c: float(c.ter.num_errors)),
-    _spec("TERp_Sub", lambda c: float(c.ter.substitutions)),
-    _spec("TERp", lambda c: c.ter.normalized_score),
-    _spec("BLEU_1gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[1])),
-    _spec("BLEU_2gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[2])),
-    _spec("BLEU_3gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[3])),
-    _spec("BLEU_4gram", lambda c: _bleu(c, _BLEU_UNSMOOTHED[4])),
-    _spec("METEOR", lambda c: meteor(c.pair.source, c.pair.output)),
-    _spec("ROUGE", lambda c: rouge(c.pair.source, c.pair.output)),
-    _spec("BLEUSmoothed", lambda c: _bleu(c, _BLEU_SMOOTHED)),
+    _spec("NBSourcePunct", lambda p, r: len(p.source.punct_tokens)),
+    _spec("NBSourceWords", lambda p, r: p.source.word_count),
+    _spec("NBOutputPunct", lambda p, r: len(p.output.punct_tokens)),
+    _spec("TypeTokenRatio", lambda p, r: _type_token_ratio(p.output)),
+    _spec("TERp_Del", lambda p, r, ter: ter.deletions, reads=("ter",)),
+    _spec("TERp_NumEr", lambda p, r, ter: ter.num_errors, reads=("ter",)),
+    _spec("TERp_Sub", lambda p, r, ter: ter.substitutions, reads=("ter",)),
+    _spec("TERp", lambda p, r, ter: ter.normalized_score, reads=("ter",)),
+    _bleu_spec("BLEU_1gram", _BLEU_UNSMOOTHED[1]),
+    _bleu_spec("BLEU_2gram", _BLEU_UNSMOOTHED[2]),
+    _bleu_spec("BLEU_3gram", _BLEU_UNSMOOTHED[3]),
+    _bleu_spec("BLEU_4gram", _BLEU_UNSMOOTHED[4]),
+    _spec("METEOR", lambda p, r: meteor(p.source, p.output)),
+    _spec("ROUGE", lambda p, r: rouge(p.source, p.output)),
+    _bleu_spec("BLEUSmoothed", _BLEU_SMOOTHED),
     _spec("AvgCosineSim", _avg_cosine, requires=("vectors",)),
-    _spec("NBOutputChars", lambda c: float(c.pair.output.char_count)),
+    _spec("NBOutputChars", lambda p, r: p.output.char_count),
     _spec("NBOutputCharsPerSent",
-          lambda c: _per_sentence(c.pair.output.char_count, c.pair.output)),
-    _spec("NBOutputSyllables", lambda c: float(c.output_syllables)),
+          lambda p, r: _per_sentence(p.output.char_count, p.output)),
+    _spec("NBOutputSyllables", lambda p, r, syllables: syllables,
+          reads=("output_syllables",)),
     _spec("NBOutputSyllablesPerSent",
-          lambda c: _per_sentence(c.output_syllables, c.pair.output)),
-    _spec("NBOutputWords", lambda c: float(c.pair.output.word_count)),
-    _spec("NBOutputWordsPerSent",
-          lambda c: _words_per_sentence(c.pair.output)),
+          lambda p, r, syllables: _per_sentence(syllables, p.output),
+          reads=("output_syllables",)),
+    _spec("NBOutputWords", lambda p, r: p.output.word_count),
+    _spec("NBOutputWordsPerSent", lambda p, r: _words_per_sentence(p.output)),
     _spec("AvgLMProbsOutput",
-          lambda c: _lm_feature(c, lambda xs: sum(xs) / len(xs)),
-          requires=("lm",)),
-    _spec("MinLMProbsOutput", lambda c: _lm_feature(c, min),
-          requires=("lm",)),
-    _spec("MaxPosInFreqTable", _max_freq_rank, requires=("freq_table",)),
+          lambda p, r, xs: sum(xs) / len(xs) if xs else LOGPROB_FLOOR,
+          requires=("lm",), reads=("logprobs",)),
+    _spec("MinLMProbsOutput", lambda p, r, xs: min(xs, default=LOGPROB_FLOOR),
+          requires=("lm",), reads=("logprobs",)),
+    _spec("MaxPosInFreqTable", lambda p, r: max(
+        map(r.freq_table.rank_of, p.output.words), default=0.0),
+        requires=("freq_table",)),
     _spec("AvgConcreteness", _avg_concreteness, requires=("concreteness",)),
-    _spec("OutputFKGL", _fkgl),
-    _spec("OutputFRE", _fre),
+    _spec("OutputFKGL", _fkgl, reads=("output_syllables",)),
+    _spec("OutputFRE", _fre, reads=("output_syllables",)),
     _spec("WordsInCommon",
-          lambda c: _words_in_common(c.pair.source, c.pair.output)),
+          lambda p, r: _words_in_common(p.source, p.output)),
 )
 
 _BY_NAME = {spec.name: spec for spec in _REGISTRY}
@@ -316,37 +296,54 @@ class FeatureMatrix:
         )
 
 
+def _per_pair(values, pairs: Sequence[SentencePair]) -> list:
+    """The items of values, one per pair in order. An exception raised
+    while one is computed becomes DegenerateDataError naming its pair."""
+    out = []
+    try:
+        for value in values:
+            out.append(value)
+    except Exception as exc:
+        raise DegenerateDataError(
+            f"pair {pairs[len(out)].id!r}: {exc}") from exc
+    return out
+
+
 def compute_matrix(pairs: Sequence[SentencePair],
                    resources: Resources = EMPTY_RESOURCES,
                    which: Sequence[str] | None = None,
                    timings: dict[str, float] | None = None) -> FeatureMatrix:
     """Feature matrix over pairs; row order always matches input order.
 
-    When a timings dict is supplied, per-feature wall time is accumulated
-    into it. An intermediate shared by several features is computed once
-    per pair and charged to the first selected feature that needs it; with
-    all features, the TER alignment goes to TERp_Del, the BLEU counts to
-    BLEU_1gram, the LM log-probabilities to AvgLMProbsOutput and the
-    syllable count to NBOutputSyllables. The other features of each group
-    then read near zero.
+    The matrix is filled column by column. An intermediate that several
+    features read (the TER alignment "ter", the BLEU n-gram counts
+    "bleu_counts", the LM log-probabilities "logprobs", the syllable count
+    "output_syllables") is computed once per pair, before the first
+    selected feature that reads it. When a timings dict is supplied, the
+    wall time of each intermediate and of each feature column is added to
+    it under its own name.
     """
     specs = _select(which, resources)
-    rows = []
-    for pair in pairs:
-        ctx = _PairContext(pair, resources)
-        row = []
-        try:
-            for spec in specs:
-                start = time.perf_counter()
-                row.append(float(spec.compute(ctx)))
-                if timings is not None:
-                    timings[spec.name] = (timings.get(spec.name, 0.0)
-                                          + time.perf_counter() - start)
-        except Exception as exc:
-            raise DegenerateDataError(f"pair {pair.id!r}: {exc}") from exc
-        rows.append(row)
+    values: dict[str, list] = {}
+    data = np.empty((len(pairs), len(specs)))
 
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(specs))
+    def timed(name, column):
+        start = time.perf_counter()
+        result = _per_pair(column, pairs)
+        if timings is not None:
+            timings[name] = (timings.get(name, 0.0)
+                             + time.perf_counter() - start)
+        return result
+
+    for j, spec in enumerate(specs):
+        for name in spec.reads:
+            if name not in values:
+                values[name] = timed(name, map(
+                    _INTERMEDIATES[name], pairs, repeat(resources)))
+        data[:, j] = timed(spec.name, map(float, map(
+            spec.compute, pairs, repeat(resources),
+            *(values[name] for name in spec.reads))))
+
     if not np.all(np.isfinite(data)):
         bad = [pairs[i].id for i in np.nonzero(~np.isfinite(data).all(axis=1))[0]]
         raise DegenerateDataError(f"non-finite feature values for pairs {bad}")

@@ -70,6 +70,9 @@ def _split_chunk(chunk: str) -> tuple[list[str], str, list[str]]:
     punct tokens). Internal punctuation (apostrophes, hyphens, anything
     else) stays inside the word token.
     """
+    # A letter or digit is never punctuation: nothing to detach.
+    if chunk[0].isalnum() and chunk[-1].isalnum():
+        return [], chunk.lower(), []
     lead: list[str] = []
     trail: list[str] = []
     start, end = 0, len(chunk)

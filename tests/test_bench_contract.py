@@ -11,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from tseval import mtmetrics, qats_io, resources
+from tseval import features, mtmetrics, qats_io, resources
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,18 +34,61 @@ def test_every_traced_layer_resolves_to_a_callable():
         assert callable(target), (module_name, attribute)
 
 
-def test_setup_calls_of_the_benchmark(synthetic_dataset_dir):
-    base = synthetic_dataset_dir
-    train = qats_io.load_dataset(base / "train.tsv", "train")
-    assert train.split_tag == "train" and train.is_labeled
-    bundle = resources.Resources(
+def _resources(base: Path) -> resources.Resources:
+    return resources.Resources(
         freq_table=resources.load_frequency_table(base / "freq.txt"),
         concreteness=resources.load_concreteness(base / "concreteness.tsv"),
         vectors=resources.load_vectors(base / "vectors.txt"),
         lm=resources.train_lm(base / "lm_corpus.txt"),
     )
+
+
+def test_setup_calls_of_the_benchmark(synthetic_dataset_dir):
+    base = synthetic_dataset_dir
+    train = qats_io.load_dataset(base / "train.tsv", "train")
+    assert train.split_tag == "train" and train.is_labeled
+    bundle = _resources(base)
     assert all(bundle.has(kind)
                for kind in ("freq_table", "concreteness", "vectors", "lm"))
+
+
+def test_per_pair_calls_seen_through_wrapped_globals(synthetic_dataset_dir):
+    # bench/run.py keeps each pair's TER alignment by the identity of its
+    # source text, and the per-pair spans tag calls the same way; both
+    # wrap the function in every tseval namespace that holds it.
+    spans = _spans()
+    base = synthetic_dataset_dir
+    pairs = qats_io.to_pairs(qats_io.load_dataset(base / "test.tsv", "test"))
+    pairs.append(features.SentencePair.from_text("The cat sat.", "", id="e"))
+    calls = {}
+
+    def recording(name):
+        def make(fn):
+            def wrapper(*args):
+                calls.setdefault(name, []).append(args)
+                return fn(*args)
+            return wrapper
+        return make
+
+    undo = []
+    try:
+        for module, name in (("tseval.features", "ter_align"),
+                             ("tseval.mtmetrics", "meteor"),
+                             ("tseval.mtmetrics", "rouge"),
+                             ("tseval.mtmetrics", "bleu_counts"),
+                             ("tseval.resources", "token_logprobs")):
+            undo += spans.install(module, name, recording(name))
+        features.compute_matrix(pairs, _resources(base))
+    finally:
+        spans.restore(undo)
+    for name in ("ter_align", "meteor", "rouge", "bleu_counts"):
+        assert len(calls[name]) == len(pairs), name
+        assert all(args[0] is pair.source
+                   for args, pair in zip(calls[name], pairs)), name
+    worded = [pair for pair in pairs if pair.output.word_count]
+    assert len(worded) == len(pairs) - 1
+    assert [args[1] for args in calls["token_logprobs"]] == [
+        pair.output for pair in worded]
 
 
 def test_meteor_search_is_exhaustive_on_every_benchmark_pair(monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tseval import features
 from tseval.errors import (DataFormatError, DegenerateDataError,
@@ -14,15 +16,17 @@ from tseval.features import (
     feature_names,
     registry,
 )
-from tseval.mtmetrics import BleuConfig, bleu
+from tseval.mtmetrics import BleuConfig, bleu, meteor, rouge, ter_align
 from tseval.resources import (
     ConcretenessLexicon,
     Resources,
     load_concreteness,
     load_frequency_table,
     load_vectors,
+    token_logprobs,
     train_lm,
 )
+from tseval.textproc import count_syllables
 
 TABLE_FEATURES = [
     "NBSourcePunct", "NBSourceWords", "NBOutputPunct", "TypeTokenRatio",
@@ -263,7 +267,7 @@ class TestComputeMatrix:
         timings = {}
         compute_matrix(self._pairs(), which=["ROUGE", "TERp"],
                        timings=timings)
-        assert set(timings) == {"ROUGE", "TERp"}
+        assert set(timings) == {"ROUGE", "TERp", "ter"}
         assert all(t >= 0.0 for t in timings.values())
 
     def test_bleu_counted_once_per_pair(self, full_resources, monkeypatch):
@@ -293,8 +297,108 @@ class TestComputeMatrix:
             expected = [bleu(p.source, p.output, cfg) for p in pairs]
             assert matrix.column(name).tolist() == expected
 
+    @pytest.mark.parametrize("target,feature", [("ter_align", "TERp"),
+                                                ("meteor", "METEOR")])
+    def test_exception_names_its_pair(self, monkeypatch, target, feature):
+        # an intermediate (the TER alignment) and a feature column
+        pairs = self._pairs()
+        real = getattr(features, target)
+
+        def failing(source, output):
+            if source is pairs[1].source:
+                raise ValueError("no alignment")
+            return real(source, output)
+
+        monkeypatch.setattr(features, target, failing)
+        with pytest.raises(DegenerateDataError,
+                           match=r"^pair 'b': no alignment$"):
+            compute_matrix(pairs, which=["NBOutputWords", feature])
+
     def test_malformed_tsv_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("id\tf1\nrow1\t1.0\t2.0\n")
         with pytest.raises(DataFormatError, match=":2"):
             FeatureMatrix.from_tsv(path)
+
+
+def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
+    """Every feature of one pair, computed on its own from the metric
+    functions and the resources."""
+    src, out = pair.source, pair.output
+    ter = ter_align(src, out)
+    words = out.words
+    n, sents = out.word_count, out.sentence_count
+    syllables = sum(count_syllables(w) for w in words)
+    logprobs = token_logprobs(res.lm, out) if n else []
+    ratings = [res.concreteness.rating_of(w) for w in words]
+    ratings = [r for r in ratings if r is not None]
+    means = []
+    for text in (src, out):
+        vecs = [v for v in map(res.vectors.vector_of, text.words)
+                if v is not None]
+        means.append(np.mean(np.array(vecs), axis=0) if vecs else None)
+    a, b = means
+    if a is None or b is None or not np.linalg.norm(a) * np.linalg.norm(b):
+        cosine = 0.0
+    else:
+        cosine = float(np.dot(a, b)
+                       / float(np.linalg.norm(a) * np.linalg.norm(b)))
+    row = {
+        "NBSourcePunct": len(src.punct_tokens),
+        "NBSourceWords": src.word_count,
+        "NBOutputPunct": len(out.punct_tokens),
+        "TypeTokenRatio": len(set(words)) / n if n else 0.0,
+        "TERp_Del": ter.deletions,
+        "TERp_NumEr": ter.num_errors,
+        "TERp_Sub": ter.substitutions,
+        "TERp": ter.normalized_score,
+        "METEOR": meteor(src, out),
+        "ROUGE": rouge(src, out),
+        "BLEUSmoothed": bleu(src, out, BleuConfig(max_order=4,
+                                                  smoothing="method7")),
+        "AvgCosineSim": cosine,
+        "NBOutputChars": out.char_count,
+        "NBOutputCharsPerSent": out.char_count / sents if sents else 0.0,
+        "NBOutputSyllables": syllables,
+        "NBOutputSyllablesPerSent": syllables / sents if sents else 0.0,
+        "NBOutputWords": n,
+        "NBOutputWordsPerSent": n / sents if sents else 0.0,
+        "AvgLMProbsOutput": (sum(logprobs) / len(logprobs) if logprobs
+                             else features.LOGPROB_FLOOR),
+        "MinLMProbsOutput": min(logprobs, default=features.LOGPROB_FLOOR),
+        "MaxPosInFreqTable": max(map(res.freq_table.rank_of, words),
+                                 default=0),
+        "AvgConcreteness": sum(ratings) / len(ratings) if ratings else 0.0,
+        "OutputFKGL": (0.39 * (n / sents) + 11.8 * (syllables / n) - 15.59
+                       if n else 0.0),
+        "OutputFRE": (206.835 - 1.015 * (n / sents) - 84.6 * (syllables / n)
+                      if n else 0.0),
+        "WordsInCommon": len(set(src.words) & set(words)) / len(set(src.words)),
+    }
+    for order in (1, 2, 3, 4):
+        row[f"BLEU_{order}gram"] = bleu(src, out, BleuConfig(max_order=order))
+    return {name: float(value) for name, value in row.items()}
+
+
+_WORDS = st.sampled_from(["the", "cat", "sat", "on", "mat", "dog", "zyzzyva",
+                          "Mat", "a", "e"])
+_TEXTS = st.lists(st.tuples(_WORDS, st.sampled_from(["", ",", ".", "!"])),
+                  max_size=14).map(
+    lambda items: " ".join(word + mark for word, mark in items))
+
+
+@given(st.lists(st.tuples(_TEXTS.filter(lambda t: t.strip()), _TEXTS),
+                max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_every_column_matches_a_per_pair_reference(full_resources, texts):
+    pairs = [SentencePair.from_text(src, out, id=str(i))
+             for i, (src, out) in enumerate(texts)]
+    pairs += [SentencePair.from_text("the cat sat on the mat", "", id="empty"),
+              SentencePair.from_text("the cat sat on the mat.",
+                                     "The cat sat. It sat on a mat! The dog.",
+                                     id="sentences")]
+    matrix = compute_matrix(pairs, full_resources)
+    assert matrix.feature_names == feature_names()
+    expected = [_reference_row(pair, full_resources) for pair in pairs]
+    for name in matrix.feature_names:
+        assert matrix.column(name).tolist() == [row[name] for row in expected], name

@@ -1,6 +1,7 @@
 """Tokenization, sentence splitting, syllables, Porter stemmer."""
 
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,12 @@ class TestTokenize:
         assert not is_punctuation("a")
         ascii_punct = [c for c in string.printable if is_punctuation(c)]
         assert "".join(ascii_punct) == "!\"#%&'()*,-./:;?@[\\]_{}"
+
+    def test_no_alphanumeric_character_is_punctuation(self):
+        # _split_chunk returns a chunk that starts and ends with an
+        # alphanumeric character without scanning it for punctuation.
+        assert not [hex(i) for i in range(sys.maxunicode + 1)
+                    if chr(i).isalnum() and is_punctuation(chr(i))]
 
 
 class TestSyllables:
