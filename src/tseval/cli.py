@@ -387,8 +387,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
 
     if capped:
         fits = sum(len(r.fold_scores) for r in cv_results.values()) + 1
-        lams = ", ".join(f"{x:g}" for x in
-                         dict.fromkeys(w.lam for w in capped))
+        lams = ", ".join(f"{x:g}" for x in sorted({w.lam for w in capped}))
         print(f"warning: {len(capped)} of {fits} logistic fits stopped at "
               f"the iteration cap (lambda = {lams})")
     for message in other:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -148,11 +148,6 @@ class LinearModel:
     intercept: np.ndarray  # shape () for regression, (n_classes,) for logistic
     lam: float
 
-    def predict_scores(self, X: np.ndarray) -> np.ndarray:
-        if self.kind == "logistic":
-            raise ValueError("logistic models predict classes, not scores")
-        return np.asarray(X, dtype=float) @ self.weights + self.intercept
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.kind != "logistic":
             raise ValueError(f"{self.kind} models have no class probabilities")
@@ -163,6 +158,12 @@ class LinearModel:
 
     def predict_classes(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Class indices for logistic models, scores for the others."""
+        if self.kind == "logistic":
+            return self.predict_classes(X)
+        return np.asarray(X, dtype=float) @ self.weights + self.intercept
 
 
 def _center(X: np.ndarray, y: np.ndarray, fit_intercept: bool):
@@ -398,15 +399,25 @@ class TrainedPipeline:
         return self.model.kind == "logistic"
 
 
-def _clamped_pca_k(requested: int, n_rows: int, n_features: int) -> int:
-    limit = min(n_rows - 1, n_features)
-    if requested > limit:
-        warnings.warn(
-            f"PCA component count {requested} clamped to {limit}",
-            RuntimeWarning, stacklevel=3,
-        )
-        return limit
-    return requested
+def _project(X: np.ndarray, pca_k: int):
+    """Fit the standardizer and a PCA of at most pca_k components on the
+    rows of X; return both and the projection of X."""
+    std = fit_standardizer(X)
+    Z = std.transform(X)
+    limit = min(Z.shape[0] - 1, Z.shape[1])
+    if pca_k > limit:
+        warnings.warn(f"PCA component count {pca_k} clamped to {limit}",
+                      RuntimeWarning, stacklevel=3)
+        pca_k = limit
+    pca = fit_pca(Z, pca_k)
+    return std, pca, pca.transform(Z)
+
+
+def _fit_model(projected: np.ndarray, y, kind: str, lam: float) -> LinearModel:
+    if kind == "logistic":
+        return fit_classifier(projected, np.asarray(y, dtype=int), lam=lam,
+                              n_classes=_N_CLASSES)
+    return fit_regressor(projected, y, kind=kind, lam=lam)
 
 
 def fit_pipeline(matrix: FeatureMatrix, y: Sequence[float] | Sequence[int],
@@ -416,17 +427,8 @@ def fit_pipeline(matrix: FeatureMatrix, y: Sequence[float] | Sequence[int],
     For kind "logistic" y must hold integer class indices; for regression
     kinds y holds real-valued targets.
     """
-    std = fit_standardizer(matrix.rows)
-    Z = std.transform(matrix.rows)
-    k = _clamped_pca_k(config.pca_k, *Z.shape)
-    pca = fit_pca(Z, k)
-    projected = pca.transform(Z)
-    if config.kind == "logistic":
-        model = fit_classifier(projected, np.asarray(y, dtype=int),
-                               lam=config.lam, n_classes=_N_CLASSES)
-    else:
-        model = fit_regressor(projected, y, kind=config.kind,
-                              lam=config.lam)
+    std, pca, projected = _project(matrix.rows, config.pca_k)
+    model = _fit_model(projected, y, config.kind, config.lam)
     return TrainedPipeline(standardizer=std, pca=pca, model=model,
                            dimension=dimension,
                            feature_names=matrix.feature_names)
@@ -454,10 +456,15 @@ def predict(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.ndarray:
     indices for classification pipelines.
     """
     X = _aligned_rows(pipeline, matrix)
-    projected = pipeline.pca.transform(pipeline.standardizer.transform(X))
-    if pipeline.is_classifier:
-        return pipeline.model.predict_classes(projected)
-    return pipeline.model.predict_scores(projected)
+    return pipeline.model.predict(
+        pipeline.pca.transform(pipeline.standardizer.transform(X)))
+
+
+def _score(predictions: np.ndarray, y, classification: bool) -> float:
+    if classification:
+        return weighted_f1(predictions.tolist(),
+                           np.asarray(y, dtype=int).tolist())
+    return pearson(predictions, y)
 
 
 def score_pipeline(pipeline: TrainedPipeline, matrix: FeatureMatrix,
@@ -465,11 +472,7 @@ def score_pipeline(pipeline: TrainedPipeline, matrix: FeatureMatrix,
     """Weighted F1 of a classification pipeline's classes, or Pearson r of
     a regression pipeline's scores, against the ordinal labels y that
     encode_labels returns."""
-    predictions = predict(pipeline, matrix)
-    if pipeline.is_classifier:
-        return weighted_f1(predictions.tolist(),
-                           np.asarray(y, dtype=int).tolist())
-    return pearson(predictions, y)
+    return _score(predict(pipeline, matrix), y, pipeline.is_classifier)
 
 
 # ---------------------------------------------------------------------------
@@ -491,65 +494,60 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(rng.permutation(n), folds)
 
 
-def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
-                   folds: int = DEFAULT_FOLDS,
-                   seed: int = DEFAULT_SEED) -> CVResult:
-    """K-fold cross-validation with the standardizer, PCA and model all
-    refit on each fold's training part.
-
-    Regression folds are scored by Pearson correlation, classification
-    folds by weighted F1. Folds whose predictions are degenerate
-    (constant) score zero.
-    """
+def _cross_validate_grid(matrix: FeatureMatrix, y: Sequence,
+                         config: PipelineConfig, grid: Sequence[float],
+                         folds: int, seed: int) -> dict[float, CVResult]:
+    """Cross-validate config at every lambda of the grid. Each fold fits
+    the standardizer and PCA on its training part once and projects both
+    parts once; only the model is refit per lambda."""
     n = matrix.rows.shape[0]
     if not 2 <= folds <= n:
         raise ValueError(f"fold count {folds} invalid for {n} rows")
     y = np.asarray(y)
     classification = config.kind == "logistic"
+    scores: dict[float, list[float]] = {lam: [] for lam in grid}
+    for held_out in _fold_indices(n, folds, seed):
+        train = np.ones(n, dtype=bool)
+        train[held_out] = False
+        std, pca, projected = _project(matrix.rows[train], config.pca_k)
+        test = pca.transform(std.transform(matrix.rows[held_out]))
+        for lam, fold_scores in scores.items():
+            model = _fit_model(projected, y[train], config.kind, lam)
+            try:
+                fold_scores.append(_score(model.predict(test), y[held_out],
+                                          classification))
+            except DegenerateDataError:
+                fold_scores.append(0.0)
+    metric = "weighted_f1" if classification else "pearson"
+    return {lam: CVResult(metric=metric, fold_scores=tuple(fold_scores))
+            for lam, fold_scores in scores.items()}
 
-    def one_fold(held_out: np.ndarray) -> float:
-        mask = np.ones(n, dtype=bool)
-        mask[held_out] = False
-        train = FeatureMatrix(
-            feature_names=matrix.feature_names,
-            rows=matrix.rows[mask],
-            row_ids=tuple(np.asarray(matrix.row_ids)[mask]),
-        )
-        test = FeatureMatrix(
-            feature_names=matrix.feature_names,
-            rows=matrix.rows[held_out],
-            row_ids=tuple(np.asarray(matrix.row_ids)[held_out]),
-        )
-        pipeline = fit_pipeline(train, y[mask], "", config)
-        try:
-            return score_pipeline(pipeline, test, y[held_out])
-        except DegenerateDataError:
-            return 0.0
 
-    scores = [one_fold(f) for f in _fold_indices(n, folds, seed)]
-    return CVResult(metric="weighted_f1" if classification else "pearson",
-                    fold_scores=tuple(scores))
+def cross_validate(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
+                   folds: int = DEFAULT_FOLDS,
+                   seed: int = DEFAULT_SEED) -> CVResult:
+    """K-fold cross-validation with the standardizer, PCA and model all
+    refit on each fold's training part. Folds are scored by Pearson r for
+    regression and weighted F1 for classification, and by zero when their
+    predictions are degenerate (constant)."""
+    return _cross_validate_grid(matrix, y, config, (config.lam,), folds,
+                                seed)[config.lam]
 
 
 def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
                   grid: Sequence[float] = LAMBDA_GRID,
                   folds: int = DEFAULT_FOLDS, seed: int = DEFAULT_SEED
                   ) -> tuple[float, dict[float, CVResult]]:
-    """Pick the regularization strength with the best mean CV score.
+    """Pick the regularization strength with the best mean CV score, the
+    first in grid order on a tie.
 
     linreg has no penalty, so the grid collapses to {0}.
     """
     if config.kind == "linreg":
         grid = (0.0,)
-    results: dict[float, CVResult] = {}
-    best_lam, best_score = None, -math.inf
-    for lam in grid:
-        result = cross_validate(matrix, y, replace(config, lam=lam),
-                                folds, seed)
-        results[lam] = result
-        if result.mean > best_score:
-            best_lam, best_score = lam, result.mean
-    return best_lam, results
+    results = _cross_validate_grid(matrix, y, config, grid, folds, seed)
+    best = max(results, key=lambda lam: results[lam].mean, default=None)
+    return best, results
 
 
 # ---------------------------------------------------------------------------

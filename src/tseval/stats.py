@@ -39,14 +39,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if xa.size < 2:
         raise DegenerateDataError(
             "correlation undefined: fewer than two observations")
+    # a constant vector's rounded mean can differ from its value, so the
+    # check is on the values, not on the centered ones
+    if xa.min() == xa.max() or ya.min() == ya.max():
+        raise DegenerateDataError(
+            "correlation undefined: an input vector has zero variance"
+        )
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     mx = float(np.abs(xc).max())
     my = float(np.abs(yc).max())
-    if mx == 0.0 or my == 0.0:
-        raise DegenerateDataError(
-            "correlation undefined: an input vector has zero variance"
-        )
     # scaling by the max magnitude keeps the sums-of-squares product away
     # from overflow/underflow and makes r exactly 1 for identical vectors
     xn = xc / mx

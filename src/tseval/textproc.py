@@ -49,14 +49,14 @@ class TokenizedText:
     char_count: int
     ordered_tokens: tuple[str, ...] = field(default=(), repr=False)
 
-    @property
+    @functools.cached_property
     def words(self) -> list[str]:
-        """All word tokens, flattened across sentences."""
+        """All word tokens, flattened across sentences; built once."""
         return [w for sent in self.sentences for w in sent]
 
     @property
     def word_count(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return len(self.words)
 
     @property
     def sentence_count(self) -> int:

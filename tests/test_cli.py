@@ -4,6 +4,7 @@ evaluate -> report, plus determinism, config files and exit codes."""
 import functools
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -193,13 +194,10 @@ class TestTrainEvaluateCommands:
         printed = capsys.readouterr().out
         assert "no features" in printed
 
-    def test_logistic_iteration_cap_reported_once(self, tmp_path, capsys,
-                                                  monkeypatch):
-        # the inputs of test_qemodel's iteration-cap test: 200 rows, 6
-        # columns, three overlapping classes, lambda = 0.001; one Newton
-        # step per fit, so every fit stops at the cap
-        monkeypatch.setattr(qemodel, "fit_classifier", functools.partial(
-            qemodel.fit_classifier, max_iter=1))
+    @staticmethod
+    def _write_probe_inputs(tmp_path):
+        """The inputs of test_qemodel's iteration-cap test: 200 rows, 6
+        columns, three overlapping classes."""
         rng = np.random.default_rng(2016)
         X = rng.standard_normal((200, 6))
         y = np.argmax(X[:, :3] * 3.0 + 0.3 * rng.standard_normal((200, 3)),
@@ -212,6 +210,14 @@ class TestTrainEvaluateCommands:
             "id\t" + "\t".join(f"f{j}" for j in range(6)) + "\n"
             + "".join(f"{i}\t" + "\t".join(repr(float(v)) for v in row) + "\n"
                       for i, row in enumerate(X, start=1)))
+
+    def test_logistic_iteration_cap_reported_once(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # lambda = 0.001 and one Newton step per fit, so every fit stops
+        # at the cap
+        monkeypatch.setattr(qemodel, "fit_classifier", functools.partial(
+            qemodel.fit_classifier, max_iter=1))
+        self._write_probe_inputs(tmp_path)
         code = run("train", "--train", str(tmp_path / "train.tsv"),
                    "--dimension", "G", "--model", "logistic", "--lam", "0.001",
                    "--pca-k", "6", "--folds", "2", "--out", str(tmp_path))
@@ -219,6 +225,28 @@ class TestTrainEvaluateCommands:
         assert re.search(r"^warning: [123] of 3 logistic fits stopped at the "
                          r"iteration cap \(lambda = 0\.001\)$",
                          capsys.readouterr().out, re.MULTILINE)
+
+    def test_capped_lambdas_listed_in_ascending_order(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # lambda = 10 warns in the first fold and lambda = 0.1 only in the
+        # second, so 10 is raised first whatever order the folds run in
+        fit = qemodel.fit_classifier
+        calls = {}
+
+        def capped_in_one_fold(X, y, lam=1.0, **kwargs):
+            fold = calls[lam] = calls.get(lam, 0) + 1
+            if (lam, fold) in ((10.0, 1), (0.1, 2)):
+                warnings.warn(qemodel.IterationCapWarning(lam))
+            return fit(X, y, lam=lam, **kwargs)
+
+        monkeypatch.setattr(qemodel, "fit_classifier", capped_in_one_fold)
+        self._write_probe_inputs(tmp_path)
+        code = run("train", "--train", str(tmp_path / "train.tsv"),
+                   "--dimension", "G", "--model", "logistic", "--pca-k", "6",
+                   "--folds", "2", "--out", str(tmp_path))
+        assert code == 0
+        assert "warning: 2 of 11 logistic fits stopped at the iteration cap "\
+            "(lambda = 0.1, 10)\n" in capsys.readouterr().out
 
     def test_fixed_lambda_for_linreg_is_zero(self, synthetic_dataset_dir,
                                              workflow_dir, tmp_path, capsys):

@@ -2,13 +2,16 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tseval import qemodel
 from tseval.errors import DataFormatError, DegenerateDataError
 from tseval.features import FeatureMatrix
 from tseval.qemodel import (
+    LAMBDA_GRID,
     MODEL_KINDS,
     PipelineConfig,
     cross_validate,
@@ -20,7 +23,9 @@ from tseval.qemodel import (
     load_pipeline,
     predict,
     save_pipeline,
+    score_pipeline,
     select_lambda,
+    _fold_indices,
     _nll_and_grad,
     _nll_hessian,
 )
@@ -587,6 +592,9 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate(matrix_from(X), [1, 2, 3, 4.0],
                            PipelineConfig(), folds=5)
+        with pytest.raises(ValueError):
+            select_lambda(matrix_from(X), [1, 2, 3, 4.0],
+                          PipelineConfig(), folds=5)
 
     def test_classification_metric(self):
         rng = np.random.default_rng(26)
@@ -621,3 +629,84 @@ class TestSelectLambda:
                                      folds=3, seed=6)
         assert lam == 0.0
         assert list(results) == [0.0]
+
+
+def _lambda_major_reference(matrix, y, config, grid, folds, seed):
+    """Fold scores per lambda, by fit_pipeline on each fold's training
+    rows and score_pipeline on its held-out rows, lambda by lambda."""
+    y = np.asarray(y)
+    n = len(y)
+
+    def part(rows):
+        return FeatureMatrix(feature_names=matrix.feature_names,
+                             rows=matrix.rows[rows],
+                             row_ids=tuple(np.asarray(matrix.row_ids)[rows]))
+
+    reference = {}
+    for lam in grid:
+        scores = []
+        for held_out in _fold_indices(n, folds, seed):
+            train = np.ones(n, dtype=bool)
+            train[held_out] = False
+            pipeline = fit_pipeline(part(train), y[train], "",
+                                    replace(config, lam=lam))
+            try:
+                scores.append(score_pipeline(pipeline, part(held_out),
+                                             y[held_out]))
+            except DegenerateDataError:
+                scores.append(0.0)
+        reference[lam] = tuple(scores)
+    return reference
+
+
+class TestFoldMajorLoop:
+    """select_lambda and cross_validate share one fold-major loop; it must
+    give the fold scores of fitting the whole pipeline per (lambda, fold)."""
+
+    @staticmethod
+    def _weak_signal(n=40, d=10, seed=27):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        return matrix_from(X), X[:, 0] + 3.0 * rng.normal(size=n)
+
+    @pytest.mark.parametrize("kind", ["ridge", "lasso", "linreg",
+                                      "logistic"])
+    def test_equals_lambda_major_reference(self, kind):
+        if kind == "logistic":
+            X, y, _ = _probe_inputs()
+            matrix = matrix_from(X)
+        else:
+            matrix, y = self._weak_signal()
+        config = PipelineConfig(kind=kind, pca_k=5)
+        grid = (0.0,) if kind == "linreg" else LAMBDA_GRID
+        reference = _lambda_major_reference(matrix, y, config, grid, 4, 5)
+        if kind == "lasso":
+            # at lambda = 100 lasso keeps no component of the weak signal,
+            # so every fold predicts a constant and scores zero
+            assert reference[100.0] == (0.0,) * 4
+        _, results = select_lambda(matrix, y, config, folds=4, seed=5)
+        assert {lam: r.fold_scores for lam, r in results.items()} == \
+            reference
+        for lam in grid:
+            assert cross_validate(matrix, y, replace(config, lam=lam),
+                                  folds=4, seed=5).fold_scores == \
+                reference[lam]
+
+    def test_projection_fit_once_per_fold(self, monkeypatch):
+        calls = {"fit_standardizer": 0, "fit_pca": 0}
+        for name in calls:
+            def counted(*args, _fit=getattr(qemodel, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fit(*args, **kwargs)
+            monkeypatch.setattr(qemodel, name, counted)
+        matrix, y = self._weak_signal(n=30, d=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, results = select_lambda(matrix, y,
+                                       PipelineConfig(kind="ridge", pca_k=10),
+                                       folds=3, seed=1)
+        assert len(results) == 5
+        assert calls == {"fit_standardizer": 3, "fit_pca": 3}
+        clamps = [w for w in caught if "clamped" in str(w.message)]
+        assert len(clamps) == 3

@@ -49,6 +49,15 @@ class TestPearson:
         with pytest.raises(DegenerateDataError):
             pearson([1, 1, 1], [1, 2, 3])
 
+    def test_constant_with_inexact_mean_rejected(self):
+        # the mean of three copies of 0.1 rounds to a different float, so
+        # centering leaves nonzero residues
+        assert np.mean([0.1] * 3) != 0.1
+        with pytest.raises(DegenerateDataError, match="zero variance"):
+            pearson([0.1] * 3, [1, 2, 4])
+        with pytest.raises(DegenerateDataError, match="zero variance"):
+            pearson([1, 2, 4], [0.1] * 3)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2], [1, 2, 3])

@@ -56,6 +56,11 @@ class TestTokenize:
         t = tokenize("A well-known fact.")
         assert "well-known" in t.words
 
+    def test_words_built_once(self):
+        t = tokenize("One two. Three four five.")
+        assert t.words is t.words
+        assert t.word_count == len(t.words) == 5
+
     def test_leading_and_trailing_punct_detached(self):
         t = tokenize('"Hello," she said.')
         assert t.words == ["hello", "she", "said"]

@@ -10,12 +10,14 @@ SRC/src (SRC is a checkout of this repository) on them:
 * `rank`,
 * `train` and `evaluate` with the workload's dimension and model.
 
-The artifacts go to OUT/<workload>-<seed>/ (12 files per run), so two
-checkouts can be compared with `diff -r OUT1 OUT2`. Command logs stay out
-of OUT, because their timing lines differ between runs; a failing
-command's log is printed. The inputs come from this script's own bench/
-directory, so both checkouts read the same files. Exits 1 if any command
-exits non-zero.
+The artifacts go to OUT/<workload>-<seed>/ (13 files per run), so two
+checkouts can be compared with `diff -r OUT1 OUT2`. One of them is
+`train.log`, the stdout of `train` (the cross-validation table, its
+warnings and the model path) with OUT replaced by the token `<OUT>`.
+The other command logs stay out of OUT, because their timing lines
+differ between runs; a failing command's log is printed. The inputs come
+from this script's own bench/ directory, so both checkouts read the same
+files. Exits 1 if any command exits non-zero.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ def run_flow(src: Path, out: Path) -> bool:
                         print(done.stdout + done.stderr, file=sys.stderr)
                         ok = False
                         break
+                    if command == "train":
+                        (out / f"{name}-{seed}" / "train.log").write_text(
+                            done.stdout.replace(str(out), "<OUT>"),
+                            encoding="utf-8")
     return ok
 
 
