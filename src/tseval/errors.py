@@ -1,11 +1,14 @@
 """Exception types shared across the package, the one reader of input
-files and the one check of a line of numbers read from them."""
+files and the one check of the lines of numbers read from them."""
 
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from pathlib import Path
+
+import numpy as np
 
 
 class TsevalError(Exception):
@@ -70,3 +73,39 @@ def parse_row(fields: Sequence[str], width: int, path: str | Path,
         raise DataFormatError(
             f"{path}:{line}: expected {width} values, found {len(values)}")
     return values
+
+
+# numpy's reader strips these around a number and float() does not
+_STRIPPED_BY_NUMPY_ONLY = re.compile("[\x1c-\x1f]")
+
+
+def parse_rows(texts: Sequence[str | None], width: int, path: str | Path,
+               linenos: Sequence[int], what: str,
+               delimiter: str | None = None) -> np.ndarray:
+    """The lines `texts` as an (n, width) float64 array, with the values
+    and the errors of parse_row on each line in turn.
+
+    Each text holds the values of the line numbered by the matching item
+    of `linenos`, separated by `delimiter` (runs of whitespace when None),
+    or is None for a line with no values. numpy's reader parses them in
+    one call; any line it rejects, skips or reads as non-finite sends all
+    of them through parse_row, which names the first defect.
+    """
+    if not texts:
+        return np.empty((0, width))
+    # loadtxt skips a blank line, and warns when all of them are
+    if all(texts) and not all(map(str.isspace, texts)) and (
+            delimiter is None
+            or not any(map(_STRIPPED_BY_NUMPY_ONLY.search, texts))):
+        try:
+            rows = np.loadtxt(texts, dtype=float, comments=None, ndmin=2,
+                              delimiter=delimiter)
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (len(texts), width) and np.isfinite(rows).all():
+                return rows
+    return np.array([
+        parse_row(text.split(delimiter) if text is not None else [],
+                  width, path, lineno, what)
+        for text, lineno in zip(texts, linenos)], dtype=float)

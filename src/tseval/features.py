@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataFormatError, DegenerateDataError,
-                     ResourceMissingError, parse_row, read_input)
+                     ResourceMissingError, parse_rows, read_input)
 from .mtmetrics import (BleuConfig, bleu_counts, bleu_from_counts, meteor,
                         rouge, ter_align)
 from .resources import EMPTY_RESOURCES, Resources, token_logprobs
@@ -283,15 +283,16 @@ class FeatureMatrix:
         if defect := name_defect(names):
             raise DataFormatError(f"{path}:1: {defect[1]}")
         ids = []
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split("\t")
+        values = []  # the values of every row, or None for an id alone
+        for line in lines[1:]:
+            parts = line.split("\t", 1)
             ids.append(parts[0])
-            rows.append(parse_row(parts[1:], len(names), path, lineno,
-                                  "feature value"))
+            values.append(parts[1] if len(parts) == 2 else None)
         return cls(
             feature_names=names,
-            rows=np.asarray(rows, dtype=float).reshape(len(ids), len(names)),
+            rows=parse_rows(values, len(names), path,
+                            range(2, len(lines) + 1), "feature value",
+                            delimiter="\t"),
             row_ids=tuple(ids),
         )
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataFormatError, parse_row, read_input
+from .errors import DataFormatError, parse_rows, read_input
 from .textproc import TokenizedText
 
 __all__ = [
@@ -111,7 +111,8 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
                 f"(found {fields})"
             )
     ratings: dict[str, float] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the record's last line
         word = (row[_WORD_COLUMN] or "").strip().lower()
         raw = (row[_RATING_COLUMN] or "").strip()
         if not word:
@@ -162,32 +163,22 @@ def load_vectors(path: str | Path) -> WordVectors:
         if len(head) == 2 and all(p.lstrip("+-").isdigit() for p in head):
             start = 1
     rows: dict[str, int] = {}
-    values: list[str] = []  # the components of every line, in file order
-    widths: list[int] = []
+    values: list[str | None] = []  # the vector part of every data line
     linenos: list[int] = []
     for lineno, line in enumerate(lines[start:], start=start + 1):
-        parts = line.split()
+        parts = line.split(None, 1)
         if parts:
             rows.setdefault(parts[0].lower(), len(linenos))
-            values += parts[1:]
-            widths.append(len(parts) - 1)
+            values.append(parts[1] if len(parts) == 2 else None)
             linenos.append(lineno)
+    del lines  # the values hold what is still needed
     if not linenos:
         raise DataFormatError(f"vector file {path} contains no vectors")
-    dim = widths[0]
-    if dim == 0:
+    if values[0] is None:
         raise DataFormatError(
             f"{path}:{linenos[0]}: first data line has no vector values")
-    try:
-        matrix = np.array(values, dtype=float)  # float() of every field
-    except ValueError:  # a non-numeric field
-        matrix = None
-    if (matrix is None or widths.count(dim) < len(widths)
-            or not np.isfinite(matrix).all()):
-        for lineno in linenos:
-            parse_row(lines[lineno - 1].split()[1:], dim, path, lineno,
-                      "vector component")
-    matrix = matrix.reshape(len(linenos), dim)
+    matrix = parse_rows(values, len(values[0].split()), path, linenos,
+                        "vector component")
     if len(rows) < len(linenos):
         matrix = matrix[list(rows.values())]
         rows = {word: i for i, word in enumerate(rows)}
@@ -291,11 +282,12 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
         raise ValueError(f"model order must be >= 2, got {order}")
     path = Path(corpus)
     text = read_input(path, "corpus").lower()
-    sentences = [s for s in map(str.split, text.splitlines()) if s]
-    if not sentences:
+    lengths = [n for n in map(len, map(str.split, text.splitlines())) if n]
+    if not lengths:
         raise DataFormatError(f"corpus {path} contains no sentences")
 
-    tokens = [w for sent in sentences for w in sent]
+    tokens = text.split()  # the sentences' words, in order
+    del text
     word_counts = Counter(tokens)
     word_ids = {w: i for i, w in enumerate(
         (w for w, c in word_counts.items()
@@ -304,14 +296,14 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
     base = len(word_ids) + 2
     # Python ints where an order-n key could overflow int64
     dtype = np.int64 if base ** order < 2 ** 63 else object
+    ids = np.fromiter(map(id_of.__getitem__, tokens), dtype, len(tokens))
+    del tokens, word_counts, id_of
 
     # each sentence follows order - 1 <s> ids in one padded sequence
     pad = order - 1
-    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
-    where = np.arange(len(tokens)) + pad * np.repeat(
-        np.arange(1, len(sentences) + 1), lengths)
-    ids = np.array(list(map(id_of.__getitem__, tokens)), dtype=dtype)
-    padded = np.zeros(len(tokens) + pad * len(sentences), dtype=dtype)
+    where = np.arange(len(ids)) + pad * np.repeat(
+        np.arange(1, len(lengths) + 1), lengths)
+    padded = np.zeros(len(ids) + pad * len(lengths), dtype=dtype)
     padded[where] = ids
 
     keys = ids

@@ -125,6 +125,7 @@ def tokenize(text: str) -> TokenizedText:
 _VOWELS = frozenset("aeiouy")
 
 
+@functools.cache
 def count_syllables(word: str) -> int:
     """Heuristic syllable count for an English word token, always >= 1.
 
@@ -132,6 +133,9 @@ def count_syllables(word: str) -> int:
     terminal silent "e" unless the word ends in consonant + "le".
     Non-letter characters are ignored; a token without letters counts as
     one syllable.
+
+    Memoised per token: the output_syllables intermediate counts every
+    output token, and a vocabulary repeats across outputs.
     """
     letters = [c for c in word.lower() if c.isalpha()]
     if not letters:

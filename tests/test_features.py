@@ -1,8 +1,10 @@
 """Feature registry contracts, per-feature formulas, matrix computation."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tseval import features
@@ -210,6 +212,56 @@ class TestComputeFeatures:
             assert 0.0 <= vals[name] <= 1.0
 
 
+# numbers that numpy's reader and float() read alike, then the rest
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+1e5", "-0", ".5", "1.", "7"]))
+_ODD_NUMBER = st.sampled_from(["1_0", "nan", "-inf", "1e999", "x", "", "\t"])
+# spaces around a field, then ones float() does not strip or that break
+# the line
+_SPACE = st.sampled_from(["", " ", "  ", "\xa0", "\u3000"])
+_ODD_SPACE = st.sampled_from(["\x1f", "\x0b", "\x85", "\u200b"])
+
+
+@st.composite
+def _feature_files(draw):
+    """Feature TSVs of one to three columns; one row in five may have
+    the wrong count, an odd number or an odd space."""
+    width = draw(st.integers(1, 3))
+    lines = ["\t".join(["id"] + [f"f{i}" for i in range(width)])]
+    for row in range(draw(st.integers(0, 5))):
+        odd = draw(st.integers(0, 4)) == 0
+        number = st.one_of(_NUMBER, _ODD_NUMBER) if odd else _NUMBER
+        space = st.one_of(_SPACE, _ODD_SPACE) if odd else _SPACE
+        count = width + (draw(st.integers(-width, 1)) if odd else 0)
+        lines.append("".join(
+            [f"r{row}"] + [f"\t{draw(space)}{draw(number)}{draw(space)}"
+                           for _ in range(count)]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_tsv(text, path):
+    """(ids, rows) by the documented rule with float() of every field, or
+    the message of the first defect in file order."""
+    lines = text.splitlines()
+    width = len(lines[0].split("\t")) - 1
+    ids, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        row_id, *fields = line.split("\t")
+        try:
+            values = [float(x) for x in fields]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric feature value"
+        if not all(map(math.isfinite, values)):
+            return f"{path}:{lineno}: non-finite feature value"
+        if len(values) != width:
+            return f"{path}:{lineno}: expected {width} values, " \
+                f"found {len(values)}"
+        ids.append(row_id)
+        rows.append(values)
+    return tuple(ids), rows
+
+
 class TestComputeMatrix:
     def _pairs(self):
         return [
@@ -319,6 +371,28 @@ class TestComputeMatrix:
         path.write_text("id\tf1\nrow1\t1.0\t2.0\n")
         with pytest.raises(DataFormatError, match=":2"):
             FeatureMatrix.from_tsv(path)
+
+    @given(text=_feature_files())
+    @settings(max_examples=300, deadline=None)
+    @example(text="id\tf\na\t1\nb\t\n")  # an empty field
+    @example(text="id\tf\na\t1\nb\n")  # no field
+    @example(text="id\tf\tg\na\t 1_0\t-0\nb\t.5 \t\u30002\n")
+    def test_tsv_load_equals_float_of_every_field(self, tmp_path_factory,
+                                                  text):
+        path = tmp_path_factory.mktemp("tsv") / "features.tsv"
+        path.write_text(text, encoding="utf-8")
+        expected = _reference_tsv(text, path)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as info:
+                FeatureMatrix.from_tsv(path)
+            assert str(info.value) == expected
+            return
+        matrix = FeatureMatrix.from_tsv(path)
+        ids, rows = expected
+        assert matrix.row_ids == ids
+        assert matrix.rows.shape == (len(ids), len(matrix.feature_names))
+        # bitwise, so -0.0 stays -0.0
+        assert matrix.rows.tobytes() == np.array(rows).tobytes()
 
 
 def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:

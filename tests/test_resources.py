@@ -2,10 +2,13 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tseval.errors import DataFormatError
 from tseval.resources import (
@@ -96,11 +99,89 @@ class TestConcreteness:
         with pytest.raises(DataFormatError, match="missing column"):
             load_concreteness(path)
 
+    @pytest.mark.parametrize("text, message", [
+        # blank lines, which the reader skips
+        ("Word\tConc.M\n\ncat\t2.5\n\ndog\tx\n",
+         ":5: rating 'x' is not a number"),
+        # a quoted field over two lines: the rating is on the second
+        ('Word,Note,Conc.M\n"a",x,2.5\ncat,"two\nlines",9\n',
+         ":4: rating 9.0 outside the 1-5 scale"),
+        ('Word,Note,Conc.M\ncat,"two\nlines",4\n\ndog,,z\n',
+         ":5: rating 'z' is not a number"),
+    ])
+    def test_error_names_the_line_of_the_rating(self, tmp_path, text,
+                                                message):
+        path = tmp_path / "conc.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_concreteness(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_comma_delimiter_sniffed(self, tmp_path):
         path = tmp_path / "conc.csv"
         path.write_text("Word,Conc.M\napple,4.2\n")
         assert load_concreteness(path).rating_of("apple") == 4.2
 
+
+# numbers that numpy's reader and float() read alike, then the rest
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+1e5", "-0", ".5", "1.", "7"]))
+_ODD_NUMBER = st.sampled_from(["1_0", "nan", "inf", "1e999", "x", ""])
+# spaces within a line, then line breaks and a non-space
+_SPACE = st.sampled_from([" ", "   ", "\t", "\x1f", "\xa0", "\u3000"])
+_ODD_SPACE = st.sampled_from(["\x0b", "\x1c", "\x85", "\r", "\u200b"])
+
+
+@st.composite
+def _vector_files(draw):
+    """Vector files: maybe a header, lines of a word and `dim` numbers,
+    with repeated words in both cases; one line in five may be blank,
+    short or long, or hold an odd number or an odd space."""
+    dim = draw(st.integers(1, 3))
+    lines = [draw(st.sampled_from(["", f"4 {dim}", "+4 -1"]))]
+    for _ in range(draw(st.integers(0, 5))):
+        odd = draw(st.integers(0, 4)) == 0
+        number = st.one_of(_NUMBER, _ODD_NUMBER) if odd else _NUMBER
+        space = st.one_of(_SPACE, _ODD_SPACE) if odd else _SPACE
+        count = dim + (draw(st.integers(-dim, 1)) if odd else 0)
+        items = [draw(st.sampled_from(["cat", "Cat", "dog", "émile"]))]
+        items += [draw(number) for _ in range(count)]
+        lines.append(draw(space) * draw(st.integers(0, 1))
+                     + "".join(item + draw(space) for item in items))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _reference_vectors(text, path):
+    """(word -> row, rows) by the documented rule with float() of every
+    field, or the message of the first defect in file order."""
+    lines = text.splitlines()
+    head = lines[0].split() if lines else []
+    start = int(len(head) == 2
+                and all(p.lstrip("+-").isdigit() for p in head))
+    data = [(lineno, line.split())
+            for lineno, line in enumerate(lines[start:], start=start + 1)
+            if line.split()]
+    if not data:
+        return f"vector file {path} contains no vectors"
+    dim = len(data[0][1]) - 1
+    if dim == 0:
+        return f"{path}:{data[0][0]}: first data line has no vector values"
+    rows, vectors = {}, []
+    for lineno, (word, *fields) in data:
+        try:
+            values = [float(x) for x in fields]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric vector component"
+        if not all(map(math.isfinite, values)):
+            return f"{path}:{lineno}: non-finite vector component"
+        if len(values) != dim:
+            return f"{path}:{lineno}: expected {dim} values, " \
+                f"found {len(values)}"
+        if word.lower() not in rows:
+            rows[word.lower()] = len(vectors)
+            vectors.append(values)
+    return rows, vectors
 
 
 class TestWordVectors:
@@ -201,6 +282,51 @@ class TestWordVectors:
         vecs = load_vectors(path)
         with pytest.raises(ValueError):
             vecs.matrix[0, 0] = 2.0
+
+    def _check_against_reference(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        expected = _reference_vectors(text, path)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as info:
+                load_vectors(path)
+            assert str(info.value) == expected
+            return
+        vecs = load_vectors(path)
+        rows, vectors = expected
+        assert vecs.rows == rows
+        assert vecs.matrix.shape == (len(vectors), len(vectors[0]))
+        # bitwise, so -0.0 stays -0.0
+        assert vecs.matrix.tobytes() == np.array(vectors).tobytes()
+
+    @given(text=_vector_files())
+    @settings(max_examples=300, deadline=None)
+    def test_load_equals_float_of_every_field(self, tmp_path_factory, text):
+        self._check_against_reference(
+            tmp_path_factory.mktemp("vec") / "vec.txt", text)
+
+    def test_odd_spaces_and_numbers_load_as_float_reads_them(self, tmp_path):
+        self._check_against_reference(
+            tmp_path / "vec.txt",
+            "2 3\n \tcat 1 -0 .5\x1f\n\nCat  1_0\u30002\t+1e5 \n")
+
+    def test_traced_memory_is_a_few_times_the_file(self, tmp_path):
+        # 5 000 words of 50 components (2.4 MB): the loader's traced peak
+        # is about 2.5 times the file, and over 9 times when it holds a
+        # Python str per component
+        rng = random.Random(0)
+        path = tmp_path / "vec.txt"
+        path.write_text("5000 50\n" + "".join(
+            f"w{i} " + " ".join(f"{rng.uniform(-1, 1):.6f}"
+                                for _ in range(50)) + "\n"
+            for i in range(5000)))
+        tracemalloc.start()
+        try:
+            vecs = load_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vecs.matrix.shape == (5000, 50)
+        assert peak < 5 * path.stat().st_size
 
 
 @pytest.fixture
@@ -384,9 +510,13 @@ def _random_corpus(seed, n_words, n_sentences):
 class TestLanguageModelCounts:
     """The integer-keyed tables against tuple-keyed Counters."""
 
-    def _check(self, tmp_path, sentences, order, text):
+    def _check(self, tmp_path, sentences, order, text, corpus=None):
+        """The model of `corpus`, by default the sentences one per line,
+        against the counts of `sentences`."""
         path = tmp_path / "corpus.txt"
-        path.write_text("".join(" ".join(s) + "\n" for s in sentences))
+        if corpus is None:
+            corpus = "".join(" ".join(s) + "\n" for s in sentences)
+        path.write_text(corpus, encoding="utf-8")
         lm = train_lm(path, order=order)
         vocab, contexts, continuations = reference_counts(sentences, order)
         assert lm.vocab == vocab
@@ -405,6 +535,22 @@ class TestLanguageModelCounts:
         sentences = _random_corpus(seed, n_words=40, n_sentences=60)
         text = tokenize("w1 w2 w3 the <unk> w39. Zebra w4 <s> w5!")
         self._check(tmp_path, sentences, order, text)
+
+    @given(st.lists(st.sampled_from(
+        ["w1", "w2", "w3", "W1", "<s>", "<unk>",
+         " ", "  ", "\t", "\x1f", "\xa0", "\u3000",  # spaces in a line
+         "\n", "\n\n", "\n \t\n", "\r\n", "\x0b", "\x1c", "\x85",
+         "\u2028"]),  # line breaks, blank and whitespace-only lines
+        min_size=1, max_size=60), st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_any_whitespace_separates_words_and_breaks_lines(
+            self, tmp_path_factory, items, order):
+        corpus = " ".join(items)
+        sentences = [s for s in map(str.split, corpus.splitlines()) if s]
+        if not sentences:
+            return
+        self._check(tmp_path_factory.mktemp("lm"), sentences, order,
+                    tokenize("w1 w2 w3 x. W2 w1"), corpus)
 
     def test_keys_beyond_int64_are_exact(self, tmp_path):
         # 1 500 words seen twice each at order 6: base**6 > 2**63, so the
