@@ -3,6 +3,7 @@ computation for sentence pairs (source sentence, simplified output)."""
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -78,10 +79,11 @@ def _avg_cosine(pair: SentencePair, resources: Resources) -> float:
         rows = [r for r in map(vectors.row_of, text.words) if r is not None]
         if not rows:
             return 0.0
-        means.append(np.mean(vectors.matrix[rows], axis=0))
+        # what np.mean and np.linalg.norm compute, without their overhead
+        means.append(vectors.matrix[rows].sum(axis=0) / len(rows))
     a, b = means
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    return float(np.dot(a, b) / denom) if denom > 0 else 0.0
+    denom = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
+    return float(a.dot(b) / denom) if denom > 0 else 0.0
 
 
 def _avg_concreteness(pair: SentencePair, resources: Resources) -> float:
@@ -264,7 +266,8 @@ class FeatureMatrix:
     def to_tsv(self, path: str | Path) -> None:
         lines = ["id\t" + "\t".join(self.feature_names)]
         for rid, row in zip(self.row_ids, self.rows):
-            lines.append(rid + "\t" + "\t".join(repr(float(v)) for v in row))
+            # tolist per row: a whole-matrix list would hold every value
+            lines.append(rid + "\t" + "\t".join(map(repr, row.tolist())))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod

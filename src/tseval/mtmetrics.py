@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -64,7 +64,8 @@ DEFAULT_BLEU = BleuConfig()
 # BLEU
 # ---------------------------------------------------------------------------
 
-# Orders bleu_counts covers: up to the largest max_order.
+# Orders bleu_counts covers: up to the largest max_order (_all_ngrams
+# spells them out).
 _COUNT_ORDERS = 4
 
 
@@ -77,11 +78,11 @@ def bleu_counts(source: TokenizedText,
     how many order-n n-grams the output has. All orders are counted in one
     pass over each sentence.
     """
-    cand = _all_ngrams(output)
-    ref = _all_ngrams(source)
+    in_ref = _all_ngrams(source).get
     matches = [0] * _COUNT_ORDERS
-    for gram, count in (cand & ref).items():
-        matches[len(gram) - 1] += count
+    for gram, count in _all_ngrams(output).items():
+        if clip := in_ref(gram):
+            matches[len(gram) - 1] += count if count < clip else clip
     totals = [0] * _COUNT_ORDERS
     for sent in output.sentences:
         for n in range(min(len(sent), _COUNT_ORDERS)):
@@ -90,11 +91,13 @@ def bleu_counts(source: TokenizedText,
 
 
 def _all_ngrams(text: TokenizedText) -> Counter:
-    """Multiset of the text's n-grams of orders 1..4 within sentences."""
+    """Multiset of the text's n-grams of orders 1..4 within sentences,
+    each a tuple of its words, counted in one update per sentence."""
     counts: Counter = Counter()
     for sent in text.sentences:
-        counts.update(sent[i:i + n] for n in range(1, _COUNT_ORDERS + 1)
-                      for i in range(len(sent) - n + 1))
+        s1, s2, s3 = sent[1:], sent[2:], sent[3:]
+        counts.update(chain(zip(sent), zip(sent, s1), zip(sent, s1, s2),
+                            zip(sent, s1, s2, s3)))
     return counts
 
 
@@ -285,6 +288,11 @@ def _chunk_bound(cand: list[str], ref: list[str], stem_of: dict[str, str],
     return fewest_new_chunks
 
 
+def _continuation_first(positions: list[int], j: int) -> list[int]:
+    """The ascending positions with j, one of them, moved to the front."""
+    return [j, *(p for p in positions if p != j)]
+
+
 def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
     """(matches, chunks, exhaustive) of METEOR's unigram alignment of
     cand to ref.
@@ -294,8 +302,10 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
     matches among the occurrences left over (_quotas). Among those
     alignments a depth-first search over cand positions, with quota
     feasibility pruning and branch-and-bound on _chunk_bound, minimises
-    the chunk count. It stops as soon as it reaches the bound at the
-    root. It runs from an explicit stack of child generators, not by
+    the chunk count. Each node offers the match that continues the open
+    chunk first, so the first alignments found follow the output's own
+    runs, reordered or not. It stops as soon as it reaches the bound at
+    the root. It runs from an explicit stack of child generators, not by
     recursion, so it does not depend on the depth of the caller's stack
     and a long cand cannot exhaust it.
 
@@ -335,11 +345,21 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
     used = [False] * len(ref)
     rem_exact, rem_stem, free = dict(exact), dict(stem), Counter(ref)
 
+    # ref_after[last_j]: the ref word that continues the open chunk, or
+    # None (last_j is -2 when there is no open chunk)
+    ref_after = [*ref[1:], None, None]
+
     def children(i, remaining, last_j, chunks):
+        # each stage offers ref[last_j + 1] first when it matches, then
+        # the other positions in ascending order
+        cont = ref_after[last_j]
         w = cand[i]
         need = rem_exact.get(w, 0)
-        if need > 0:  # exact matches first, in ascending ref position
-            for j in at_word[w]:
+        if need > 0:  # exact matches first
+            order = at_word[w]
+            if cont == w and order[0] != last_j + 1:
+                order = _continuation_first(order, last_j + 1)
+            for j in order:
                 if not used[j]:
                     used[j] = True
                     free[w] -= 1
@@ -354,7 +374,11 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
         if stem:
             s = stem_of[w]
             if later and rem_stem.get(s, 0) > 0:
-                for j in at_stem[s]:
+                order = at_stem[s]
+                if (cont is not None and stem_of[cont] == s
+                        and order[0] != last_j + 1):
+                    order = _continuation_first(order, last_j + 1)
+                for j in order:
                     rw = ref[j]
                     # keep enough ref occurrences of rw for its exact quota
                     if (not used[j] and rw != w
@@ -501,7 +525,43 @@ def _distance_table(src: Sequence[int],
     return table
 
 
-def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
+def _levenshtein(a: Sequence, b: Sequence) -> int:
+    """Edit distance between a and b, bit-parallel (Myers 1999, in
+    Hyyrö's 2001 form for the global distance). Column j of the
+    `_distance_table` of (a, b) is held as two bit vectors of its
+    vertical differences t[i][j] - t[i - 1][j]: bit i - 1 of pv is set
+    where that is +1 and of mv where it is -1. Each item of b updates
+    both with a fixed dozen int operations on len(a)-bit ints, and the
+    bottom cell t[-1][j] follows from the horizontal difference at the
+    last bit."""
+    if not a:
+        return len(b)
+    peq: dict = {}  # bit i set where a[i] is the key
+    for i, x in enumerate(a):
+        peq[x] = peq.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = full, 0, len(a)
+    for y in b:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1  # row 0 grows by one per item of b
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
+
+
+def _multiset_lower_bound(src: Sequence, out: Sequence) -> int:
+    """max(|src|, |out|) minus the multiset overlap of the two: no
+    alignment of any rearrangement of out costs less."""
     cs = Counter(src)
     co = Counter(out)
     overlap = sum(min(c, co.get(t, 0)) for t, c in cs.items())
@@ -511,6 +571,8 @@ def _multiset_lower_bound(src: tuple[int, ...], out: tuple[int, ...]) -> int:
 class _ShiftSearch:
     """Block-shift search over the output sequence.
 
+    `ter_align` builds one only for an output whose edit distance is
+    above the multiset lower bound; at the bound no shift can help.
     Outputs of more than EXACT_LIMIT tokens get the greedy search of
     TERCOM: repeatedly apply the first block move (any contiguous block to
     any position) that most reduces the word edit distance to the source,
@@ -522,7 +584,8 @@ class _ShiftSearch:
     Greedy can miss optima that need a tied or non-improving intermediate
     move, so for outputs of at most EXACT_LIMIT tokens whose greedy total
     still exceeds the lower bound, a best-first search over move
-    sequences finds the exact optimum.
+    sequences finds the exact optimum, scoring each permutation with the
+    bit-parallel `_levenshtein`.
 
     Each greedy step (`_best_move`) scores every block move of an
     n-token output against an m-token source. Every move swaps two
@@ -540,11 +603,11 @@ class _ShiftSearch:
         self.src = np.asarray(src_ids, dtype=np.int64)
         self.src_t = src_ids
 
-    def plan(self, out: tuple[int, ...],
-             ed: int) -> tuple[int, int, tuple[int, ...]]:
+    def plan(self, out: tuple[int, ...], ed: int,
+             lb: int) -> tuple[int, int, tuple[int, ...]]:
         """Return (shifts, remaining_edit_distance, final_sequence), given
-        the edit distance `ed` of `out` itself."""
-        lb = _multiset_lower_bound(self.src_t, out)
+        the edit distance `ed` of `out` itself and its
+        `_multiset_lower_bound` `lb`."""
         shifts, final = 0, out
         while ed > lb:
             delta, moved = self._best_move(final, ed)
@@ -568,7 +631,7 @@ class _ShiftSearch:
             moves, state = heapq.heappop(heap)
             if moves != dist.get(state):
                 continue
-            ed = _distance_table(self.src_t, state)[-1][-1]
+            ed = _levenshtein(self.src_t, state)
             if moves + ed < best_total:
                 best_total = moves + ed
                 best = (moves, ed, state)
@@ -736,29 +799,36 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
     """TER-style breakdown: block shifts over the output (exhaustive for
     outputs of at most 7 tokens, first-best-move greedy above; see
     `_ShiftSearch`), then a word-level unit-cost alignment of the source
-    against the shifted output, normalized by the source length."""
+    against the shifted output, normalized by the source length.
+
+    The edit distance comes from the bit-parallel `_levenshtein`. When it
+    equals the `_multiset_lower_bound`, no shift can help, and every
+    optimal alignment matches the whole multiset overlap, substitutes the
+    rest of the shorter side and inserts or deletes the length
+    difference. Those counts are returned as they are, with no search
+    and no distance table. Otherwise `_ShiftSearch` plans the shifts and
+    `_decompose` backtraces the `_distance_table` of the shifted output.
+    """
     src_words = source.words
     out_words = output.words
     if not src_words:
         raise ValueError("ter_align: source must contain at least one word")
 
-    vocab: dict[str, int] = {}
-    src_ids = tuple(vocab.setdefault(w, len(vocab)) for w in src_words)
-    out_ids = tuple(vocab.setdefault(w, len(vocab)) for w in out_words)
-
-    if not out_ids:
-        n = len(src_ids)
-        return EditBreakdown(
-            insertions=0, deletions=n, substitutions=0, shifts=0,
-            matches=0, num_errors=n, normalized_score=1.0,
-        )
-
-    search = _ShiftSearch(src_ids)
-    table = _distance_table(src_ids, out_ids)
-    shifts, _, final = search.plan(out_ids, table[-1][-1])
-    if shifts:  # block moves changed the output: align the moved one
-        table = _distance_table(src_ids, final)
-    ins, dels, subs, matches = _decompose(src_ids, final, table)
+    ed = _levenshtein(src_words, out_words)
+    lb = _multiset_lower_bound(src_words, out_words)
+    if ed == lb:
+        n_src, n_out = len(src_words), len(out_words)
+        aligned = min(n_src, n_out)
+        matches = max(n_src, n_out) - lb
+        ins, dels, subs, shifts = (n_out - aligned, n_src - aligned,
+                                   aligned - matches, 0)
+    else:
+        vocab: dict[str, int] = {}
+        src_ids = tuple(vocab.setdefault(w, len(vocab)) for w in src_words)
+        out_ids = tuple(vocab.setdefault(w, len(vocab)) for w in out_words)
+        shifts, _, final = _ShiftSearch(src_ids).plan(out_ids, ed, lb)
+        ins, dels, subs, matches = _decompose(
+            src_ids, final, _distance_table(src_ids, final))
     num_errors = ins + dels + subs + shifts
     return EditBreakdown(
         insertions=ins,
@@ -767,5 +837,5 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
         shifts=shifts,
         matches=matches,
         num_errors=num_errors,
-        normalized_score=num_errors / len(src_ids),
+        normalized_score=num_errors / len(src_words),
     )

@@ -1,6 +1,7 @@
 """Feature registry contracts, per-feature formulas, matrix computation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tseval.mtmetrics import BleuConfig, bleu, meteor, rouge, ter_align
 from tseval.resources import (
     ConcretenessLexicon,
     Resources,
+    WordVectors,
     load_concreteness,
     load_frequency_table,
     load_vectors,
@@ -314,6 +316,49 @@ class TestComputeMatrix:
         assert loaded.feature_names == matrix.feature_names
         assert loaded.row_ids == matrix.row_ids
         assert np.array_equal(loaded.rows, matrix.rows)
+
+    # -0.0, the smallest subnormal, the largest double, a sum with a long
+    # repr, and integral values whose repr switches to exponent form
+    TSV_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 3.0, 1e16)
+
+    def test_tsv_lines_are_the_repr_of_each_float(self, tmp_path):
+        rows = np.array([self.TSV_VALUES, self.TSV_VALUES[::-1]])
+        names = tuple(f"f{k}" for k in range(rows.shape[1]))
+        path = tmp_path / "features.tsv"
+        FeatureMatrix(feature_names=names, rows=rows,
+                      row_ids=("a", "b")).to_tsv(path)
+        expected = ["id\t" + "\t".join(names)] + [
+            rid + "\t" + "\t".join(repr(float(v)) for v in row)
+            for rid, row in zip("ab", rows)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert path.read_text().splitlines()[1].split("\t")[1:] == [
+            "-0.0", "5e-324", "1.7976931348623157e+308",
+            "0.30000000000000004", "3.0", "1e+16"]
+        loaded = FeatureMatrix.from_tsv(path).rows
+        assert loaded.tobytes() == rows.tobytes()
+
+    def test_avg_cosine_is_the_numpy_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{k}" for k in range(40)]
+        vectors = WordVectors(rows={w: k for k, w in enumerate(words[:30])},
+                              matrix=rng.normal(size=(30, 7)))
+        resources = Resources(vectors=vectors)
+        pick = random.Random(5)
+        for _ in range(200):
+            src = pick.choices(words, k=pick.randint(1, 12))
+            out = pick.choices(words, k=pick.randint(0, 12))
+            got = compute_features(
+                SentencePair.from_text(" ".join(src), " ".join(out)),
+                resources, which=["AvgCosineSim"])["AvgCosineSim"]
+            means = [np.mean(vectors.matrix[rows], axis=0) for rows in (
+                [vectors.rows[w] for w in text if w in vectors.rows]
+                for text in (src, out)) if rows]
+            if len(means) < 2:
+                assert got == 0.0
+                continue
+            a, b = means
+            denom = float(np.linalg.norm(a) * np.linalg.norm(b))
+            assert got == float(np.dot(a, b) / denom), (src, out)
 
     def test_timings_collected(self):
         timings = {}

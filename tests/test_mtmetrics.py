@@ -2,6 +2,7 @@
 oracles. The oracles are implemented here, independently of the package."""
 
 import heapq
+import importlib
 import inspect
 import itertools
 import math
@@ -10,6 +11,7 @@ import string
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,9 @@ from tseval.mtmetrics import (
 from tseval import mtmetrics
 from tseval.mtmetrics import _ShiftSearch
 from tseval.textproc import porter_stem, tokenize
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def T(s):
@@ -617,6 +622,34 @@ class TestMeteor:
             sys.setrecursionlimit(limit)
         assert got == (300 - cand.count("x"), runs, True)
 
+    # An output that is its source with the halves swapped has 2 chunks.
+    # A search that offered each word's matches in ascending source order
+    # followed the source order first, ran out of budget deep in the tree
+    # and stopped at 92, 41 and 85 chunks on the 300-word sources, and at
+    # 9 and 27 on the 60-word ones. With the suffix "s" on every output
+    # word, all matches are stem matches, so the stem stage is searched.
+    @pytest.mark.parametrize("suffix", ["", "s"])
+    @pytest.mark.parametrize("size,types,seed", [
+        (300, 1000, 0), (300, 1000, 1), (300, 1000, 2), (60, 60, 0),
+        (60, 60, 1)])
+    def test_swapped_halves_are_found_at_two_chunks(self, size, types, seed,
+                                                    suffix):
+        rng = random.Random(seed)
+        ref = [f"w{rng.randrange(types)}" for _ in range(size)]
+        cand = [w + suffix for w in ref[size // 2:] + ref[:size // 2]]
+        assert all(porter_stem(w) == porter_stem(w + suffix) for w in ref)
+        assert mtmetrics._align(cand, ref) == (size, 2, True)
+
+    def test_adversarial_pairs_trips_and_chunks(self):
+        # the search that offered matches in ascending source order
+        # stopped at the budget on 20 of these pairs, with 2 663 chunks
+        trips = total = 0
+        for ref, cand in adversarial_pairs(100):
+            _, chunks, exhaustive = mtmetrics._align(cand, ref)
+            trips += not exhaustive
+            total += chunks
+        assert trips <= 19 and total <= 2656, (trips, total)
+
     # Chunk counts of the first five adversarial pairs at a budget of
     # 20 000 nodes, as the search without the segment bound gave them; it
     # stopped at the budget on all five.
@@ -648,6 +681,45 @@ class TestDistanceTable:
         for i, row in enumerate(table):
             assert row == [lev_oracle(a[:i], b[:j])
                            for j in range(len(b) + 1)], (a, b, i)
+
+
+# Short sides and sides of 60-130 items, so that the masks span several
+# 30-bit digits of a Python int; 1-4 symbols, so that many items repeat.
+def _symbol_lists(k):
+    return st.one_of(st.integers(0, 8), st.integers(60, 130)).flatmap(
+        lambda n: st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+
+
+class TestLevenshtein:
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.tuples(_symbol_lists(k), _symbol_lists(k))))
+    @example(([], []))
+    @example(([0, 1, 2], []))
+    @example(([], [0, 0]))
+    @example(([0] * 130, [0] * 60))
+    @example(([0, 1] * 65, [1, 0] * 65))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_quadratic_distance(self, sides):
+        a, b = sides
+        got = mtmetrics._levenshtein(a, b)
+        assert got == lev_oracle(a, b), (a, b)
+        assert got == mtmetrics._distance_table(a, b)[-1][-1]
+        assert mtmetrics._levenshtein(b, a) == got
+
+    def test_words_as_items(self):
+        assert mtmetrics._levenshtein("the cat sat".split(),
+                                      "a cat sat down".split()) == 2
+
+
+def _workload_pairs(name, monkeypatch):
+    """(source, output) TokenizedTexts of a benchmark workload's seed-1
+    pairs, tokenized from the text its input files hold."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
+    workloads = importlib.import_module("workloads")
+    work = workloads.generate(name, 1)
+    return [(T(workloads._text([p.src])), T(workloads._text(p.out_sents)))
+            for p in work.train + work.test]
 
 
 class TestTerAlign:
@@ -759,6 +831,53 @@ class TestTerAlign:
         assert got == EditBreakdown(
             insertions=0, deletions=0, substitutions=0, shifts=2,
             matches=44, num_errors=2, normalized_score=2 / 44)
+
+    def test_closed_form_equals_the_backtrace_at_the_lower_bound(self):
+        # At the multiset lower bound every optimal alignment has the same
+        # counts, so the closed form must equal _decompose's backtrace.
+        rng = random.Random(2001)
+        at_bound = 0
+        for _ in range(3000):
+            alphabet = "abcdef"[:rng.randint(1, 6)]
+            src = [rng.choice(alphabet) for _ in range(rng.randint(1, 12))]
+            out = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+            if (lev_oracle(src, out)
+                    != mtmetrics._multiset_lower_bound(src, out)):
+                continue
+            at_bound += 1
+            got = ter_align(T(" ".join(src)), T(" ".join(out)))
+            table = mtmetrics._distance_table(src, out)
+            assert ((got.insertions, got.deletions, got.substitutions,
+                     got.matches, got.shifts)
+                    == (*mtmetrics._decompose(src, out, table), 0)), (src, out)
+        assert at_bound >= 1000
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = Counter()
+        table = mtmetrics._distance_table
+        init = _ShiftSearch.__init__
+        monkeypatch.setattr(mtmetrics, "_distance_table", lambda *args: (
+            calls.update(["_distance_table"]) or table(*args)))
+        monkeypatch.setattr(_ShiftSearch, "__init__", lambda self, src: (
+            calls.update(["_ShiftSearch"]) or init(self, src)))
+        return calls
+
+    def test_no_table_and_no_search_at_the_lower_bound(self, monkeypatch):
+        pairs = _workload_pairs("qats-lexical", monkeypatch)
+        calls = self.count_calls(monkeypatch)
+        for src, out in pairs:
+            assert ter_align(src, out).shifts == 0
+        assert len(pairs) == 631 and not calls
+
+    def test_shifted_pairs_take_the_search_path(self, monkeypatch):
+        # 42 of the 631 seed-1 qats-reorder pairs are above the bound, and
+        # each gets one search and one table of its shifted output
+        pairs = _workload_pairs("qats-reorder", monkeypatch)
+        calls = self.count_calls(monkeypatch)
+        shifted = sum(ter_align(src, out).shifts > 0 for src, out in pairs)
+        assert shifted == 42
+        assert calls == {"_ShiftSearch": 42, "_distance_table": 42}
 
     @pytest.mark.parametrize("alphabet", ["ab", "abc", "abcdef"])
     def test_matches_exhaustive_shift_oracle(self, alphabet):
