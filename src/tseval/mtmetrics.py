@@ -494,17 +494,6 @@ def _step_rows(rows: np.ndarray, mismatch: np.ndarray,
     return new
 
 
-def _dp_rows(mismatch: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """rows[p][r] = DP row of the first p tokens of sequence r, where
-    mismatch[t][r] is the mismatch row of token t of sequence r."""
-    rows = np.empty((len(mismatch) + 1, mismatch.shape[1], len(idx)),
-                    dtype=idx.dtype)
-    rows[0] = idx
-    for p, step in enumerate(mismatch):
-        rows[p + 1] = _step_rows(rows[p], step, idx)
-    return rows
-
-
 def _distance_table(src: Sequence[int],
                     out: Sequence[int]) -> list[list[int]]:
     """t[i][j] = edit distance between src[:i] and out[:j], so t[-1][-1]
@@ -568,11 +557,19 @@ def _multiset_lower_bound(src: Sequence, out: Sequence) -> int:
     return max(len(src) - overlap, len(out) - overlap)
 
 
-class _ShiftSearch:
-    """Block-shift search over the output sequence.
+# Block-shift search over the output sequence. `ter_align` runs it only
+# for an output whose edit distance is above the multiset lower bound; at
+# the bound no shift can help.
+EXACT_LIMIT = 7  # longest output whose greedy plan is refined exactly
+CHUNK_CELLS = 1 << 22  # backward-row cells _swap_distances keeps at once
 
-    `ter_align` builds one only for an output whose edit distance is
-    above the multiset lower bound; at the bound no shift can help.
+
+def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
+                 lb: int) -> tuple[int, int, tuple[int, ...]]:
+    """Return (shifts, remaining_edit_distance, final_sequence), given
+    the edit distance `ed` of `out` itself and its
+    `_multiset_lower_bound` `lb`.
+
     Outputs of more than EXACT_LIMIT tokens get the greedy search of
     TERCOM: repeatedly apply the first block move (any contiguous block to
     any position) that most reduces the word edit distance to the source,
@@ -583,186 +580,173 @@ class _ShiftSearch:
 
     Greedy can miss optima that need a tied or non-improving intermediate
     move, so for outputs of at most EXACT_LIMIT tokens whose greedy total
-    still exceeds the lower bound, a best-first search over move
-    sequences finds the exact optimum, scoring each permutation with the
-    bit-parallel `_levenshtein`.
+    still exceeds the lower bound, `_exact_refine` finds the exact
+    optimum.
+    """
+    shifts, final = 0, out
+    while ed > lb:
+        delta, moved = _best_move(src, final, ed)
+        if moved is None:
+            break
+        shifts, ed, final = shifts + 1, ed - delta, moved
+    if shifts + ed > lb and len(out) <= EXACT_LIMIT:
+        return _exact_refine(src, out, (shifts, ed, final))
+    return shifts, ed, final
+
+
+def _exact_refine(src, out, greedy):
+    """Best-first search over move sequences, seeded and bounded by the
+    greedy solution, scoring each permutation with the bit-parallel
+    `_levenshtein`. Block moves only permute `out`, and a state is pushed
+    only when its move count strictly improves, so each of the at most
+    EXACT_LIMIT! permutations is expanded once."""
+    best_total = greedy[0] + greedy[1]
+    best = greedy
+    dist = {out: 0}
+    heap = [(0, out)]
+    while heap:
+        moves, state = heapq.heappop(heap)
+        if moves != dist.get(state):
+            continue
+        ed = _levenshtein(src, state)
+        if moves + ed < best_total:
+            best_total = moves + ed
+            best = (moves, ed, state)
+        if moves + 1 >= best_total:
+            continue
+        n = len(state)
+        for length in range(n - 1, 0, -1):
+            for i in range(n - length + 1):
+                block = state[i:i + length]
+                rest = state[:i] + state[i + length:]
+                for j in range(len(rest) + 1):
+                    if j == i:
+                        continue
+                    cand = rest[:j] + block + rest[j:]
+                    if moves + 1 < dist.get(cand, 1 << 30):
+                        dist[cand] = moves + 1
+                        heapq.heappush(heap, (moves + 1, cand))
+    return best
+
+
+def _best_move(src: tuple[int, ...], out: tuple[int, ...], ed: int):
+    """(reduction, moved sequence) of the first block move with the
+    largest edit-distance reduction, or (0, None) if no move reduces
+    the distance.
+
+    Moves are ordered by block length descending, start ascending,
+    insertion point ascending; lengths stop at the first whose doubled
+    value is below the best reduction (a block move never changes the
+    distance by more than twice its length).
+
+    Moving out[i:i+length] to insertion point j of the remaining
+    tokens swaps two adjacent segments of `out`: out[j:i] and the
+    block when j < i, the block and out[i+length:j+length] when
+    j > i. All distances are read from the table that
+    `_swap_distances` fills in one batched pass, and the row-major
+    argmin of each length's (start, insertion point) table is its
+    first best move.
+    """
+    n = len(out)
+    if n < 2:
+        return 0, None
+    best_delta, best = 0, None
+    swapped = _swap_distances(src, out)
+    for length in range(n - 1, 0, -1):
+        if 2 * length < best_delta:
+            break  # delta of a block move never exceeds twice its length
+        k = n - length + 1
+        i = np.arange(k)[:, None]
+        j = np.arange(k)[None, :]
+        dists = np.where(j < i, swapped[j, i, i + length],
+                         swapped[i, i + length, j + length])
+        np.fill_diagonal(dists, ed)  # inserting at i reproduces `out`
+        flat = int(dists.argmin())
+        delta = ed - int(dists.flat[flat])
+        if delta > best_delta:
+            best_delta, best = delta, (length, *divmod(flat, k))
+    if best is None:
+        return 0, None
+    length, start, pos = best
+    block = out[start:start + length]
+    rest = out[:start] + out[start + length:]
+    return best_delta, rest[:pos] + block + rest[pos:]
+
+
+def _swap_distances(src: tuple[int, ...],
+                    out: tuple[int, ...]) -> np.ndarray:
+    """Edit distances of every adjacent-segment swap of `out`.
+
+    Returns d with d[a, b, c] = edit distance between the source and
+    out[:a] + out[b:c] + out[a:b] + out[c:] for 0 <= a < b < c <= n
+    (other entries are 0). The swap splits into a forward part,
+    the prefix row of out[:a] extended through out[b:c], and a
+    backward part, the suffix row of out[c:] (reversed-source
+    orientation) extended leftwards through out[a:b]; the distance
+    is the minimum over source split points of their sum.
 
     Each greedy step (`_best_move`) scores every block move of an
-    n-token output against an m-token source. Every move swaps two
-    adjacent segments, so `_swap_distances` scores all ~n^3/6 swaps in
-    one batched DP: the prefix and suffix DP rows of the output are
-    computed once and reused, and the remaining rows of all swaps
-    advance together: about 3n vectorised row steps per greedy step, and
-    O(n^3 m) cell updates.
+    n-token output against an m-token source, and every move is one of
+    these ~n^3/6 swaps, so all of them are scored in one batched DP.
+    The prefix and suffix rows of `out` are the rows of the
+    `_distance_table` of `out` and of its reversal, built once. The
+    forward parts of all (a, b) pairs advance together, one vectorised
+    DP step per value of c - b, each row with its own token from a
+    precomputed src != out[t] mismatch table; the backward parts of
+    all (b, c) pairs advance together, one step per value of b - a.
+    That is about 2n array steps per call, over O(n^3 m) cells in
+    total. Cells held at once are capped by splitting the b values
+    into chunks of about CHUNK_CELLS stored cells, each chunk doing its
+    own 2n steps.
     """
+    n, m = len(out), len(src)
+    idx = np.arange(m + 1, dtype=np.int32)
+    mis = np.not_equal.outer(np.asarray(out), np.asarray(src)).astype(np.int32)
+    mis_rev = np.ascontiguousarray(mis[:, ::-1])
+    prefix = np.array(_distance_table(out, src), dtype=np.int32)
+    suffix = np.array(_distance_table(out[::-1], src[::-1]),
+                      dtype=np.int32)[::-1]
+    swapped = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    fb, fa = np.tril_indices(n, -1)        # (b, a), a < b, b ascending
+    gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c
+    gb, gc = gb[::-1], gc[::-1]            # b descending
+    for lo, hi in _b_chunks(n, m):
+        # backward parts: the pairs with b >= t are a prefix of
+        # (cb, cc); steps[t - 1][r] is pair r extended to a = b - t
+        keep = (gb >= lo) & (gb < hi)
+        cb, cc = gb[keep], gc[keep]
+        pos = np.zeros((n + 1, n + 1), dtype=np.intp)
+        pos[cb, cc] = np.arange(len(cb))
+        rows = suffix[cc]
+        steps = []
+        for t in range(1, hi):
+            live = np.count_nonzero(cb >= t)
+            rows = _step_rows(rows[:live], mis_rev[cb[:live] - t], idx)
+            steps.append(rows)
+        offset = np.cumsum([0] + [len(r) for r in steps])
+        backward = np.concatenate(steps)
+        # forward parts: the pairs with b + s <= n are a prefix
+        keep = (fb >= lo) & (fb < hi)
+        cb, ca = fb[keep], fa[keep]
+        rows = prefix[ca]
+        for s in range(1, n - lo + 1):
+            live = np.count_nonzero(cb <= n - s)
+            a, b = ca[:live], cb[:live]
+            rows = _step_rows(rows[:live], mis[b + s - 1], idx)
+            back = backward[offset[b - a - 1] + pos[b, b + s]]
+            swapped[a, b, b + s] = (rows + back[:, ::-1]).min(axis=1)
+    return swapped
 
-    EXACT_LIMIT = 7
-    CHUNK_CELLS = 1 << 22  # backward-row cells _swap_distances keeps at once
 
-    def __init__(self, src_ids: tuple[int, ...]):
-        self.src = np.asarray(src_ids, dtype=np.int64)
-        self.src_t = src_ids
-
-    def plan(self, out: tuple[int, ...], ed: int,
-             lb: int) -> tuple[int, int, tuple[int, ...]]:
-        """Return (shifts, remaining_edit_distance, final_sequence), given
-        the edit distance `ed` of `out` itself and its
-        `_multiset_lower_bound` `lb`."""
-        shifts, final = 0, out
-        while ed > lb:
-            delta, moved = self._best_move(final, ed)
-            if moved is None:
-                break
-            shifts, ed, final = shifts + 1, ed - delta, moved
-        if shifts + ed > lb and len(out) <= self.EXACT_LIMIT:
-            return self._exact_refine(out, (shifts, ed, final))
-        return shifts, ed, final
-
-    def _exact_refine(self, out, greedy):
-        """Best-first search over move sequences, seeded and bounded by the
-        greedy solution. Block moves only permute `out`, and a state is
-        pushed only when its move count strictly improves, so each of the
-        at most EXACT_LIMIT! permutations is expanded once."""
-        best_total = greedy[0] + greedy[1]
-        best = greedy
-        dist = {out: 0}
-        heap = [(0, out)]
-        while heap:
-            moves, state = heapq.heappop(heap)
-            if moves != dist.get(state):
-                continue
-            ed = _levenshtein(self.src_t, state)
-            if moves + ed < best_total:
-                best_total = moves + ed
-                best = (moves, ed, state)
-            if moves + 1 >= best_total:
-                continue
-            n = len(state)
-            for length in range(n - 1, 0, -1):
-                for i in range(n - length + 1):
-                    block = state[i:i + length]
-                    rest = state[:i] + state[i + length:]
-                    for j in range(len(rest) + 1):
-                        if j == i:
-                            continue
-                        cand = rest[:j] + block + rest[j:]
-                        if moves + 1 < dist.get(cand, 1 << 30):
-                            dist[cand] = moves + 1
-                            heapq.heappush(heap, (moves + 1, cand))
-        return best
-
-    def _best_move(self, out: tuple[int, ...], ed: int):
-        """(reduction, moved sequence) of the first block move with the
-        largest edit-distance reduction, or (0, None) if no move reduces
-        the distance.
-
-        Moves are ordered by block length descending, start ascending,
-        insertion point ascending; lengths stop at the first whose doubled
-        value is below the best reduction (a block move never changes the
-        distance by more than twice its length).
-
-        Moving out[i:i+length] to insertion point j of the remaining
-        tokens swaps two adjacent segments of `out`: out[j:i] and the
-        block when j < i, the block and out[i+length:j+length] when
-        j > i. All distances are read from the table that
-        `_swap_distances` fills in one batched pass, and the row-major
-        argmin of each length's (start, insertion point) table is its
-        first best move.
-        """
-        n = len(out)
-        if n < 2:
-            return 0, None
-        best_delta, best = 0, None
-        swapped = self._swap_distances(out)
-        for length in range(n - 1, 0, -1):
-            if 2 * length < best_delta:
-                break  # delta of a block move never exceeds twice its length
-            k = n - length + 1
-            i = np.arange(k)[:, None]
-            j = np.arange(k)[None, :]
-            dists = np.where(j < i, swapped[j, i, i + length],
-                             swapped[i, i + length, j + length])
-            np.fill_diagonal(dists, ed)  # inserting at i reproduces `out`
-            flat = int(dists.argmin())
-            delta = ed - int(dists.flat[flat])
-            if delta > best_delta:
-                best_delta, best = delta, (length, *divmod(flat, k))
-        if best is None:
-            return 0, None
-        length, start, pos = best
-        block = out[start:start + length]
-        rest = out[:start] + out[start + length:]
-        return best_delta, rest[:pos] + block + rest[pos:]
-
-    def _swap_distances(self, out: tuple[int, ...]) -> np.ndarray:
-        """Edit distances of every adjacent-segment swap of `out`.
-
-        Returns d with d[a, b, c] = edit distance between the source and
-        out[:a] + out[b:c] + out[a:b] + out[c:] for 0 <= a < b < c <= n
-        (other entries are 0). The swap splits into a forward part,
-        the prefix row of out[:a] extended through out[b:c], and a
-        backward part, the suffix row of out[c:] (reversed-source
-        orientation) extended leftwards through out[a:b]; the distance
-        is the minimum over source split points of their sum.
-
-        Prefix and suffix rows of `out` are computed once. The forward
-        parts of all (a, b) pairs advance together, one vectorised DP
-        step per value of c - b, each row with its own token from a
-        precomputed src != out[t] mismatch table; the backward parts of
-        all (b, c) pairs advance together, one step per value of b - a.
-        With the n steps of the prefix and suffix rows, that is about 3n
-        array steps per call, over O(n^3 m) cells in total. Cells held
-        at once are capped by splitting the b values into chunks of
-        about CHUNK_CELLS stored cells, each chunk doing its own 2n
-        steps.
-        """
-        n, m = len(out), len(self.src)
-        idx = np.arange(m + 1, dtype=np.int32)
-        mis = (self.src[None, :] != np.asarray(out)[:, None]).astype(np.int32)
-        mis_rev = np.ascontiguousarray(mis[:, ::-1])
-        ends = _dp_rows(np.stack([mis, mis_rev[::-1]], axis=1), idx)
-        prefix, suffix = ends[:, 0], ends[::-1, 1]
-        swapped = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
-        fb, fa = np.tril_indices(n, -1)        # (b, a), a < b, b ascending
-        gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c
-        gb, gc = gb[::-1], gc[::-1]            # b descending
-        for lo, hi in self._b_chunks(n, m):
-            # backward parts: the pairs with b >= t are a prefix of
-            # (cb, cc); steps[t - 1][r] is pair r extended to a = b - t
-            keep = (gb >= lo) & (gb < hi)
-            cb, cc = gb[keep], gc[keep]
-            pos = np.zeros((n + 1, n + 1), dtype=np.intp)
-            pos[cb, cc] = np.arange(len(cb))
-            rows = suffix[cc]
-            steps = []
-            for t in range(1, hi):
-                live = np.count_nonzero(cb >= t)
-                rows = _step_rows(rows[:live], mis_rev[cb[:live] - t], idx)
-                steps.append(rows)
-            offset = np.cumsum([0] + [len(r) for r in steps])
-            backward = np.concatenate(steps)
-            # forward parts: the pairs with b + s <= n are a prefix
-            keep = (fb >= lo) & (fb < hi)
-            cb, ca = fb[keep], fa[keep]
-            rows = prefix[ca]
-            for s in range(1, n - lo + 1):
-                live = np.count_nonzero(cb <= n - s)
-                a, b = ca[:live], cb[:live]
-                rows = _step_rows(rows[:live], mis[b + s - 1], idx)
-                back = backward[offset[b - a - 1] + pos[b, b + s]]
-                swapped[a, b, b + s] = (rows + back[:, ::-1]).min(axis=1)
-        return swapped
-
-    @classmethod
-    def _b_chunks(cls, n: int, m: int):
-        """Split b = 1..n-1 into ranges [lo, hi) whose stored backward rows
-        (b * (n - b) rows of m + 1 cells per b) stay near CHUNK_CELLS."""
-        lo, cells = 1, 0
-        for b in range(1, n):
-            cells += b * (n - b) * (m + 1)
-            if cells >= cls.CHUNK_CELLS or b == n - 1:
-                yield lo, b + 1
-                lo, cells = b + 1, 0
+def _b_chunks(n: int, m: int):
+    """Split b = 1..n-1 into ranges [lo, hi) whose stored backward rows
+    (b * (n - b) rows of m + 1 cells per b) stay near CHUNK_CELLS."""
+    lo, cells = 1, 0
+    for b in range(1, n):
+        cells += b * (n - b) * (m + 1)
+        if cells >= CHUNK_CELLS or b == n - 1:
+            yield lo, b + 1
+            lo, cells = b + 1, 0
 
 
 def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...],
@@ -797,8 +781,8 @@ def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...],
 
 def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
     """TER-style breakdown: block shifts over the output (exhaustive for
-    outputs of at most 7 tokens, first-best-move greedy above; see
-    `_ShiftSearch`), then a word-level unit-cost alignment of the source
+    outputs of at most EXACT_LIMIT tokens, first-best-move greedy above;
+    see `_plan_shifts`), then a word-level unit-cost alignment of the source
     against the shifted output, normalized by the source length.
 
     The edit distance comes from the bit-parallel `_levenshtein`. When it
@@ -806,7 +790,7 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
     optimal alignment matches the whole multiset overlap, substitutes the
     rest of the shorter side and inserts or deletes the length
     difference. Those counts are returned as they are, with no search
-    and no distance table. Otherwise `_ShiftSearch` plans the shifts and
+    and no distance table. Otherwise `_plan_shifts` plans the shifts and
     `_decompose` backtraces the `_distance_table` of the shifted output.
     """
     src_words = source.words
@@ -826,7 +810,7 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
         vocab: dict[str, int] = {}
         src_ids = tuple(vocab.setdefault(w, len(vocab)) for w in src_words)
         out_ids = tuple(vocab.setdefault(w, len(vocab)) for w in out_words)
-        shifts, _, final = _ShiftSearch(src_ids).plan(out_ids, ed, lb)
+        shifts, _, final = _plan_shifts(src_ids, out_ids, ed, lb)
         ins, dels, subs, matches = _decompose(
             src_ids, final, _distance_table(src_ids, final))
     num_errors = ins + dels + subs + shifts

@@ -78,9 +78,9 @@ class Dataset:
     split_tag: str = "unlabeled"
 
     def __post_init__(self):
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(r.id for r in self.records)
+        if len(counts) != len(self.records):
+            dupes = sorted(i for i, c in counts.items() if c > 1)
             raise DataFormatError(f"duplicate record ids: {dupes}")
 
     def __len__(self) -> int:

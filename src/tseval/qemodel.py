@@ -103,10 +103,6 @@ class PcaBasis:
     components: np.ndarray          # (k, n_features)
     explained_variance: np.ndarray  # (k,)
 
-    @property
-    def k(self) -> int:
-        return self.components.shape[0]
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean) @ self.components.T
 
@@ -148,22 +144,16 @@ class LinearModel:
     intercept: np.ndarray  # shape () for regression, (n_classes,) for logistic
     lam: float
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Class indices for logistic models (the most probable class of
+        the softmax), scores for the others."""
+        X = np.asarray(X, dtype=float)
         if self.kind != "logistic":
-            raise ValueError(f"{self.kind} models have no class probabilities")
-        logits = np.asarray(X, dtype=float) @ self.weights.T + self.intercept
+            return X @ self.weights + self.intercept
+        logits = X @ self.weights.T + self.intercept
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
-        return p / p.sum(axis=1, keepdims=True)
-
-    def predict_classes(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Class indices for logistic models, scores for the others."""
-        if self.kind == "logistic":
-            return self.predict_classes(X)
-        return np.asarray(X, dtype=float) @ self.weights + self.intercept
+        return (p / p.sum(axis=1, keepdims=True)).argmax(axis=1)
 
 
 def _center(X: np.ndarray, y: np.ndarray, fit_intercept: bool):
@@ -586,7 +576,7 @@ def save_pipeline(pipeline: TrainedPipeline, path: str | Path) -> None:
         _FORMAT_HEADER,
         f"dimension {p.dimension}",
         f"kind {p.model.kind}",
-        f"lambda {p.model.lam!r}",
+        f"lambda {float(p.model.lam)!r}",
         f"features {len(p.feature_names)}",
         *p.feature_names,
     ]

@@ -44,14 +44,13 @@ class FrequencyTable:
     Unlisted words rank one past the end of the table.
     """
 
-    ranked_words: tuple[str, ...]
-    rank_of_map: dict[str, int] = field(repr=False)
+    rank_of_map: dict[str, int] = field(repr=False)  # in rank order
 
     def rank_of(self, word: str) -> int:
-        return self.rank_of_map.get(word.lower(), len(self.ranked_words) + 1)
+        return self.rank_of_map.get(word.lower(), len(self.rank_of_map) + 1)
 
     def __len__(self) -> int:
-        return len(self.ranked_words)
+        return len(self.rank_of_map)
 
 
 def load_frequency_table(path: str | Path) -> FrequencyTable:
@@ -60,18 +59,14 @@ def load_frequency_table(path: str | Path) -> FrequencyTable:
     (highest) rank."""
     path = Path(path)
     text = read_input(path, "frequency table")
-    words: list[str] = []
     rank_of: dict[str, int] = {}
     for line in text.splitlines():
         word = line.split("\t", 1)[0].strip().lower()
-        if not word:
-            continue
-        if word not in rank_of:
-            rank_of[word] = len(words) + 1
-            words.append(word)
-    if not words:
+        if word and word not in rank_of:
+            rank_of[word] = len(rank_of) + 1
+    if not rank_of:
         raise DataFormatError(f"frequency table {path} contains no words")
-    return FrequencyTable(ranked_words=tuple(words), rank_of_map=rank_of)
+    return FrequencyTable(rank_of_map=rank_of)
 
 
 @dataclass(frozen=True)
@@ -141,10 +136,6 @@ class WordVectors:
 
     def row_of(self, word: str) -> int | None:
         return self.rows.get(word.lower())
-
-    def vector_of(self, word: str) -> np.ndarray | None:
-        row = self.row_of(word)
-        return None if row is None else self.matrix[row]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -65,12 +65,12 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
     """
     if not -1.0 <= r <= 1.0:
         raise ValueError(f"correlation {r} outside [-1, 1]")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     if abs(r) == 1.0:
         return (r, r)
     if n < 4:
         raise ValueError(f"need n >= 4 observations for an interval, got {n}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
     z = math.atanh(r)
     half_width = NormalDist().inv_cdf(0.5 + level / 2) / math.sqrt(n - 3)
     return (math.tanh(z - half_width), math.tanh(z + half_width))
@@ -190,7 +190,7 @@ def weighted_f1(predicted: Sequence[str], gold: Sequence[str]) -> float:
     """
     if len(predicted) != len(gold):
         raise ValueError("predicted and gold label vectors differ in length")
-    if not gold:
+    if len(gold) == 0:
         raise ValueError("cannot score empty label vectors")
     total = len(gold)
     score = 0.0

@@ -453,8 +453,8 @@ def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
     ratings = [r for r in ratings if r is not None]
     means = []
     for text in (src, out):
-        vecs = [v for v in map(res.vectors.vector_of, text.words)
-                if v is not None]
+        vecs = [res.vectors.matrix[r]
+                for r in map(res.vectors.row_of, text.words) if r is not None]
         means.append(np.mean(np.array(vecs), axis=0) if vecs else None)
     a, b = means
     if a is None or b is None or not np.linalg.norm(a) * np.linalg.norm(b):

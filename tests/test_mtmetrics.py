@@ -33,7 +33,6 @@ from tseval.mtmetrics import (
     ter_align,
 )
 from tseval import mtmetrics
-from tseval.mtmetrics import _ShiftSearch
 from tseval.textproc import porter_stem, tokenize
 
 
@@ -782,16 +781,15 @@ class TestTerAlign:
     def test_greedy_step_matches_move_by_move_scoring(self, chunk_cells,
                                                       cases, monkeypatch):
         if chunk_cells is not None:  # one b value per chunk
-            monkeypatch.setattr(_ShiftSearch, "CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(mtmetrics, "CHUNK_CELLS", chunk_cells)
         rng = random.Random(31)
         for _ in range(cases):
             k = rng.randint(2, 6)
             src = tuple(rng.randrange(k) for _ in range(rng.randint(2, 20)))
             out = tuple(rng.randrange(k) for _ in range(rng.randint(2, 20)))
-            search = _ShiftSearch(src)
             ed = lev_oracle(src, out)
             delta, tied = best_moves_oracle(src, out, ed)
-            assert (search._best_move(out, ed)
+            assert (mtmetrics._best_move(src, out, ed)
                     == (delta, tied[0] if tied else None)), (src, out)
 
     def test_repetitive_reordered_pair_takes_one_scoring_per_shift(
@@ -807,10 +805,10 @@ class TestTerAlign:
                 "mctnewr were mfgpisfpdt ablbenpsgp or the aadi ofcubveir an "
                 "and askcajg an a kaf vpeat fmgl of.")
         calls = []
-        scored = _ShiftSearch._swap_distances
-        monkeypatch.setattr(_ShiftSearch, "_swap_distances",
-                            lambda self, seq: calls.append(1)
-                            or scored(self, seq))
+        scored = mtmetrics._swap_distances
+        monkeypatch.setattr(mtmetrics, "_swap_distances",
+                            lambda src, seq: calls.append(1)
+                            or scored(src, seq))
         got = ter_align(src, out)
         a, b = src.words, out.words
         common = sum(min(a.count(w), b.count(w)) for w in set(a))
@@ -855,12 +853,12 @@ class TestTerAlign:
     @staticmethod
     def count_calls(monkeypatch):
         calls = Counter()
-        table = mtmetrics._distance_table
-        init = _ShiftSearch.__init__
-        monkeypatch.setattr(mtmetrics, "_distance_table", lambda *args: (
-            calls.update(["_distance_table"]) or table(*args)))
-        monkeypatch.setattr(_ShiftSearch, "__init__", lambda self, src: (
-            calls.update(["_ShiftSearch"]) or init(self, src)))
+        for name in ("_distance_table", "_plan_shifts", "_decompose",
+                     "_swap_distances"):
+            def counted(*args, _name=name, _f=getattr(mtmetrics, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(mtmetrics, name, counted)
         return calls
 
     def test_no_table_and_no_search_at_the_lower_bound(self, monkeypatch):
@@ -872,12 +870,15 @@ class TestTerAlign:
 
     def test_shifted_pairs_take_the_search_path(self, monkeypatch):
         # 42 of the 631 seed-1 qats-reorder pairs are above the bound, and
-        # each gets one search and one table of its shifted output
+        # each gets one search and one backtrace of its shifted output;
+        # the other tables are the prefix and suffix rows of the swaps
         pairs = _workload_pairs("qats-reorder", monkeypatch)
         calls = self.count_calls(monkeypatch)
         shifted = sum(ter_align(src, out).shifts > 0 for src, out in pairs)
         assert shifted == 42
-        assert calls == {"_ShiftSearch": 42, "_distance_table": 42}
+        assert calls["_plan_shifts"] == calls["_decompose"] == 42
+        assert (calls["_distance_table"]
+                == 42 + 2 * calls["_swap_distances"])
 
     @pytest.mark.parametrize("alphabet", ["ab", "abc", "abcdef"])
     def test_matches_exhaustive_shift_oracle(self, alphabet):

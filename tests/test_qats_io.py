@@ -6,6 +6,7 @@ import pytest
 from tseval.errors import DataFormatError
 from tseval.qats_io import (
     Dataset,
+    QatsRecord,
     decode_labels,
     encode_labels,
     label_distribution,
@@ -79,6 +80,13 @@ class TestLoadDataset:
                    "p7\tA dog.\tDog.\n")
         with pytest.raises(DataFormatError, match="duplicate"):
             load_dataset(write(tmp_path, "d.tsv", content))
+
+    def test_duplicate_ids_listed_once_in_order(self):
+        records = [QatsRecord(id=i, source_text="A cat.", output_text="Cat.")
+                   for i in ("p7", "p3", "p7", "p1", "p3", "p3")]
+        with pytest.raises(DataFormatError) as err:
+            Dataset(tuple(records))
+        assert str(err.value) == "duplicate record ids: ['p3', 'p7']"
 
     def test_bad_label_names_row_and_column(self, tmp_path):
         content = ("original\tsimplified\tG\tM\tS\tOverall\n"

@@ -242,15 +242,21 @@ class TestClassifier:
                        rng.normal(size=(20, 2)) - 4.0])
         y = np.array([0] * 20 + [1] * 20)
         model = fit_classifier(X, y, lam=0.01)
-        assert (model.predict_classes(X) == y).all()
+        assert (model.predict(X) == y).all()
 
-    def test_probabilities_sum_to_one(self):
+    def test_predict_is_the_most_probable_class_at_large_logits(self):
+        # logits near 1e3 overflow exp unless the row maximum is taken out
         rng = np.random.default_rng(15)
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 3, size=30)
         model = fit_classifier(X, y, lam=0.5, n_classes=3)
-        p = model.predict_proba(X)
-        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
+        X = X * (1e3 / np.abs(X @ model.weights.T).max())
+        logits = X @ model.weights.T + model.intercept
+        assert np.abs(logits).max() > 700
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.predict(X)
+        assert (got == logits.argmax(axis=1)).all()
 
     def test_converged_fit_does_not_warn(self):
         rng = np.random.default_rng(15)
@@ -425,7 +431,7 @@ class TestPipeline:
         with pytest.warns(RuntimeWarning, match="clamped"):
             pipeline = fit_pipeline(
                 matrix, y, "M", PipelineConfig(kind="ridge", lam=1.0, pca_k=25))
-        assert pipeline.pca.k == 4
+        assert pipeline.pca.components.shape == (4, 4)
 
     def test_classifier_pipeline_predicts_indices(self):
         rng = np.random.default_rng(20)
@@ -472,6 +478,25 @@ class TestPipeline:
         save_pipeline(fit_pipeline(matrix, y, "M", config), p1)
         save_pipeline(fit_pipeline(matrix, y, "M", config), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("source", ["config", "grid"])
+    def test_numpy_lambda_round_trips(self, tmp_path, source):
+        # under numpy 2 the repr of np.float64(0.1) is "np.float64(0.1)"
+        matrix, y = self._regression_setup()
+        config = PipelineConfig(kind="ridge", lam=np.float64(0.1), pca_k=4)
+        if source == "grid":
+            lam, _ = select_lambda(matrix, y, replace(config, lam=1.0),
+                                   grid=np.array([0.1]), folds=3)
+            assert type(lam) is np.float64
+            config = replace(config, lam=lam)
+        pipeline = fit_pipeline(matrix, y, "M", config)
+        path = tmp_path / "model.txt"
+        save_pipeline(pipeline, path)
+        assert "\nlambda 0.1\n" in path.read_text()
+        loaded = load_pipeline(path)
+        assert loaded.model.lam == 0.1
+        assert np.array_equal(predict(loaded, matrix),
+                              predict(pipeline, matrix))
 
     @pytest.mark.parametrize("pattern,replacement,message", [
         (r"(\nweights\n[^\n]*)", r"\1 0.5", "expected 4 values, found 5"),

@@ -67,7 +67,7 @@ class TestFrequencyTable:
         path = tmp_path / "freq.txt"
         path.write_text("\ufeffthe\nof\n", encoding="utf-8")
         table = load_frequency_table(path)
-        assert table.ranked_words[0] == "the"
+        assert list(table.rank_of_map) == ["the", "of"]
         assert table.rank_of("the") == 1
 
 
@@ -190,14 +190,14 @@ class TestWordVectors:
         path.write_text("cat 1 0 0\ndog 0 1 0\n")
         vecs = load_vectors(path)
         assert len(vecs) == 2
-        assert vecs.vector_of("cat").tolist() == [1.0, 0.0, 0.0]
+        assert vecs.matrix[vecs.row_of("cat")].tolist() == [1.0, 0.0, 0.0]
 
     def test_header_consumed(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\ncat 1 0 0\ndog 0 1 0\n")
         vecs = load_vectors(path)
         assert len(vecs) == 2
-        assert vecs.vector_of("dog").tolist() == [0.0, 1.0, 0.0]
+        assert vecs.matrix[vecs.row_of("dog")].tolist() == [0.0, 1.0, 0.0]
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -254,9 +254,9 @@ class TestWordVectors:
         vecs = load_vectors(path)
         assert len(vecs) == 3
         assert vecs.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [7.0, 8.0]]
-        assert vecs.vector_of("Cat").tolist() == [1.0, 2.0]
-        assert vecs.vector_of("owl").tolist() == [7.0, 8.0]
-        assert vecs.vector_of("emu") is None
+        assert vecs.matrix[vecs.row_of("Cat")].tolist() == [1.0, 2.0]
+        assert vecs.matrix[vecs.row_of("owl")].tolist() == [7.0, 8.0]
+        assert vecs.row_of("emu") is None
 
     def test_matrix_holds_float_of_every_field(self, tmp_path):
         fields = ["1_0", "-0", "+.5", "1.", "2e-3", "-1E+2", "0.1"]

@@ -114,6 +114,7 @@ class TestFisherCI:
     def test_degenerate_r(self):
         assert fisher_ci(1.0, 10) == (1.0, 1.0)
         assert fisher_ci(-1.0, 10) == (-1.0, -1.0)
+        assert fisher_ci(1.0, 2) == (1.0, 1.0)  # no minimum n
 
     def test_contains_r(self):
         for r in (-0.9, -0.2, 0.0, 0.37, 0.8):
@@ -131,6 +132,13 @@ class TestFisherCI:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             fisher_ci(0.5, 3)
+
+    @pytest.mark.parametrize("r", [1.0, -1.0, 0.5])
+    @pytest.mark.parametrize("level", [7.0, 0.0, 1.0, -0.5])
+    def test_bad_level_rejected_before_the_degenerate_shortcut(self, r,
+                                                               level):
+        with pytest.raises(ValueError, match="confidence level"):
+            fisher_ci(r, 2, level=level)
 
 
 def _matrix(columns: dict[str, list[float]]) -> FeatureMatrix:
@@ -286,3 +294,18 @@ class TestWeightedF1:
             gold = [rng.choice(labels) for _ in range(n)]
             pred = [rng.choice(labels) for _ in range(n)]
             assert weighted_f1(pred, gold) == weighted_f1_oracle(pred, gold)
+
+    def test_numpy_arrays_score_as_lists(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            n = rng.randint(1, 40)
+            gold = [rng.randrange(3) for _ in range(n)]
+            pred = [rng.randrange(3) for _ in range(n)]
+            expected = weighted_f1(pred, gold)
+            assert weighted_f1(np.array(pred), np.array(gold)) == expected
+            names = np.array(["Bad", "OK", "Good"])
+            assert (weighted_f1(names[pred], names[gold])
+                    == weighted_f1([str(x) for x in names[pred]],
+                                   [str(x) for x in names[gold]]))
+        with pytest.raises(ValueError, match="empty"):
+            weighted_f1(np.array([]), np.array([]))
