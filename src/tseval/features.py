@@ -272,7 +272,12 @@ class FeatureMatrix:
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "FeatureMatrix":
-        lines = read_input(path, "feature file").splitlines()
+        # rows end at "\n" alone, as to_tsv writes them and load_dataset
+        # reads them: an id may hold any other line separator
+        lines = [line.removesuffix("\r") for line in
+                 read_input(path, "feature file").split("\n")]
+        if lines[-1] == "":
+            lines.pop()
         if not lines:
             raise DataFormatError(f"feature file {path} is empty")
         header = lines[0].split("\t")

@@ -15,7 +15,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -597,9 +597,11 @@ def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
 def _exact_refine(src, out, greedy):
     """Best-first search over move sequences, seeded and bounded by the
     greedy solution, scoring each permutation with the bit-parallel
-    `_levenshtein`. Block moves only permute `out`, and a state is pushed
-    only when its move count strictly improves, so each of the at most
-    EXACT_LIMIT! permutations is expanded once."""
+    `_levenshtein`. A block move is a swap (a, b, c) of two adjacent
+    segments, each enumerated once per state. Block moves only permute
+    `out`, and a state is pushed only when its move count strictly
+    improves, so each of the at most EXACT_LIMIT! permutations is
+    expanded once."""
     best_total = greedy[0] + greedy[1]
     best = greedy
     dist = {out: 0}
@@ -614,18 +616,11 @@ def _exact_refine(src, out, greedy):
             best = (moves, ed, state)
         if moves + 1 >= best_total:
             continue
-        n = len(state)
-        for length in range(n - 1, 0, -1):
-            for i in range(n - length + 1):
-                block = state[i:i + length]
-                rest = state[:i] + state[i + length:]
-                for j in range(len(rest) + 1):
-                    if j == i:
-                        continue
-                    cand = rest[:j] + block + rest[j:]
-                    if moves + 1 < dist.get(cand, 1 << 30):
-                        dist[cand] = moves + 1
-                        heapq.heappush(heap, (moves + 1, cand))
+        for a, b, c in combinations(range(len(state) + 1), 3):
+            cand = state[:a] + state[b:c] + state[a:b] + state[c:]
+            if moves + 1 < dist.get(cand, 1 << 30):
+                dist[cand] = moves + 1
+                heapq.heappush(heap, (moves + 1, cand))
     return best
 
 
@@ -634,54 +629,42 @@ def _best_move(src: tuple[int, ...], out: tuple[int, ...], ed: int):
     largest edit-distance reduction, or (0, None) if no move reduces
     the distance.
 
-    Moves are ordered by block length descending, start ascending,
-    insertion point ascending; lengths stop at the first whose doubled
-    value is below the best reduction (a block move never changes the
-    distance by more than twice its length).
-
-    Moving out[i:i+length] to insertion point j of the remaining
-    tokens swaps two adjacent segments of `out`: out[j:i] and the
-    block when j < i, the block and out[i+length:j+length] when
-    j > i. All distances are read from the table that
-    `_swap_distances` fills in one batched pass, and the row-major
-    argmin of each length's (start, insertion point) table is its
-    first best move.
+    Every block move of `out` is a swap (a, b, c), out[:a] + out[b:c] +
+    out[a:b] + out[c:], and `_swap_distances` scores them all. Among the
+    tied best swaps, the first in TERCOM's move order wins (`_tercom_key`).
     """
-    n = len(out)
-    if n < 2:
+    if len(out) < 2:
         return 0, None
-    best_delta, best = 0, None
-    swapped = _swap_distances(src, out)
-    for length in range(n - 1, 0, -1):
-        if 2 * length < best_delta:
-            break  # delta of a block move never exceeds twice its length
-        k = n - length + 1
-        i = np.arange(k)[:, None]
-        j = np.arange(k)[None, :]
-        dists = np.where(j < i, swapped[j, i, i + length],
-                         swapped[i, i + length, j + length])
-        np.fill_diagonal(dists, ed)  # inserting at i reproduces `out`
-        flat = int(dists.argmin())
-        delta = ed - int(dists.flat[flat])
-        if delta > best_delta:
-            best_delta, best = delta, (length, *divmod(flat, k))
-    if best is None:
+    a, b, c, d = _swap_distances(src, out)
+    low = int(d.min())
+    if low >= ed:
         return 0, None
-    length, start, pos = best
-    block = out[start:start + length]
-    rest = out[:start] + out[start + length:]
-    return best_delta, rest[:pos] + block + rest[pos:]
+    tied = np.flatnonzero(d == low)
+    a, b, c = min(zip(a[tied].tolist(), b[tied].tolist(), c[tied].tolist()),
+                  key=_tercom_key)
+    return ed - low, out[:a] + out[b:c] + out[a:b] + out[c:]
 
 
-def _swap_distances(src: tuple[int, ...],
-                    out: tuple[int, ...]) -> np.ndarray:
+def _tercom_key(swap: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Rank of swap (a, b, c) in TERCOM's move order: block length
+    descending, start ascending, insertion point ascending (Snover et
+    al., AMTA 2006). The swap is the move of out[b:c] to a and the move
+    of out[a:b] to insertion point c - (b - a) of the remaining tokens;
+    it ranks as the first of the two, so the longer block wins, and on
+    equal lengths the earlier start."""
+    a, b, c = swap
+    return min((b - c, b, a), (a - b, a, c - (b - a)))
+
+
+def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edit distances of every adjacent-segment swap of `out`.
 
-    Returns d with d[a, b, c] = edit distance between the source and
-    out[:a] + out[b:c] + out[a:b] + out[c:] for 0 <= a < b < c <= n
-    (other entries are 0). The swap splits into a forward part,
-    the prefix row of out[:a] extended through out[b:c], and a
-    backward part, the suffix row of out[c:] (reversed-source
+    Returns flat arrays (a, b, c, d), one entry per swap 0 <= a < b < c
+    <= n, where d is the edit distance between the source and
+    out[:a] + out[b:c] + out[a:b] + out[c:]. The swap splits into a
+    forward part, the prefix row of out[:a] extended through out[b:c],
+    and a backward part, the suffix row of out[c:] (reversed-source
     orientation) extended leftwards through out[a:b]; the distance
     is the minimum over source split points of their sum.
 
@@ -706,7 +689,7 @@ def _swap_distances(src: tuple[int, ...],
     prefix = np.array(_distance_table(out, src), dtype=np.int32)
     suffix = np.array(_distance_table(out[::-1], src[::-1]),
                       dtype=np.int32)[::-1]
-    swapped = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    swaps = []
     fb, fa = np.tril_indices(n, -1)        # (b, a), a < b, b ascending
     gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c
     gb, gc = gb[::-1], gc[::-1]            # b descending
@@ -734,8 +717,8 @@ def _swap_distances(src: tuple[int, ...],
             a, b = ca[:live], cb[:live]
             rows = _step_rows(rows[:live], mis[b + s - 1], idx)
             back = backward[offset[b - a - 1] + pos[b, b + s]]
-            swapped[a, b, b + s] = (rows + back[:, ::-1]).min(axis=1)
-    return swapped
+            swaps.append((a, b, b + s, (rows + back[:, ::-1]).min(axis=1)))
+    return tuple(map(np.concatenate, zip(*swaps)))
 
 
 def _b_chunks(n: int, m: int):

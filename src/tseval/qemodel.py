@@ -563,6 +563,9 @@ _MODEL_SECTIONS = {
     True: (("class_weights", "classes", "components"),
            ("intercepts", 1, "classes")),
 }
+# Vector sections of spreads (standard deviations, PCA variances), which
+# are never negative.
+_NONNEGATIVE = frozenset({"stds", "explained_variance"})
 
 
 def _fmt_vector(v: np.ndarray) -> str:
@@ -644,7 +647,8 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
     """Load a pipeline serialized by save_pipeline.
 
     Every section is checked against the feature, component and class
-    counts and for finite values, and every feature name must be distinct;
+    counts and for finite values, with no negative spread in `stds` or
+    `explained_variance`, and every feature name must be distinct;
     a malformed file raises DataFormatError.
     """
     reader = _Reader(Path(path))
@@ -674,6 +678,9 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
         values = [parse_row(reader.line().split(), sizes[width], path,
                             reader.pos, f"value in {name}")
                   for _ in range(sizes[rows])]
+        if name in _NONNEGATIVE and min(values[0]) < 0:
+            raise DataFormatError(
+                f"{path}:{reader.pos}: negative value in {name}")
         arrays.append(np.array(values[0] if rows == 1 else values))
     means, stds, pca_mean, components, explained, weights, intercept = arrays
     return TrainedPipeline(

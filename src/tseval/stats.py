@@ -81,7 +81,6 @@ class CorrelationReport:
     """Correlation of one feature with labels of one dimension."""
 
     feature_name: str
-    dimension: str
     r_train: float
     ci_low: float | None = None
     ci_high: float | None = None
@@ -161,9 +160,7 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
             r = pearson(matrix.column(name), y)
         except DegenerateDataError:
             reports.append(CorrelationReport(
-                feature_name=name, dimension=dimension, r_train=0.0,
-                degenerate=True,
-            ))
+                feature_name=name, r_train=0.0, degenerate=True))
             continue
         ci_low, ci_high = (fisher_ci(r, len(y)) if len(y) >= 4
                            else (None, None))
@@ -174,7 +171,7 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
             except DegenerateDataError:
                 r_test = None
         reports.append(CorrelationReport(
-            feature_name=name, dimension=dimension, r_train=r,
+            feature_name=name, r_train=r,
             ci_low=ci_low, ci_high=ci_high, r_test=r_test,
         ))
 

@@ -574,6 +574,62 @@ class TestFeatureFileValues:
         assert where in capsys.readouterr().err
 
 
+class TestModelFileValues:
+    """A negative spread in a model file is a data error at its line, not
+    a column scaled by 1."""
+
+    @pytest.mark.parametrize("section", ["stds", "explained_variance"])
+    def test_negative_spread_is_data_error_with_line(self, inputs_dir,
+                                                     tmp_path, capsys,
+                                                     section):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "model_S_linreg.txt"
+        lines = path.read_text().splitlines()
+        at = lines.index(section) + 1
+        cells = lines[at].split()
+        cells[-1] = "-" + cells[-1]
+        lines[at] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--test", str(tmp_path / "test.tsv"),
+                   "--dimension", "S", "--model", "linreg",
+                   "--out", str(tmp_path)) == 2
+        assert (f"{path}:{at + 1}: negative value in {section}"
+                in capsys.readouterr().err)
+
+
+class TestFeatureFileLines:
+    """features_<split>.tsv rows end at "\n", as the dataset's rows do, so
+    an id holding another line separator survives features -> rank."""
+
+    def _rank(self, out):
+        assert run("rank", "--train", str(out / "train.tsv"),
+                   "--dimension", "S", "--out", str(out)) == 0
+        return (out / "rank_S.tsv").read_bytes()
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\v", "\f"])
+    def test_id_with_a_line_separator(self, synthetic_dataset_dir, tmp_path,
+                                      sep):
+        n = 12
+        ids = [f"row{sep}{i}" for i in range(n)]
+        _subset(synthetic_dataset_dir / "train.tsv", tmp_path / "train.tsv",
+                slice(n), ids=ids)
+        assert run("features", "--train", str(tmp_path / "train.tsv"),
+                   "--features", TestTooFewRows.FEATURES,
+                   "--out", str(tmp_path)) == 0
+        self._rank(tmp_path)
+        features = (tmp_path / "features_train.tsv").read_text()
+        assert [line.split("\t", 1)[0]
+                for line in features.split("\n")[1:-1]] == ids
+
+    def test_crlf_feature_file(self, inputs_dir, tmp_path):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        lf = self._rank(tmp_path)
+        path = tmp_path / "features_train.tsv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert self._rank(tmp_path) == lf
+
+
 class TestRepeatedFeatureName:
     """A feature name that is repeated, wherever feature names enter, is a
     data error naming it, not a second copy of the column."""

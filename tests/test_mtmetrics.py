@@ -200,6 +200,42 @@ def best_moves_oracle(src, out, ed):
     return best_delta, tied
 
 
+def exact_refine_oracle(src, out, greedy):
+    """Best-first search over move sequences from `out`, seeded and
+    bounded by `greedy` = (moves, edit distance, sequence), that reaches
+    each sequence move by move: every block length, start and insertion
+    point of the remaining tokens, so each swap of two adjacent segments
+    is reached twice. Returns (moves, edit distance, sequence) of the
+    first state popped with a smaller total than the best so far."""
+    best_total = greedy[0] + greedy[1]
+    best = greedy
+    dist = {out: 0}
+    heap = [(0, out)]
+    while heap:
+        moves, state = heapq.heappop(heap)
+        if moves != dist.get(state):
+            continue
+        ed = lev_oracle(src, state)
+        if moves + ed < best_total:
+            best_total = moves + ed
+            best = (moves, ed, state)
+        if moves + 1 >= best_total:
+            continue
+        n = len(state)
+        for length in range(n - 1, 0, -1):
+            for i in range(n - length + 1):
+                block = state[i:i + length]
+                rest = state[:i] + state[i + length:]
+                for j in range(len(rest) + 1):
+                    if j == i:
+                        continue
+                    cand = rest[:j] + block + rest[j:]
+                    if moves + 1 < dist.get(cand, 1 << 30):
+                        dist[cand] = moves + 1
+                        heapq.heappush(heap, (moves + 1, cand))
+    return best
+
+
 def ter_oracle(src, out):
     """Minimum of (#moves + edit distance) over all block-move sequences,
     explored exhaustively in best-first order."""
@@ -791,6 +827,43 @@ class TestTerAlign:
             delta, tied = best_moves_oracle(src, out, ed)
             assert (mtmetrics._best_move(src, out, ed)
                     == (delta, tied[0] if tied else None)), (src, out)
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1])
+    def test_swap_distances_list_every_swap_once(self, chunk_cells,
+                                                 monkeypatch):
+        if chunk_cells is not None:  # one b value per chunk
+            monkeypatch.setattr(mtmetrics, "CHUNK_CELLS", chunk_cells)
+        rng = random.Random(47)
+        for _ in range(60):
+            k = rng.randint(2, 6)
+            src = tuple(rng.randrange(k) for _ in range(rng.randint(1, 12)))
+            out = tuple(rng.randrange(k) for _ in range(rng.randint(2, 12)))
+            a, b, c, d = (x.tolist()
+                          for x in mtmetrics._swap_distances(src, out))
+            swaps = list(zip(a, b, c))
+            assert sorted(swaps) == list(
+                itertools.combinations(range(len(out) + 1), 3)), (src, out)
+            assert d == [lev_oracle(src, out[:a] + out[b:c] + out[a:b]
+                                    + out[c:])
+                         for a, b, c in swaps], (src, out)
+
+    @pytest.mark.parametrize("seed_with", ["no-move", "greedy"])
+    def test_exact_refine_matches_move_by_move_search(self, seed_with,
+                                                      monkeypatch):
+        # the greedy plan alone: no output is short enough to refine
+        monkeypatch.setattr(mtmetrics, "EXACT_LIMIT", 0)
+        rng = random.Random(53)
+        for _ in range(400):
+            k = rng.randint(2, 6)
+            src = tuple(rng.randrange(k) for _ in range(rng.randint(1, 7)))
+            out = tuple(rng.randrange(k) for _ in range(rng.randint(0, 7)))
+            ed = lev_oracle(src, out)
+            greedy = (0, ed, out)
+            if seed_with == "greedy":
+                greedy = mtmetrics._plan_shifts(
+                    src, out, ed, mtmetrics._multiset_lower_bound(src, out))
+            assert (mtmetrics._exact_refine(src, out, greedy)
+                    == exact_refine_oracle(src, out, greedy)), (src, out)
 
     def test_repetitive_reordered_pair_takes_one_scoring_per_shift(
             self, monkeypatch):

@@ -506,8 +506,12 @@ class TestPipeline:
          "expected 4 values, found 1"),
         (r"\nkind ridge\n", r"\nkind bogus\n", "unknown model kind"),
         (r"\nlambda [^\n]*", r"\nlambda", "bad value"),
+        (r"(\nstds\n)", r"\1-", "negative value in stds"),
+        (r"(\nexplained_variance\n\S+ )", r"\1-",
+         "negative value in explained_variance"),
     ], ids=["extra-weight", "nan-weights", "non-numeric", "short-variance",
-            "unknown-kind", "lambda-missing"])
+            "unknown-kind", "lambda-missing", "negative-std",
+            "negative-variance"])
     def test_malformed_model_file_rejected(self, tmp_path, pattern,
                                            replacement, message):
         matrix, y = self._regression_setup()

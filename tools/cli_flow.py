@@ -17,12 +17,19 @@ warnings and the model path) with OUT replaced by the token `<OUT>`.
 The other command logs stay out of OUT, because their timing lines
 differ between runs; a failing command's log is printed. The inputs come
 from this script's own bench/ directory, so both checkouts read the same
-files. Exits 1 if any command exits non-zero.
+files.
+
+Then `features` (no resources) and `rank` run on a fixed labeled set of
+short reordered outputs, written by `write_short_set`, into
+OUT/short-reorder/ (10 files). The workloads' outputs are too long for
+TER's exhaustive shift search; these reach it. Exits 1 if any command
+exits non-zero.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -31,49 +38,83 @@ from pathlib import Path
 sys.dont_write_bytecode = True  # leave bench/ as it is
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from workloads import SPECS, generate, write_inputs  # noqa: E402
+from workloads import LABELS, SPECS, generate, write_inputs  # noqa: E402
 
 SEEDS = (1, 2, 3)
+SHORT = "short-reorder"
+SHORT_WORDS = ("the", "a", "cat", "dog", "sat", "ran", "on", "mat")
+
+
+def write_short_set(directory: Path) -> dict[str, Path]:
+    """Write train.tsv (40 rows) and test.tsv (12 rows) of short pairs and
+    return their paths by split. Each source has 2-8 words drawn from
+    SHORT_WORDS, so words repeat; its output is its first 7 words or
+    fewer, shuffled, with one of them sometimes substituted. Labels are
+    drawn at random."""
+    rng = random.Random(SHORT)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for split, count in (("train", 40), ("test", 12)):
+        lines = ["id\toriginal\tsimplified\tG\tM\tS\tOverall"]
+        for i in range(count):
+            src = [rng.choice(SHORT_WORDS) for _ in range(rng.randint(2, 8))]
+            out = src[:7]
+            rng.shuffle(out)
+            if rng.random() < 0.3:
+                out[rng.randrange(len(out))] = rng.choice(SHORT_WORDS)
+            lines.append("\t".join(
+                [f"{split}-{i}", " ".join(src).capitalize() + ".",
+                 " ".join(out).capitalize() + "."]
+                + [rng.choice(LABELS) for _ in range(4)]))
+        paths[split] = directory / f"{split}.tsv"
+        paths[split].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+def _runs(tmp: Path):
+    """(name, input paths, [(command, extra arguments)]) of every run."""
+    for name, spec in SPECS.items():
+        for seed in SEEDS:
+            paths = write_inputs(generate(name, seed), tmp / f"{name}-{seed}")
+            model = ["--dimension", spec.dimension, "--model", spec.model]
+            yield f"{name}-{seed}", paths, [
+                ("features", ["--freq-table", str(paths["freq"]),
+                              "--concreteness", str(paths["concreteness"]),
+                              "--vectors", str(paths["vectors"]),
+                              "--lm-corpus", str(paths["lm_corpus"])]),
+                ("rank", []),
+                ("train", model + ["--folds", str(spec.folds)]),
+                ("evaluate", model),
+            ]
+    yield SHORT, write_short_set(tmp / SHORT), [("features", []),
+                                                ("rank", [])]
 
 
 def run_flow(src: Path, out: Path) -> bool:
-    """Run the flow of every workload and seed; False if a command failed."""
+    """Run the flow of every run; False if a command failed."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, spec in SPECS.items():
-            for seed in SEEDS:
-                paths = write_inputs(generate(name, seed),
-                                     Path(tmp) / f"{name}-{seed}")
-                common = ["--train", str(paths["train"]),
-                          "--test", str(paths["test"]),
-                          "--out", str(out / f"{name}-{seed}")]
-                model = ["--dimension", spec.dimension, "--model", spec.model]
-                for command, extra in (
-                    ("features", ["--freq-table", str(paths["freq"]),
-                                  "--concreteness", str(paths["concreteness"]),
-                                  "--vectors", str(paths["vectors"]),
-                                  "--lm-corpus", str(paths["lm_corpus"])]),
-                    ("rank", []),
-                    ("train", model + ["--folds", str(spec.folds)]),
-                    ("evaluate", model),
-                ):
-                    done = subprocess.run(
-                        [sys.executable, "-m", "tseval.cli", command,
-                         *common, *extra],
-                        env=env, capture_output=True, text=True)
-                    status = "ok" if done.returncode == 0 else \
-                        f"exit {done.returncode}"
-                    print(f"{name} seed {seed} {command}: {status}",
-                          flush=True)
-                    if done.returncode:
-                        print(done.stdout + done.stderr, file=sys.stderr)
-                        ok = False
-                        break
-                    if command == "train":
-                        (out / f"{name}-{seed}" / "train.log").write_text(
-                            done.stdout.replace(str(out), "<OUT>"),
-                            encoding="utf-8")
+        for name, paths, commands in _runs(Path(tmp)):
+            common = ["--train", str(paths["train"]),
+                      "--test", str(paths["test"]),
+                      "--out", str(out / name)]
+            for command, extra in commands:
+                done = subprocess.run(
+                    [sys.executable, "-m", "tseval.cli", command,
+                     *common, *extra],
+                    env=env, capture_output=True, text=True)
+                status = "ok" if done.returncode == 0 else \
+                    f"exit {done.returncode}"
+                print(f"{name} {command}: {status}", flush=True)
+                if done.returncode:
+                    print(done.stdout + done.stderr, file=sys.stderr)
+                    ok = False
+                    break
+                if command == "train":
+                    (out / name / "train.log").write_text(
+                        done.stdout.replace(str(out), "<OUT>"),
+                        encoding="utf-8")
     return ok
 
 
