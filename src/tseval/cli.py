@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, TsevalError, read_input
+from .errors import DataFormatError, TsevalError, read_lines
 from . import qats_io
 from .features import FeatureMatrix, compute_matrix, registry
 from .mtmetrics import SearchBudgetWarning
@@ -153,8 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_config_file(path: str) -> dict:
     """Settings from a key = value file, each converted like its flag."""
     settings: dict = {}
-    text = read_input(path, "config file")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_lines(path, "config file"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -360,10 +359,6 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     dimension = cfg.dimension or "Overall"
     train_ds, matrix = _labeled_split(cfg, "train")
-    n_rows = matrix.rows.shape[0]
-    if cfg.folds > n_rows:
-        raise TsevalError(f"{cfg.folds} folds need at least {cfg.folds} "
-                          f"training rows, found {n_rows}")
 
     y = qats_io.encode_labels(train_ds, dimension)
     config = PipelineConfig(kind=cfg.model, pca_k=cfg.pca_k)

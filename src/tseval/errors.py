@@ -1,5 +1,5 @@
 """Exception types shared across the package, the one reader of input
-files and the one check of the lines of numbers read from them."""
+files and its line rule, and the one check of the numbers read from them."""
 
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ class ResourceMissingError(TsevalError):
     """A requested feature needs a resource that was not loaded."""
 
     def __init__(self, feature: str, resource: str):
-        self.feature = feature
-        self.resource = resource
         super().__init__(
             f"feature {feature!r} requires the {resource!r} resource, "
             f"which is not loaded"
@@ -56,6 +54,21 @@ def read_input(path: str | Path, what: str) -> str:
             f"{path}:{line}: {what} is not valid UTF-8 "
             f"(byte 0x{exc.object[exc.start]:02x})"
         ) from None
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`: each ends at "\n" alone and loses one "\r"
+    before it, and a final "\n" starts no empty line. Any other line
+    boundary (U+2028, "\x85", "\f", a lone "\r", ...) stays in its line."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """read_input's text of an input file, split by split_lines."""
+    return split_lines(read_input(path, what))
 
 
 def parse_row(fields: Sequence[str], width: int, path: str | Path,

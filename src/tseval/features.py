@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataFormatError, DegenerateDataError,
-                     ResourceMissingError, parse_rows, read_input)
+                     ResourceMissingError, parse_rows, read_lines)
 from .mtmetrics import (BleuConfig, bleu_counts, bleu_from_counts, meteor,
                         rouge, ter_align)
 from .resources import EMPTY_RESOURCES, Resources, token_logprobs
@@ -208,12 +208,15 @@ def feature_names() -> tuple[str, ...]:
 
 
 def name_defect(names: Sequence[str]) -> tuple[int, str] | None:
-    """The index of the first feature name that is empty or repeated, and
-    what is wrong with it."""
+    """The index of the first feature name that is empty, repeated or ends
+    in "\r" (lost from a name's line in a model file), and what is wrong."""
     for i, name in enumerate(names):
-        if not name or name in names[:i]:
-            return i, (f"repeated feature name {name!r}" if name
-                       else "empty feature name")
+        if not name:
+            return i, "empty feature name"
+        if name in names[:i]:
+            return i, f"repeated feature name {name!r}"
+        if name.endswith("\r"):
+            return i, f"feature name {name!r} ends in a carriage return"
     return None
 
 
@@ -272,12 +275,7 @@ class FeatureMatrix:
 
     @classmethod
     def from_tsv(cls, path: str | Path) -> "FeatureMatrix":
-        # rows end at "\n" alone, as to_tsv writes them and load_dataset
-        # reads them: an id may hold any other line separator
-        lines = [line.removesuffix("\r") for line in
-                 read_input(path, "feature file").split("\n")]
-        if lines[-1] == "":
-            lines.pop()
+        lines = read_lines(path, "feature file")
         if not lines:
             raise DataFormatError(f"feature file {path} is empty")
         header = lines[0].split("\t")

@@ -115,19 +115,15 @@ def _smooth(raw: list[tuple[int, int]], hyp_len: int) -> list[float]:
         if num == 0 and hyp_len > 1:
             p[i] = (math.log(hyp_len) / (2 ** inc * METHOD4_K)) / den
             inc += 1
-    p = _average_with_neighbours(p)
-    return [min(max(x, 0.0), 1.0) for x in p]
-
-
-def _average_with_neighbours(p: list[float]) -> list[float]:
-    out = list(p)
+    # every average is positive, so no precision returned is zero: the
+    # first takes prev >= 1, each later one the average before it
     prev = p[0] + 1.0
-    for i in range(len(out)):
+    for i in range(len(p)):
         # smoothing runs only if an order has no matches; the next has none
-        nxt = out[i + 1] if i + 1 < len(out) else 0.0
-        out[i] = (prev + out[i] + nxt) / 3.0
-        prev = out[i]
-    return out
+        nxt = p[i + 1] if i + 1 < len(p) else 0.0
+        p[i] = (prev + p[i] + nxt) / 3.0
+        prev = p[i]
+    return [min(x, 1.0) for x in p]
 
 
 def bleu(source: TokenizedText, output: TokenizedText,
@@ -163,8 +159,6 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
     else:
         precisions = _smooth(raw, out_len)
 
-    if any(x == 0.0 for x in precisions):
-        return 0.0
     log_mean = sum(math.log(x) for x in precisions) / len(precisions)
     brevity = math.exp(min(0.0, 1.0 - src_len / out_len))
     return brevity * math.exp(log_mean)

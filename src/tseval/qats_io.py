@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, read_input
+from .errors import DataFormatError, read_lines
 from .features import SentencePair
 
 __all__ = [
@@ -99,13 +99,11 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
     has no id column.
     """
     path = Path(path)
-    lines = read_input(path, "dataset").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path, "dataset")
     if not lines:
         raise DataFormatError(f"dataset {path} is empty")
 
-    header = [c.strip("\r") for c in lines[0].split("\t")]
+    header = lines[0].split("\t")
     has_id = header and header[0] == "id"
     expected = (["id"] if has_id else []) + ["original", "simplified"]
     labeled = len(header) > len(expected)
@@ -119,7 +117,7 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
 
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = [c.strip("\r") for c in line.split("\t")]
+        parts = line.split("\t")
         if len(parts) != len(header):
             raise DataFormatError(
                 f"{path}:{lineno}: expected {len(header)} columns, "

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DataFormatError, DegenerateDataError, parse_row,
-                     read_input)
+                     read_lines)
 from .features import FeatureMatrix, name_defect
 from .qats_io import LABELS
 from .stats import pearson, weighted_f1
@@ -121,10 +121,10 @@ def fit_pca(X: np.ndarray, k: int) -> PcaBasis:
     components = vt[:k]
     explained = (s[:k] ** 2) / (n - 1)
     # canonical sign: largest-magnitude entry of each component positive
+    # (never zero, as each row of vt has unit norm)
     flip = np.sign(
         components[np.arange(k), np.abs(components).argmax(axis=1)]
     )
-    flip[flip == 0] = 1.0
     components = components * flip[:, None]
     return PcaBasis(mean=mean, components=components,
                     explained_variance=explained)
@@ -145,15 +145,12 @@ class LinearModel:
     lam: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Class indices for logistic models (the most probable class of
-        the softmax), scores for the others."""
+        """Class indices for logistic models (the largest logit, the most
+        probable class of the softmax), scores for the others."""
         X = np.asarray(X, dtype=float)
         if self.kind != "logistic":
             return X @ self.weights + self.intercept
-        logits = X @ self.weights.T + self.intercept
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        return (p / p.sum(axis=1, keepdims=True)).argmax(axis=1)
+        return (X @ self.weights.T + self.intercept).argmax(axis=1)
 
 
 def _center(X: np.ndarray, y: np.ndarray, fit_intercept: bool):
@@ -491,8 +488,11 @@ def _cross_validate_grid(matrix: FeatureMatrix, y: Sequence,
     the standardizer and PCA on its training part once and projects both
     parts once; only the model is refit per lambda."""
     n = matrix.rows.shape[0]
-    if not 2 <= folds <= n:
-        raise ValueError(f"fold count {folds} invalid for {n} rows")
+    if folds < 2:
+        raise ValueError(f"fold count {folds} is less than 2")
+    if folds > n:
+        raise DegenerateDataError(
+            f"{folds} folds need at least {folds} training rows, found {n}")
     y = np.asarray(y)
     classification = config.kind == "logistic"
     scores: dict[float, list[float]] = {lam: [] for lam in grid}
@@ -601,7 +601,7 @@ class _Reader:
 
     def __init__(self, path: Path):
         self.path = path
-        self.lines = read_input(path, "pipeline file").splitlines()
+        self.lines = read_lines(path, "pipeline file")
         self.pos = 0
 
     def line(self) -> str:

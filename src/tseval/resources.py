@@ -16,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataFormatError, parse_rows, read_input
+from .errors import (DataFormatError, parse_rows, read_input, read_lines,
+                     split_lines)
 from .textproc import TokenizedText
 
 __all__ = [
@@ -58,9 +59,8 @@ def load_frequency_table(path: str | Path) -> FrequencyTable:
     optionally followed by a tab and a count. Duplicates keep their first
     (highest) rank."""
     path = Path(path)
-    text = read_input(path, "frequency table")
     rank_of: dict[str, int] = {}
-    for line in text.splitlines():
+    for line in read_lines(path, "frequency table"):
         word = line.split("\t", 1)[0].strip().lower()
         if word and word not in rank_of:
             rank_of[word] = len(rank_of) + 1
@@ -94,35 +94,40 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
     semicolon). Ratings must lie in [1, 5].
     """
     path = Path(path)
-    lines = read_input(path, "concreteness file").splitlines()
+    lines = read_lines(path, "concreteness file")
     if not lines:
         raise DataFormatError(f"concreteness file {path} is empty")
     reader = csv.DictReader(lines, delimiter=max("\t,;", key=lines[0].count))
-    fields = reader.fieldnames or []
-    for col in (_WORD_COLUMN, _RATING_COLUMN):
-        if col not in fields:
-            raise DataFormatError(
-                f"concreteness file {path} is missing column {col!r} "
-                f"(found {fields})"
-            )
-    ratings: dict[str, float] = {}
-    for row in reader:
-        lineno = reader.line_num  # the record's last line
-        word = (row[_WORD_COLUMN] or "").strip().lower()
-        raw = (row[_RATING_COLUMN] or "").strip()
-        if not word:
-            continue
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise DataFormatError(
-                f"{path}:{lineno}: rating {raw!r} is not a number"
-            ) from exc
-        if not 1.0 <= value <= 5.0:
-            raise DataFormatError(
-                f"{path}:{lineno}: rating {value} outside the 1-5 scale"
-            )
-        ratings.setdefault(word, value)
+    try:
+        fields = reader.fieldnames or []
+        for col in (_WORD_COLUMN, _RATING_COLUMN):
+            if col not in fields:
+                raise DataFormatError(
+                    f"concreteness file {path} is missing column {col!r} "
+                    f"(found {fields})"
+                )
+        ratings: dict[str, float] = {}
+        for row in reader:
+            lineno = reader.line_num  # the record's last line
+            word = (row[_WORD_COLUMN] or "").strip().lower()
+            raw = (row[_RATING_COLUMN] or "").strip()
+            if not word:
+                continue
+            try:
+                value = float(raw)
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}:{lineno}: rating {raw!r} is not a number"
+                ) from exc
+            if not 1.0 <= value <= 5.0:
+                raise DataFormatError(
+                    f"{path}:{lineno}: rating {value} outside the 1-5 scale"
+                )
+            ratings.setdefault(word, value)
+    except csv.Error as exc:  # a "\r" inside an unquoted field, say
+        # reader.reader stopped on the bad line; DictReader's count lags
+        raise DataFormatError(
+            f"{path}:{reader.reader.line_num}: {exc}") from None
     return ConcretenessLexicon(ratings=ratings)
 
 
@@ -147,7 +152,7 @@ def load_vectors(path: str | Path) -> WordVectors:
     The dimensionality is inferred from the first data line. A repeated
     word keeps its first vector, but every line is checked."""
     path = Path(path)
-    lines = read_input(path, "vector file").splitlines()
+    lines = read_lines(path, "vector file")
     start = 0
     if lines:
         head = lines[0].split()
@@ -213,10 +218,6 @@ class NgramLanguageModel:
     continuation_counts: tuple[dict[int, int], ...] = field(repr=False)
 
     @property
-    def vocab(self) -> frozenset[str]:
-        return frozenset(self.word_ids)
-
-    @property
     def event_count(self) -> int:
         """Size of the predicted event space (vocabulary plus <unk>)."""
         return len(self.word_ids) + 1
@@ -273,7 +274,7 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
         raise ValueError(f"model order must be >= 2, got {order}")
     path = Path(corpus)
     text = read_input(path, "corpus").lower()
-    lengths = [n for n in map(len, map(str.split, text.splitlines())) if n]
+    lengths = [n for n in map(len, map(str.split, split_lines(text))) if n]
     if not lengths:
         raise DataFormatError(f"corpus {path} contains no sentences")
 

@@ -598,8 +598,9 @@ class TestModelFileValues:
 
 
 class TestFeatureFileLines:
-    """features_<split>.tsv rows end at "\n", as the dataset's rows do, so
-    an id holding another line separator survives features -> rank."""
+    """The lines of every input file end at "\n" alone, so an id or a
+    feature name holding another line separator survives features ->
+    rank, train and evaluate."""
 
     def _rank(self, out):
         assert run("rank", "--train", str(out / "train.tsv"),
@@ -621,6 +622,37 @@ class TestFeatureFileLines:
         features = (tmp_path / "features_train.tsv").read_text()
         assert [line.split("\t", 1)[0]
                 for line in features.split("\n")[1:-1]] == ids
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\x85", "\x1c", "\v", "\f"])
+    def test_feature_name_with_a_line_separator(self, inputs_dir, tmp_path,
+                                                sep):
+        shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)
+        for split in ("train", "test"):
+            path = tmp_path / f"features_{split}.tsv"
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace("\tROUGE\t",
+                                         f"\tA{sep}x\t", 1),
+                            encoding="utf-8")
+        model = ["--dimension", "S", "--model", "ridge", "--pca-k", "3",
+                 "--out", str(tmp_path)]
+        assert run("train", "--train", str(tmp_path / "train.tsv"),
+                   *model) == 0
+        assert run("evaluate", "--test", str(tmp_path / "test.tsv"),
+                   *model) == 0
+
+    def test_carriage_return_inside_a_concreteness_line(
+            self, synthetic_dataset_dir, tmp_path, capsys):
+        path = tmp_path / "concreteness.tsv"
+        lines = (synthetic_dataset_dir / "concreteness.tsv").read_text(
+            encoding="utf-8").split("\n")
+        lines[2] += "\r" + lines[3]  # two valid records on line 3
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert run("features", "--train",
+                   str(synthetic_dataset_dir / "train.tsv"),
+                   "--concreteness", str(path),
+                   "--features", "AvgConcreteness",
+                   "--out", str(tmp_path)) == 2
+        assert f"tseval: error: {path}:3: " in capsys.readouterr().err
 
     def test_crlf_feature_file(self, inputs_dir, tmp_path):
         shutil.copytree(inputs_dir, tmp_path, dirs_exist_ok=True)

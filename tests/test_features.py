@@ -219,8 +219,8 @@ _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["+1e5", "-0", ".5", "1.", "7"]))
 _ODD_NUMBER = st.sampled_from(["1_0", "nan", "-inf", "1e999", "x", "", "\t"])
-# spaces around a field, then ones float() does not strip or that
-# str.splitlines() would break the line at
+# spaces around a field, then ones float() does not strip or that are
+# line boundaries other than "\n"
 _SPACE = st.sampled_from(["", " ", "  ", "\xa0", "\u3000"])
 _ODD_SPACE = st.sampled_from(["\x1f", "\x0b", "\x85", "\u200b"])
 

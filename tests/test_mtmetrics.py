@@ -389,6 +389,19 @@ class TestBleu:
         if all(num > 0 for num, _ in raw):
             assert smoothed == pytest.approx(plain, abs=1e-12)
 
+    @given(st.integers(1, 10 ** 9),
+           st.lists(st.tuples(st.integers(0, 10 ** 9),
+                              st.integers(1, 10 ** 9)), min_size=1,
+                    max_size=4),
+           st.integers(0, 3))
+    def test_smoothed_precisions_lie_in_zero_one(self, hyp_len, raw, zero):
+        # (matches, total) per order: total <= the output's length, matches
+        # <= total, and smoothing only runs when some order has no match
+        raw = [(min(num, den, hyp_len), min(den, hyp_len))
+               for num, den in raw]
+        raw[zero % len(raw)] = (0, raw[zero % len(raw)][1])
+        assert all(0.0 < p <= 1.0 for p in mtmetrics._smooth(raw, hyp_len))
+
     # Tokens ending in "." close a sentence, so n-grams must stop at
     # sentence bounds; "c." next to "c" shares the word.
     _multi_sentence = st.lists(st.sampled_from("a b c d a. c.".split()),

@@ -1,6 +1,7 @@
 """The package's public names: every name a module lists in ``__all__``
 and every name ``tseval/__init__.py`` imports resolves, so deleting a
-function cannot leave a dangling export behind."""
+function cannot leave a dangling export behind. No module splits a file
+into lines by a rule of its own."""
 
 import ast
 import importlib
@@ -38,3 +39,11 @@ def test_every_name_the_package_imports_resolves():
         for alias in node.names:
             assert getattr(tseval, alias.asname or alias.name) is getattr(
                 module, alias.name), (node.module, alias.name)
+
+
+def test_every_line_split_goes_through_read_lines():
+    # str.splitlines() also breaks at U+2028, "\x85", "\f", ...; every
+    # input file's lines end at "\n" alone, by errors.split_lines
+    package = Path(tseval.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "splitlines(" in path.read_text(encoding="utf-8")] == []

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tseval import qemodel
 from tseval.errors import DataFormatError, DegenerateDataError
@@ -13,6 +15,7 @@ from tseval.features import FeatureMatrix
 from tseval.qemodel import (
     LAMBDA_GRID,
     MODEL_KINDS,
+    LinearModel,
     PipelineConfig,
     cross_validate,
     fit_classifier,
@@ -257,6 +260,13 @@ class TestClassifier:
             warnings.simplefilter("error")
             got = model.predict(X)
         assert (got == logits.argmax(axis=1)).all()
+
+    def test_predict_is_the_largest_logit_where_softmax_rounds_to_a_tie(
+            self):
+        # exp(-1e-17) rounds to exp(0), so the softmax ties classes 0 and 1
+        model = LinearModel(kind="logistic", weights=np.zeros((3, 2)),
+                            intercept=np.array([-1e-17, 0.0, -5.0]), lam=1.0)
+        assert model.predict(np.zeros((1, 2))).tolist() == [1]
 
     def test_converged_fit_does_not_warn(self):
         rng = np.random.default_rng(15)
@@ -547,6 +557,30 @@ class TestModelFile:
         save_pipeline(load_pipeline(model_file), again)
         assert again.read_bytes() == model_file.read_bytes()
 
+    @given(st.lists(st.text(st.sampled_from(
+        ["a", " ", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+         "\u2028", "\u2029"]), max_size=3), min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_every_name_a_feature_file_accepts_survives_the_model_file(
+            self, tmp_path_factory, names):
+        tmp = tmp_path_factory.mktemp("names")
+        tsv = tmp / "features.tsv"
+        rows = np.random.default_rng(31).normal(size=(6, len(names)))
+        lines = ["\t".join(["id", *names])]
+        lines += ["\t".join([f"r{i}", *map(repr, row)])
+                  for i, row in enumerate(rows.tolist())]
+        tsv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            matrix = FeatureMatrix.from_tsv(tsv)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{tsv}:1: ")
+            return
+        pipeline = fit_pipeline(matrix, np.arange(6.0), "M",
+                                PipelineConfig(kind="ridge", pca_k=1))
+        save_pipeline(pipeline, tmp / "model.txt")
+        assert load_pipeline(tmp / "model.txt").feature_names == \
+            matrix.feature_names
+
     def test_cut_deleted_or_blank_line_is_data_error(self, model_file,
                                                      tmp_path):
         lines = model_file.read_text().splitlines()
@@ -620,10 +654,13 @@ class TestCrossValidation:
         X = np.ones((4, 2))
         with pytest.raises(ValueError):
             cross_validate(matrix_from(X), [1, 2, 3, 4.0],
-                           PipelineConfig(), folds=5)
+                           PipelineConfig(), folds=1)
         with pytest.raises(ValueError):
             select_lambda(matrix_from(X), [1, 2, 3, 4.0],
-                          PipelineConfig(), folds=5)
+                          PipelineConfig(), folds=1)
+        with pytest.raises(DegenerateDataError):
+            cross_validate(matrix_from(X), [1, 2, 3, 4.0],
+                           PipelineConfig(), folds=5)
 
     def test_classification_metric(self):
         rng = np.random.default_rng(26)
@@ -658,6 +695,13 @@ class TestSelectLambda:
                                      folds=3, seed=6)
         assert lam == 0.0
         assert list(results) == [0.0]
+
+    def test_more_folds_than_rows_is_a_data_error(self):
+        with pytest.raises(DegenerateDataError,
+                           match="^5 folds need at least 5 training rows, "
+                                 "found 4$"):
+            select_lambda(matrix_from(np.eye(4)), [1, 2, 3, 4.0],
+                          PipelineConfig(kind="ridge", pca_k=2), folds=5)
 
 
 def _lambda_major_reference(matrix, y, config, grid, folds, seed):

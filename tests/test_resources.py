@@ -130,7 +130,8 @@ _NUMBER = st.one_of(
 _ODD_NUMBER = st.sampled_from(["1_0", "nan", "inf", "1e999", "x", ""])
 # spaces within a line, then line breaks and a non-space
 _SPACE = st.sampled_from([" ", "   ", "\t", "\x1f", "\xa0", "\u3000"])
-_ODD_SPACE = st.sampled_from(["\x0b", "\x1c", "\x85", "\r", "\u200b"])
+_ODD_SPACE = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\r",
+                             "\u2028", "\u200b"])
 
 
 @st.composite
@@ -154,8 +155,10 @@ def _vector_files(draw):
 
 def _reference_vectors(text, path):
     """(word -> row, rows) by the documented rule with float() of every
-    field, or the message of the first defect in file order."""
-    lines = text.splitlines()
+    field, or the message of the first defect in file order. Lines end at
+    "\n" alone, as in every input file; str.split() takes the "\r" before
+    one, and every other line boundary inside one, as a space."""
+    lines = text.split("\n")
     head = lines[0].split() if lines else []
     start = int(len(head) == 2
                 and all(p.lstrip("+-").isdigit() for p in head))
@@ -276,6 +279,15 @@ class TestWordVectors:
                            match=":2: non-finite vector component"):
             load_vectors(path)
 
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1d",
+                                       "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_line_boundary_other_than_newline_is_a_space(self, tmp_path,
+                                                         space):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 0.1 0.2\nb 0.3{space} 0.4\n", encoding="utf-8")
+        vecs = load_vectors(path)
+        assert vecs.matrix[vecs.row_of("b")].tolist() == [0.3, 0.4]
+
     def test_matrix_is_read_only(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("cat 1 0\n")
@@ -356,14 +368,14 @@ class TestLanguageModel:
         path.write_text("a b\na b\n")
         lm = train_lm(path, order=2)
         context = ("a",)
-        probs = {w: lm.prob(w, context) for w in list(lm.vocab) + ["<unk>"]}
+        probs = {w: lm.prob(w, context) for w in list(lm.word_ids) + ["<unk>"]}
         assert max(probs, key=probs.get) == "b"
 
     def test_conditional_distributions_normalize(self, toy_corpus):
         lm = train_lm(toy_corpus, order=3)
         rng = np.random.default_rng(11)
-        words = sorted(lm.vocab) + ["<s>", "never-seen"]
-        events = sorted(lm.vocab) + ["totally-unseen"]
+        words = sorted(lm.word_ids) + ["<s>", "never-seen"]
+        events = sorted(lm.word_ids) + ["totally-unseen"]
         for _ in range(100):
             context = tuple(rng.choice(words, size=2))
             total = sum(lm.prob(w, context) for w in events)
@@ -376,7 +388,7 @@ class TestLanguageModel:
         path.write_text("the <unk> sat\nthe <unk> ran\na cat sat\n"
                         "a cat ran\n")
         lm = train_lm(path, order=2)
-        events = sorted(lm.vocab | {"<unk>"})
+        events = sorted({*lm.word_ids, "<unk>"})
         for context in ("the", "a", "<s>"):
             total = sum(lm.prob(w, (context,)) for w in events)
             assert total == pytest.approx(1.0, abs=1e-12), context
@@ -419,9 +431,9 @@ class TestLanguageModel:
         path = tmp_path / "c.txt"
         path.write_text("alpha beta alpha\ngamma alpha beta\n")
         lm = train_lm(path, order=2)
-        assert "alpha" in lm.vocab
-        assert "beta" in lm.vocab
-        assert "gamma" not in lm.vocab  # singleton -> <unk>
+        assert "alpha" in lm.word_ids
+        assert "beta" in lm.word_ids
+        assert "gamma" not in lm.word_ids  # singleton -> <unk>
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_token_logprobs_score_through_prob(self, toy_corpus, order):
@@ -519,7 +531,7 @@ class TestLanguageModelCounts:
         path.write_text(corpus, encoding="utf-8")
         lm = train_lm(path, order=order)
         vocab, contexts, continuations = reference_counts(sentences, order)
-        assert lm.vocab == vocab
+        assert set(lm.word_ids) == vocab
         for n in range(1, order + 1):
             assert decoded(lm, lm.continuation_counts[n - 1], n) == \
                 continuations[n - 1]
@@ -539,14 +551,15 @@ class TestLanguageModelCounts:
     @given(st.lists(st.sampled_from(
         ["w1", "w2", "w3", "W1", "<s>", "<unk>",
          " ", "  ", "\t", "\x1f", "\xa0", "\u3000",  # spaces in a line
-         "\n", "\n\n", "\n \t\n", "\r\n", "\x0b", "\x1c", "\x85",
-         "\u2028"]),  # line breaks, blank and whitespace-only lines
+         "\n", "\n\n", "\n \t\n", "\r\n",  # line ends, blank lines
+         "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]),  # not line ends
         min_size=1, max_size=60), st.integers(2, 3))
     @settings(max_examples=100, deadline=None)
-    def test_any_whitespace_separates_words_and_breaks_lines(
+    def test_any_whitespace_separates_words_and_newline_ends_lines(
             self, tmp_path_factory, items, order):
+        # a corpus line ends at "\n" alone, as in every input file
         corpus = " ".join(items)
-        sentences = [s for s in map(str.split, corpus.splitlines()) if s]
+        sentences = [s for s in map(str.split, corpus.split("\n")) if s]
         if not sentences:
             return
         self._check(tmp_path_factory.mktemp("lm"), sentences, order,
