@@ -109,13 +109,20 @@ def _fre(pair: SentencePair, resources: Resources, syllables: int) -> float:
             - 84.6 * (syllables / out.word_count))
 
 
+# The BLEU configs of BLEU_1gram..BLEU_4gram and BLEUSmoothed, in order.
+_BLEU_CONFIGS = (*(BleuConfig(max_order=n) for n in (1, 2, 3, 4)),
+                 BleuConfig(max_order=4, smoothing="method7"))
+
+
 # Values that several features read, by name. Each is a function of
 # (pair, resources), computed for the pairs of one compute_matrix call
 # only when a selected feature reads it. The metric functions are looked
 # up by their global names at call time, so a caller can wrap them.
 _INTERMEDIATES = {
     "ter": lambda p, r: ter_align(p.source, p.output),
-    "bleu_counts": lambda p, r: bleu_counts(p.source, p.output),
+    "bleu": lambda p, r: bleu_from_counts(
+        bleu_counts(p.source, p.output), p.source.word_count,
+        p.output.word_count, _BLEU_CONFIGS),
     # An output without words is not scored: its features read
     # LOGPROB_FLOOR.
     "logprobs": lambda p, r: (token_logprobs(r.lm, p.output)
@@ -142,14 +149,8 @@ def _spec(name, compute, requires=(), reads=()):
                        compute=compute, reads=tuple(reads))
 
 
-_BLEU_UNSMOOTHED = {n: BleuConfig(max_order=n) for n in (1, 2, 3, 4)}
-_BLEU_SMOOTHED = BleuConfig(max_order=4, smoothing="method7")
-
-
-def _bleu_spec(name, cfg):
-    return _spec(name, lambda p, r, counts: bleu_from_counts(
-        counts, p.source.word_count, p.output.word_count, cfg),
-        reads=("bleu_counts",))
+def _bleu_spec(name, index):
+    return _spec(name, lambda p, r, scores: scores[index], reads=("bleu",))
 
 
 _REGISTRY: tuple[FeatureSpec, ...] = (
@@ -161,13 +162,13 @@ _REGISTRY: tuple[FeatureSpec, ...] = (
     _spec("TERp_NumEr", lambda p, r, ter: ter.num_errors, reads=("ter",)),
     _spec("TERp_Sub", lambda p, r, ter: ter.substitutions, reads=("ter",)),
     _spec("TERp", lambda p, r, ter: ter.normalized_score, reads=("ter",)),
-    _bleu_spec("BLEU_1gram", _BLEU_UNSMOOTHED[1]),
-    _bleu_spec("BLEU_2gram", _BLEU_UNSMOOTHED[2]),
-    _bleu_spec("BLEU_3gram", _BLEU_UNSMOOTHED[3]),
-    _bleu_spec("BLEU_4gram", _BLEU_UNSMOOTHED[4]),
+    _bleu_spec("BLEU_1gram", 0),
+    _bleu_spec("BLEU_2gram", 1),
+    _bleu_spec("BLEU_3gram", 2),
+    _bleu_spec("BLEU_4gram", 3),
     _spec("METEOR", lambda p, r: meteor(p.source, p.output)),
     _spec("ROUGE", lambda p, r: rouge(p.source, p.output)),
-    _bleu_spec("BLEUSmoothed", _BLEU_SMOOTHED),
+    _bleu_spec("BLEUSmoothed", 4),
     _spec("AvgCosineSim", _avg_cosine, requires=("vectors",)),
     _spec("NBOutputChars", lambda p, r: p.output.char_count),
     _spec("NBOutputCharsPerSent",
@@ -323,12 +324,12 @@ def compute_matrix(pairs: Sequence[SentencePair],
     """Feature matrix over pairs; row order always matches input order.
 
     The matrix is filled column by column. An intermediate that several
-    features read (the TER alignment "ter", the BLEU n-gram counts
-    "bleu_counts", the LM log-probabilities "logprobs", the syllable count
-    "output_syllables") is computed once per pair, before the first
-    selected feature that reads it. When a timings dict is supplied, the
-    wall time of each intermediate and of each feature column is added to
-    it under its own name.
+    features read (the TER alignment "ter", the five BLEU scores "bleu"
+    from one count of the pair's n-grams, the LM log-probabilities
+    "logprobs", the syllable count "output_syllables") is computed once
+    per pair, before the first selected feature that reads it. When a
+    timings dict is supplied, the wall time of each intermediate and of
+    each feature column is added to it under its own name.
     """
     specs = _select(which, resources)
     values: dict[str, list] = {}

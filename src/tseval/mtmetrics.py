@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,31 +138,45 @@ def bleu(source: TokenizedText, output: TokenizedText,
     agrees with the unsmoothed score on inputs with all-positive matches.
     """
     return bleu_from_counts(bleu_counts(source, output), source.word_count,
-                            output.word_count, cfg)
+                            output.word_count, (cfg,))[0]
 
 
 def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
-                     out_len: int, cfg: BleuConfig) -> float:
-    """BLEU from bleu_counts' (matches, total) per order and the word
-    counts of source and output; see bleu."""
+                     out_len: int, cfgs: Sequence[BleuConfig]) -> list[float]:
+    """BLEU under each of cfgs, from bleu_counts' (matches, total) per
+    order and the word counts of source and output; see bleu. The
+    precisions, their logs and the brevity penalty are computed once for
+    all of cfgs, and method 7 only for a config whose orders hold a zero
+    precision."""
     if src_len == 0:
         raise ValueError("bleu: source must contain at least one word token")
     if out_len == 0:
-        return 0.0
+        return [0.0] * len(cfgs)
 
-    orders = [n for n in range(1, cfg.max_order + 1) if counts[n - 1][1] > 0]
-    raw = [counts[n - 1] for n in orders]
-
-    if all(num > 0 for num, _ in raw):
-        precisions = [num / den for num, den in raw]
-    elif cfg.smoothing == "none":
-        return 0.0
-    else:
-        precisions = _smooth(raw, out_len)
-
-    log_mean = sum(math.log(x) for x in precisions) / len(precisions)
+    # the orders with n-grams are 1..len(raw), as an order-n n-gram holds
+    # one of each lower order; logs covers those up to the first zero
+    raw = [c for c in counts if c[1] > 0]
+    logs = []
+    for num, den in raw:
+        if not num:
+            break
+        logs.append(math.log(num / den))
     brevity = math.exp(min(0.0, 1.0 - src_len / out_len))
-    return brevity * math.exp(log_mean)
+
+    scores = []
+    for cfg in cfgs:
+        k = min(cfg.max_order, len(raw))
+        if k <= len(logs):
+            # sum per prefix: a running total differs from sum() on
+            # Pythons whose sum() compensates rounding
+            scores.append(brevity * math.exp(sum(logs[:k]) / k))
+        elif cfg.smoothing == "none":
+            scores.append(0.0)
+        else:
+            precisions = _smooth(raw[:k], out_len)
+            log_mean = sum(math.log(x) for x in precisions) / k
+            scores.append(brevity * math.exp(log_mean))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +222,13 @@ class SearchBudgetWarning(RuntimeWarning):
     is that of the best alignment found, an upper bound."""
 
 
-def _quotas(cand: list[str], ref: list[str]
+def _quotas(c_cnt: Counter, r_cnt: Counter
             ) -> tuple[dict[str, str], dict[str, int], dict[str, int]]:
-    """(stem_of, exact, stem): the stem class of every word of either
-    text, each word's maximal number of exact matches, and each stem
-    class's maximal number of stem matches among the occurrences the
-    exact stage leaves over. Only positive quotas are kept."""
-    c_cnt, r_cnt = Counter(cand), Counter(ref)
+    """(stem_of, exact, stem) from the word counts of cand and ref: the
+    stem class of every word of either text, each word's maximal number
+    of exact matches, and each stem class's maximal number of stem
+    matches among the occurrences the exact stage leaves over. Only
+    positive quotas are kept."""
     stem_of = {w: porter_stem(w) for w in c_cnt.keys() | r_cnt.keys()}
     exact: dict[str, int] = {}
     c_left: dict[str, int] = {}
@@ -234,40 +249,94 @@ def _quotas(cand: list[str], ref: list[str]
     return stem_of, exact, stem
 
 
-def _chunk_bound(cand: list[str], ref: list[str], stem_of: dict[str, str],
-                 exact: dict[str, int], stem: dict[str, int]
+def _segments(cand: list[str], ref: list[str], stem_of: dict[str, str],
+              exact: dict[str, int], stem: dict[str, int]
+              ) -> list[tuple[int, int]]:
+    """(start, length) of each segment of cand, in order: a maximal run of
+    matchable positions in which each adjacent pair's stem classes are
+    also adjacent somewhere in ref. A chunk never crosses a segment."""
+    ref_cls = [stem_of[w] for w in ref]
+    adjacent = set(zip(ref_cls, ref_cls[1:]))
+    segments = []
+    start = -1  # start of the open segment, or -1
+    prev = None  # stem class of the previous word
+    for i, w in enumerate(cand):
+        s = stem_of[w]
+        matchable = w in exact or s in stem
+        if start >= 0 and not (matchable and (prev, s) in adjacent):
+            segments.append((start, i - start))
+            start = -1
+        if matchable and start < 0:
+            start = i
+        prev = s
+    if start >= 0:
+        segments.append((start, len(cand) - start))
+    return segments
+
+
+class _Tables(NamedTuple):
+    """What _align computes once for a pair with matches; the first
+    alignment and the search both read it."""
+
+    stem_of: dict[str, str]
+    exact: dict[str, int]
+    stem: dict[str, int]
+    ref_count: Counter
+    matches: int
+    segments: list[tuple[int, int]]
+    root: int  # fewest segments, longest first, that hold the matches
+    at_word: dict[str, list[int]]  # ref positions, ascending
+    at_stem: dict[str, list[int]]  # the same per stem class, if stem
+
+
+def _tables(cand: list[str], ref: list[str]) -> _Tables | None:
+    """The pair's quotas, segments, root bound and ref position tables,
+    or None when nothing matches."""
+    ref_count = Counter(ref)
+    stem_of, exact, stem = _quotas(Counter(cand), ref_count)
+    matches = sum(exact.values()) + sum(stem.values())
+    if matches == 0:
+        return None
+    segments = _segments(cand, ref, stem_of, exact, stem)
+    lengths = sorted((n for _, n in segments), reverse=True)
+    root = bisect_left(list(accumulate(lengths)), matches) + 1
+    at_word: dict[str, list[int]] = {}
+    for j, w in enumerate(ref):
+        at_word.setdefault(w, []).append(j)
+    at_stem: dict[str, list[int]] = {}
+    if stem:
+        for j, w in enumerate(ref):
+            at_stem.setdefault(stem_of[w], []).append(j)
+    return _Tables(stem_of, exact, stem, ref_count, matches, segments, root,
+                   at_word, at_stem)
+
+
+def _chunk_bound(m: int, segments: list[tuple[int, int]]
                  ) -> Callable[[int, int, int], int]:
     """fewest_new_chunks(i, remaining, last_j): a lower bound on the
     chunks an alignment must still open to place `remaining` matches in
-    cand[i:], after cand[i - 1] was matched to ref[last_j] (last_j < 0:
-    it was not).
+    cand[i:] (m words, split into segments), after cand[i - 1] was
+    matched to ref[last_j] (last_j < 0: it was not).
 
-    A chunk never crosses a segment of cand, a run of matchable positions
-    in which each adjacent pair's stem classes are also adjacent somewhere
-    in ref. So the bound is the fewest segments of cand[i:], longest
-    first, that can hold `remaining` matches; the segment at i costs
-    nothing when the open chunk may run on into it.
+    The bound is the fewest segments of cand[i:], longest first, that can
+    hold `remaining` matches; the segment at i costs nothing when the
+    open chunk may run on into it.
     """
-    ref_cls = [stem_of[w] for w in ref]
-    adjacent = set(zip(ref_cls, ref_cls[1:]))
     # head[i]: the matchable positions from i to the end of i's segment;
-    # after[i]: cumulative lengths of the later segments, longest first
-    m = len(cand)
-    head = [0] * (m + 1)
+    # after[i]: cumulative lengths of the segments that start after i,
+    # longest first
+    head = [0] * m
     after: list[list[int]] = [[]] * m
     lengths: list[int] = []  # negated, ascending
     cums: list[int] = []
-    nxt = None  # stem class of cand[i + 1]
-    for i in range(m - 1, -1, -1):
-        w = cand[i]
-        s = stem_of[w]
-        if w in exact or s in stem:
-            head[i] = head[i + 1] + 1 if (s, nxt) in adjacent else 1
-        if head[i + 1] and head[i] != head[i + 1] + 1:  # i + 1 starts one
-            insort(lengths, -head[i + 1])
-            cums = [-x for x in accumulate(lengths)]
-        after[i] = cums
-        nxt = s
+    end = m  # start of the segment after this one
+    for start, n in reversed(segments):
+        head[start:start + n] = range(n, 0, -1)
+        after[start:end] = [cums] * (end - start)
+        insort(lengths, -n)
+        cums = [-x for x in accumulate(lengths)]
+        end = start
+    after[:end] = [cums] * end
 
     def fewest_new_chunks(i, remaining, last_j):
         h, later = head[i], after[i]
@@ -294,39 +363,96 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
     Every word gets exactly its maximal number of exact matches (stage
     priority), and every stem class exactly the maximal number of stem
     matches among the occurrences left over (_quotas). Among those
-    alignments a depth-first search over cand positions, with quota
-    feasibility pruning and branch-and-bound on _chunk_bound, minimises
-    the chunk count. Each node offers the match that continues the open
-    chunk first, so the first alignments found follow the output's own
-    runs, reordered or not. It stops as soon as it reaches the bound at
-    the root. It runs from an explicit stack of child generators, not by
-    recursion, so it does not depend on the depth of the caller's stack
-    and a long cand cannot exhaust it.
+    alignments the fewest chunks are wanted. The alignment _search reaches
+    first is tried as a plain loop: when it meets the root bound it is
+    optimal, and the search, which no bound prunes on the way to it,
+    would return it after at most len(cand) nodes. Every other pair runs
+    _search.
 
     The chunk count is exact when ``exhaustive`` is true. Otherwise a
     node was cut by NODE_BUDGET (expanded search nodes), and the count
     is that of the best alignment found, an upper bound.
     """
-    stem_of, exact, stem = _quotas(cand, ref)
-    matches = sum(exact.values()) + sum(stem.values())
-    if matches == 0:
+    t = _tables(cand, ref)
+    if t is None:
         return 0, 0, True
-    fewest_new_chunks = _chunk_bound(cand, ref, stem_of, exact, stem)
+    if len(cand) <= NODE_BUDGET and _first_meets_root(cand, ref, t):
+        return t.matches, t.root, True
+    return _search(cand, ref, t)
 
-    at_word: dict[str, list[int]] = {}  # ref positions, ascending
-    for j, w in enumerate(ref):
-        at_word.setdefault(w, []).append(j)
-    # occurrences of cand[i]'s word in cand[i:]
+
+def _first_meets_root(cand: list[str], ref: list[str], t: _Tables) -> bool:
+    """Whether the alignment _search reaches first places every match in
+    t.root chunks. At each cand word it takes _search's first child: the
+    exact match, with the continuation ref[last_j + 1] first, else the
+    lowest free position; otherwise the stem match under the same rule;
+    otherwise no match. Where _search offers no child at all, a quota
+    can no longer be met, so this alignment places too few matches."""
+    (stem_of, exact, stem, ref_count, remaining, _, root, at_word,
+     at_stem) = t
+    used = [False] * len(ref)
+    rem_exact, rem_stem, free = dict(exact), dict(stem), dict(ref_count)
+    ref_after = [*ref[1:], None, None]  # as in _search
+    last_j, chunks = -2, 0
+    for w in cand:
+        j = last_j + 1  # the continuation of the open chunk
+        if rem_exact.get(w, 0):
+            # free[w] >= rem_exact[w] > 0, so a position is free
+            if ref_after[last_j] != w or used[j]:
+                j = next(k for k in at_word[w] if not used[k])
+            rem_exact[w] -= 1
+        elif rem_stem.get(s := stem_of[w], 0):
+            order = at_stem[s]
+            nxt = ref_after[last_j]
+            if nxt is not None and stem_of[nxt] == s:
+                order = (j, *order)
+            for j in order:
+                rw = ref[j]
+                if (not used[j] and rw != w
+                        and free[rw] > rem_exact.get(rw, 0)):
+                    break
+            else:
+                last_j = -2
+                continue
+            rem_stem[s] -= 1
+        else:
+            last_j = -2
+            continue
+        if j != last_j + 1:
+            chunks += 1
+            if chunks > root:
+                return False
+        used[j] = True
+        free[ref[j]] -= 1
+        remaining -= 1
+        if not remaining:
+            return True  # chunks == root: no alignment has fewer
+        last_j = j
+    return False
+
+
+def _search(cand: list[str], ref: list[str], t: _Tables
+            ) -> tuple[int, int, bool]:
+    """_align's result by a depth-first search over cand positions, with
+    quota feasibility pruning and branch-and-bound on _chunk_bound. Each
+    node offers the match that continues the open chunk first, so the
+    first alignments found follow the output's own runs, reordered or
+    not. It stops as soon as it reaches the root bound. It runs from an
+    explicit stack of child generators, not by recursion, so it does not
+    depend on the depth of the caller's stack and a long cand cannot
+    exhaust it.
+    """
+    (stem_of, exact, stem, ref_count, matches, segments, root, at_word,
+     at_stem) = t
     m = len(cand)
+    fewest_new_chunks = _chunk_bound(m, segments)
+    # occurrences of cand[i]'s word in cand[i:]
     word_after = [0] * m
     seen: dict[str, int] = {}
     for i in range(m - 1, -1, -1):
         w = cand[i]
         word_after[i] = seen[w] = seen.get(w, 0) + 1
     if stem:  # the same for stem classes, and their exactly matched words
-        at_stem: dict[str, list[int]] = {}
-        for j, w in enumerate(ref):
-            at_stem.setdefault(stem_of[w], []).append(j)
         stem_after = [0] * m
         seen = {}
         for i in range(m - 1, -1, -1):
@@ -337,7 +463,7 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
             in_class.setdefault(stem_of[w], []).append(w)
 
     used = [False] * len(ref)
-    rem_exact, rem_stem, free = dict(exact), dict(stem), Counter(ref)
+    rem_exact, rem_stem, free = dict(exact), dict(stem), dict(ref_count)
 
     # ref_after[last_j]: the ref word that continues the open chunk, or
     # None (last_j is -2 when there is no open chunk)
@@ -391,7 +517,6 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
         if later:
             yield i + 1, remaining, -2, chunks
 
-    root = fewest_new_chunks(0, matches, -2)
     best, nodes, cut = matches, 0, False  # one chunk per match is feasible
     stack = [iter([(0, matches, -2, 0)])]
     while stack and best > root:

@@ -11,7 +11,6 @@ without external tooling.
 from __future__ import annotations
 
 import functools
-import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -28,9 +27,6 @@ __all__ = [
 # ($ + < = > ^ | ~ are Unicode symbols, not punctuation, and stay in words).
 def is_punctuation(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
-
-
-_SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])(?=\s|$)")
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,6 @@ def _split_chunk(chunk: str) -> tuple[list[str], str, list[str]]:
     punct tokens). Internal punctuation (apostrophes, hyphens, anything
     else) stays inside the word token.
     """
-    # A letter or digit is never punctuation: nothing to detach.
-    if chunk[0].isalnum() and chunk[-1].isalnum():
-        return [], chunk.lower(), []
     lead: list[str] = []
     trail: list[str] = []
     start, end = 0, len(chunk)
@@ -90,34 +83,41 @@ def tokenize(text: str) -> TokenizedText:
     """Tokenize a text into lowercase words, punctuation and sentences.
 
     Sentence boundaries are `.`, `!` or `?` followed by whitespace or end
-    of string; abbreviations are not special-cased. Segments that contain
-    no word token contribute punctuation only. Empty input gives an empty
-    TokenizedText.
+    of string, so a sentence ends after each whitespace chunk whose last
+    character is one of them; abbreviations are not special-cased. A
+    sentence without a word token contributes punctuation only. Empty
+    input gives an empty TokenizedText.
     """
     sentences: list[tuple[str, ...]] = []
     puncts: list[str] = []
     ordered: list[str] = []
 
-    for segment in _SENTENCE_BOUNDARY.split(text):
-        words: list[str] = []
-        for chunk in segment.split():
-            lead, word, trail = _split_chunk(chunk)
-            for p in lead:
-                puncts.append(p)
-                ordered.append(p)
-            if word:
-                words.append(word)
-                ordered.append(word)
-            for p in trail:
-                puncts.append(p)
-                ordered.append(p)
-        if words:
+    words: list[str] = []
+    for chunk in text.split():
+        # a letter or digit is never punctuation: nothing to detach
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            word = chunk.lower()
+            words.append(word)
+            ordered.append(word)
+            continue
+        lead, word, trail = _split_chunk(chunk)
+        puncts += lead
+        ordered += lead
+        if word:
+            words.append(word)
+            ordered.append(word)
+        puncts += trail
+        ordered += trail
+        if chunk[-1] in ".!?" and words:
             sentences.append(tuple(words))
+            words = []
+    if words:
+        sentences.append(tuple(words))
 
     return TokenizedText(
         sentences=tuple(sentences),
         punct_tokens=tuple(puncts),
-        char_count=sum(len(t) for t in ordered),
+        char_count=sum(map(len, ordered)),
         ordered_tokens=tuple(ordered),
     )
 

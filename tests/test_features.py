@@ -382,6 +382,11 @@ class TestComputeMatrix:
             SentencePair.from_text("the cat sat. it sat on the mat.",
                                    "the cat sat on it. the mat.", id="d"),
             SentencePair.from_text("a b c", "", id="e"),
+            SentencePair.from_text("a b c", "b", id="f"),
+            SentencePair.from_text("a b c", "c x", id="g"),
+            # two output sentences, the second one word long
+            SentencePair.from_text("a b. c d.", "c a. b", id="h"),
+            SentencePair.from_text("a b c d", "x y z", id="i"),
         ]
         matrix = compute_matrix(pairs, full_resources)
         assert len(calls) == len(pairs)

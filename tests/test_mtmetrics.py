@@ -12,6 +12,7 @@ import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,6 +90,32 @@ def bleu_counts_oracle(source, output):
         out.append((sum(min(c, ref[g]) for g, c in cand.items()),
                     sum(cand.values())))
     return tuple(out)
+
+
+def bleu_from_counts_oracle(counts, src_len, out_len, cfg):
+    """Sentence BLEU for one config from (matches, total) per order, each
+    precision, log and brevity penalty computed anew for the config."""
+    if out_len == 0:
+        return 0.0
+    orders = [n for n in range(1, cfg.max_order + 1) if counts[n - 1][1] > 0]
+    raw = [counts[n - 1] for n in orders]
+    p = [num / den for num, den in raw]
+    if any(num == 0 for num, _ in raw):
+        if cfg.smoothing == "none":
+            return 0.0
+        inc = 1
+        for i, (num, den) in enumerate(raw):
+            if num == 0 and out_len > 1:
+                p[i] = (math.log(out_len) / (2 ** inc * METHOD4_K)) / den
+                inc += 1
+        prev = p[0] + 1.0
+        for i in range(len(p)):
+            nxt = p[i + 1] if i + 1 < len(p) else 0.0
+            p[i] = (prev + p[i] + nxt) / 3.0
+            prev = p[i]
+        p = [min(x, 1.0) for x in p]
+    log_mean = sum(math.log(x) for x in p) / len(p)
+    return math.exp(min(0.0, 1.0 - src_len / out_len)) * math.exp(log_mean)
 
 
 def bleu_recount_oracle(source, output, cfg):
@@ -427,6 +454,25 @@ class TestBleu:
                 assert bleu(src, out, cfg) == bleu_recount_oracle(src, out,
                                                                   cfg)
 
+    ALL_CONFIGS = [BleuConfig(max_order=n, smoothing=method)
+                   for method in SMOOTHING_METHODS for n in (1, 2, 3, 4)]
+
+    @given(_multi_sentence.filter(bool),
+           st.one_of(_multi_sentence.map(lambda b: b[:3]), _multi_sentence))
+    @example(["a", "b", "c"], [])
+    @example(["a.", "b", "c."], ["c.", "a", "b."])  # no bigram matches
+    @settings(max_examples=300, deadline=None)
+    def test_all_configs_match_per_config_formula_bit_for_bit(self, a, b):
+        src, out = T(" ".join(a)), T(" ".join(b))
+        counts = bleu_counts(src, out)
+        expected = [bleu_from_counts_oracle(counts, src.word_count,
+                                            out.word_count, cfg)
+                    for cfg in self.ALL_CONFIGS]
+        assert [bleu(src, out, cfg) for cfg in self.ALL_CONFIGS] == expected
+        assert mtmetrics.bleu_from_counts(counts, src.word_count,
+                                          out.word_count,
+                                          self.ALL_CONFIGS) == expected
+
     def test_method7_positive_on_partial_match(self):
         got = bleu(T("the cat sat on the mat"), T("the cat naps"),
                    BleuConfig(max_order=4, smoothing="method7"))
@@ -644,13 +690,62 @@ class TestMeteor:
     @settings(max_examples=80, deadline=None)
     def test_root_bound_is_admissible(self, cand, ref):
         _, total, neg_chunks = meteor_alignment_oracle(cand, ref)
-        stem_of, exact, stem = mtmetrics._quotas(cand, ref)
+        _, exact, stem = mtmetrics._quotas(Counter(cand), Counter(ref))
         matches = sum(exact.values()) + sum(stem.values())
         assert matches == total
+        tables = mtmetrics._tables(cand, ref)
         if total:
-            fewest_new_chunks = mtmetrics._chunk_bound(cand, ref, stem_of,
-                                                       exact, stem)
-            assert 1 <= fewest_new_chunks(0, matches, -2) <= -neg_chunks
+            # the root of the search's bound is the one _tables computes
+            fewest_new_chunks = mtmetrics._chunk_bound(len(cand),
+                                                       tables.segments)
+            assert fewest_new_chunks(0, matches, -2) == tables.root
+            assert 1 <= tables.root <= -neg_chunks
+        else:
+            assert tables is None
+
+    @staticmethod
+    def search_alone(cand, ref):
+        tables = mtmetrics._tables(cand, ref)
+        if tables is None:
+            return 0, 0, True
+        return mtmetrics._search(cand, ref, tables)
+
+    @given(inflected_lists, inflected_lists, st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_first_alignment_agrees_with_the_search(self, cand, ref, extra):
+        # where the first alignment meets the root bound, the search
+        # reaches it first; elsewhere _align is the search
+        for budget in (mtmetrics.NODE_BUDGET, len(cand) + extra):
+            with mock.patch.object(mtmetrics, "NODE_BUDGET", budget):
+                assert mtmetrics._align(cand, ref) == self.search_alone(
+                    cand, ref)
+
+    # (matches, chunks, exhaustive) per node budget of the search alone, on
+    # a 60-word output that is its source with the halves swapped, whose
+    # first alignment meets its root bound of 2 chunks, and on the first
+    # heavy pair, whose first alignment does not. Below len(cand) = 60
+    # nodes the search cannot reach the swapped pair's first alignment,
+    # so _align must not return it there.
+    GATED_ALIGNMENTS = {
+        0: ((60, 60, False), (15, 15, False)),
+        10: ((60, 60, False), (15, 15, False)),
+        58: ((60, 60, False), (15, 14, False)),
+        59: ((60, 2, True), (15, 14, False)),
+    }
+
+    @pytest.mark.parametrize("budget", sorted(GATED_ALIGNMENTS))
+    def test_budget_below_the_output_length_runs_the_search(self, budget,
+                                                            monkeypatch):
+        rng = random.Random(0)
+        words = [f"w{rng.randrange(60)}" for _ in range(60)]
+        src, out = next(self.heavy_pairs())
+        pairs = [(words[30:] + words[:30], words), (out.words, src.words)]
+        first = mtmetrics._tables(*pairs[0])
+        assert mtmetrics._first_meets_root(*pairs[0], first)
+        monkeypatch.setattr(mtmetrics, "NODE_BUDGET", budget)
+        got = tuple(mtmetrics._align(cand, ref) for cand, ref in pairs)
+        assert got == self.GATED_ALIGNMENTS[budget]
+        assert got == tuple(self.search_alone(*pair) for pair in pairs)
 
     def test_search_does_not_recurse(self):
         # The output is the 300-word source with about a fifth of its words

@@ -1,5 +1,6 @@
 """Tokenization, sentence splitting, syllables, Porter stemmer."""
 
+import re
 import string
 import sys
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tseval.textproc import (
+    TokenizedText,
+    _split_chunk,
     count_syllables,
     is_punctuation,
     porter_stem,
@@ -18,6 +21,43 @@ texts = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Po", "Zs")),
     max_size=120,
 )
+
+# Sentence ends, quotes that are punctuation, and whitespace that str.split
+# and re's \s both split at, beyond the ASCII space: \x1c (a separator
+# control), \x85 (next line), \xa0 (no-break space), U+2028 (line sep).
+boundary_texts = st.text(alphabet=st.sampled_from(
+    ["a", "B", "7", ".", "!", "?", ",", "'", "\u00ab", "\u00bb", " ", "\n",
+     "\t", "\x1c", "\x85", "\xa0", "\u2028"]), max_size=40)
+
+
+def regex_tokenize(text):
+    """The tokenizer that splits sentences with a regular expression
+    first: after `.`, `!` or `?` followed by whitespace or the end."""
+    sentences, puncts, ordered = [], [], []
+    for segment in re.split(r"(?<=[.!?])(?=\s|$)", text):
+        words = []
+        for chunk in segment.split():
+            lead, word, trail = _split_chunk(chunk)
+            puncts += lead
+            ordered += lead
+            if word:
+                words.append(word)
+                ordered.append(word)
+            puncts += trail
+            ordered += trail
+        if words:
+            sentences.append(tuple(words))
+    return TokenizedText(sentences=tuple(sentences),
+                         punct_tokens=tuple(puncts),
+                         char_count=sum(len(t) for t in ordered),
+                         ordered_tokens=tuple(ordered))
+
+
+def test_split_and_regex_whitespace_agree():
+    # tokenize ends a sentence only at the end of a str.split chunk, which
+    # equals the regex tokenizer only while the two whitespace sets agree
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if not c.split()]
 
 
 class TestTokenize:
@@ -75,6 +115,17 @@ class TestTokenize:
         t = tokenize('"Hello, world!" It cost $5.')
         assert t.char_count == sum(len(tok) for tok in t.ordered_tokens)
 
+    @given(boundary_texts)
+    @settings(max_examples=500)
+    def test_matches_regex_sentence_split(self, text):
+        assert tokenize(text) == regex_tokenize(text)
+
+    def test_boundary_only_after_whitespace_or_end(self):
+        t = tokenize("a.b c!\u2028d?\xa0e.\x85f")
+        assert t.sentences == (("a.b", "c"), ("d",), ("e",), ("f",))
+        # a quote after the stop: the chunk does not end the sentence
+        assert tokenize("a.\u00bb b").sentences == (("a", "b"),)
+
     @given(texts)
     @settings(max_examples=200)
     def test_pure_and_deterministic(self, text):
@@ -116,8 +167,8 @@ class TestTokenize:
         assert "".join(ascii_punct) == "!\"#%&'()*,-./:;?@[\\]_{}"
 
     def test_no_alphanumeric_character_is_punctuation(self):
-        # _split_chunk returns a chunk that starts and ends with an
-        # alphanumeric character without scanning it for punctuation.
+        # tokenize keeps a chunk that starts and ends with an
+        # alphanumeric character whole, without scanning it for punctuation.
         assert not [hex(i) for i in range(sys.maxunicode + 1)
                     if chr(i).isalnum() and is_punctuation(chr(i))]
 
