@@ -94,9 +94,10 @@ class Dataset:
 def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
     """Load a dataset from the canonical TSV format.
 
-    Label columns must be either all present or all absent. Rows are kept
-    in file order; ids default to the 1-based row number when the file
-    has no id column.
+    Label columns must be either all present or all absent, and the
+    header must be followed by at least one record. Rows are kept in file
+    order; ids default to the 1-based row number when the file has no id
+    column.
     """
     path = Path(path)
     lines = read_lines(path, "dataset")
@@ -115,6 +116,10 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
             "[id\\t]original\\tsimplified[\\tG\\tM\\tS\\tOverall]"
         )
 
+    if len(lines) == 1:
+        raise DataFormatError(f"dataset {path} contains no records")
+
+    known: dict[str, str] = {}  # label spelling -> canonical label
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
@@ -123,20 +128,24 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
                 f"{path}:{lineno}: expected {len(header)} columns, "
                 f"found {len(parts)}"
             )
-        fields = dict(zip(header, parts))
-        rid = fields["id"] if has_id else str(lineno - 1)
-        source = fields["original"]
-        output = fields["simplified"]
+        if has_id:
+            rid, source, output, *cells = parts
+        else:
+            source, output, *cells = parts
+            rid = str(lineno - 1)
         if not source.strip():
             raise DataFormatError(f"{path}:{lineno}: empty source sentence")
         labels = None
         if labeled:
-            labels = {
-                dim: parse_label(fields[dim], f"{path}:{lineno} column {dim}")
-                for dim in DIMENSIONS
-            }
-        records.append(QatsRecord(id=rid, source_text=source,
-                                  output_text=output, labels=labels))
+            try:
+                labels = dict(zip(DIMENSIONS, map(known.__getitem__, cells)))
+            except KeyError:  # a new spelling: parse_label checks it once
+                for dim, cell in zip(DIMENSIONS, cells):
+                    if cell not in known:
+                        known[cell] = parse_label(
+                            cell, f"{path}:{lineno} column {dim}")
+                labels = dict(zip(DIMENSIONS, map(known.__getitem__, cells)))
+        records.append(QatsRecord(rid, source, output, labels))
     return Dataset(records=tuple(records), split_tag=split_tag)
 
 

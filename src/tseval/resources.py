@@ -91,43 +91,50 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
     the columns Word and Conc.M.
 
     The delimiter is sniffed from the header line (tab, comma or
-    semicolon). Ratings must lie in [1, 5].
+    semicolon). A column name given twice is read from its last column,
+    and a row's missing fields are empty. Ratings must lie in [1, 5], and
+    at least one row must have a word.
     """
     path = Path(path)
     lines = read_lines(path, "concreteness file")
     if not lines:
         raise DataFormatError(f"concreteness file {path} is empty")
-    reader = csv.DictReader(lines, delimiter=max("\t,;", key=lines[0].count))
+    reader = csv.reader(lines, delimiter=max("\t,;", key=lines[0].count))
     try:
-        fields = reader.fieldnames or []
+        header = next(reader)
+        column = {name: i for i, name in enumerate(header)}  # the last wins
         for col in (_WORD_COLUMN, _RATING_COLUMN):
-            if col not in fields:
+            if col not in column:
                 raise DataFormatError(
                     f"concreteness file {path} is missing column {col!r} "
-                    f"(found {fields})"
+                    f"(found {header})"
                 )
+        word_at, rating_at = column[_WORD_COLUMN], column[_RATING_COLUMN]
+        width = max(word_at, rating_at) + 1
         ratings: dict[str, float] = {}
-        for row in reader:
-            lineno = reader.line_num  # the record's last line
-            word = (row[_WORD_COLUMN] or "").strip().lower()
-            raw = (row[_RATING_COLUMN] or "").strip()
+        for row in reader:  # a blank line is an empty row
+            if len(row) < width:  # a short row's missing fields are empty
+                row += [""] * (width - len(row))
+            word = row[word_at].strip().lower()
             if not word:
                 continue
+            raw = row[rating_at].strip()
             try:
                 value = float(raw)
             except ValueError as exc:
                 raise DataFormatError(
-                    f"{path}:{lineno}: rating {raw!r} is not a number"
+                    f"{path}:{reader.line_num}: rating {raw!r} is not a number"
                 ) from exc
             if not 1.0 <= value <= 5.0:
                 raise DataFormatError(
-                    f"{path}:{lineno}: rating {value} outside the 1-5 scale"
+                    f"{path}:{reader.line_num}: rating {value} outside the "
+                    "1-5 scale"
                 )
             ratings.setdefault(word, value)
     except csv.Error as exc:  # a "\r" inside an unquoted field, say
-        # reader.reader stopped on the bad line; DictReader's count lags
-        raise DataFormatError(
-            f"{path}:{reader.reader.line_num}: {exc}") from None
+        raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not ratings:
+        raise DataFormatError(f"concreteness file {path} contains no ratings")
     return ConcretenessLexicon(ratings=ratings)
 
 

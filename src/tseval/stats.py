@@ -34,28 +34,43 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("pearson expects two equal-length vectors")
-    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+    r = float(_pearson_rows(xa[np.newaxis], ya)[0])
+    if math.isnan(r):
+        raise DegenerateDataError(
+            "correlation undefined: fewer than two observations"
+            if xa.size < 2 else
+            "correlation undefined: an input vector has zero variance")
+    return r
+
+
+def _pearson_rows(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Pearson r of each row of the (k, n) array `rows` with the
+    length-n vector `y`, NaN where it is undefined: for every row when
+    n < 2 or `y` is constant, else for each constant row.
+
+    The sums are row-wise reductions over a C-contiguous copy of the rows,
+    so each row's values add in the same pairwise order as one vector's,
+    and r of a row does not depend on the other rows. Raises ValueError
+    on a NaN or infinite value.
+    """
+    if not (np.isfinite(rows).all() and np.isfinite(y).all()):
         raise ValueError("pearson expects finite values")
-    if xa.size < 2:
-        raise DegenerateDataError(
-            "correlation undefined: fewer than two observations")
-    # a constant vector's rounded mean can differ from its value, so the
+    r = np.full(len(rows), np.nan)
+    if y.size < 2 or y.min() == y.max():
+        return r
+    # a constant row's rounded mean can differ from its value, so the
     # check is on the values, not on the centered ones
-    if xa.min() == xa.max() or ya.min() == ya.max():
-        raise DegenerateDataError(
-            "correlation undefined: an input vector has zero variance"
-        )
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    mx = float(np.abs(xc).max())
-    my = float(np.abs(yc).max())
+    varying = rows.min(axis=1) < rows.max(axis=1)
+    xc = np.ascontiguousarray(rows[varying])  # a copy, changed in place
+    xc -= xc.mean(axis=1, keepdims=True)
+    yc = y - y.mean()
     # scaling by the max magnitude keeps the sums-of-squares product away
     # from overflow/underflow and makes r exactly 1 for identical vectors
-    xn = xc / mx
-    yn = yc / my
-    r = float(np.sum(xn * yn)) / math.sqrt(
-        float(np.sum(xn * xn)) * float(np.sum(yn * yn)))
-    return min(1.0, max(-1.0, r))
+    xc /= np.abs(xc).max(axis=1, keepdims=True)
+    yc /= np.abs(yc).max()
+    r[varying] = np.clip((xc * yc).sum(axis=1) / np.sqrt(
+        (xc * xc).sum(axis=1) * np.sum(yc * yc)), -1.0, 1.0)
+    return r
 
 
 def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
@@ -142,9 +157,9 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
     entry also carries its test-set correlation, empty where undefined.
     """
     y = np.asarray(labels, dtype=float)
-    if y.shape[0] != matrix.rows.shape[0]:
+    if y.shape != (matrix.rows.shape[0],):
         raise ValueError(
-            f"{y.shape[0]} labels for {matrix.rows.shape[0]} matrix rows"
+            f"{y.size} labels for {matrix.rows.shape[0]} matrix rows"
         )
     y_test = None
     if test_matrix is not None:
@@ -153,26 +168,28 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
         if test_matrix.feature_names != matrix.feature_names:
             raise ValueError("train and test matrices disagree on features")
         y_test = np.asarray(test_labels, dtype=float)
+        if y_test.shape != (test_matrix.rows.shape[0],):
+            raise ValueError(f"{y_test.size} test labels for "
+                             f"{test_matrix.rows.shape[0]} test matrix rows")
+
+    r_train = _pearson_rows(matrix.rows.T, y)
+    defined = ~np.isnan(r_train)
+    r_test = np.full(len(r_train), np.nan)
+    if y_test is not None and defined.any():
+        r_test[defined] = _pearson_rows(test_matrix.rows.T[defined], y_test)
 
     reports = []
-    for name in matrix.feature_names:
-        try:
-            r = pearson(matrix.column(name), y)
-        except DegenerateDataError:
+    for name, r, rt in zip(matrix.feature_names, r_train.tolist(),
+                           r_test.tolist()):
+        if math.isnan(r):
             reports.append(CorrelationReport(
                 feature_name=name, r_train=0.0, degenerate=True))
             continue
         ci_low, ci_high = (fisher_ci(r, len(y)) if len(y) >= 4
                            else (None, None))
-        r_test = None
-        if y_test is not None:
-            try:
-                r_test = pearson(test_matrix.column(name), y_test)
-            except DegenerateDataError:
-                r_test = None
         reports.append(CorrelationReport(
-            feature_name=name, r_train=r,
-            ci_low=ci_low, ci_high=ci_high, r_test=r_test,
+            feature_name=name, r_train=r, ci_low=ci_low, ci_high=ci_high,
+            r_test=None if math.isnan(rt) else rt,
         ))
 
     reports.sort(key=lambda e: (-abs(e.r_train), e.feature_name))

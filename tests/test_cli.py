@@ -738,6 +738,19 @@ class TestTooFewRows:
         assert [row.split("\t")[5] for row in rows] == [""] * 5
         assert all(row.split("\t")[3] != "" for row in rows)
 
+    @pytest.mark.parametrize("command", ["features", "rank", "report"])
+    def test_dataset_without_records_is_data_error(
+            self, synthetic_dataset_dir, tmp_path, capsys, command):
+        # a header alone used to give empty feature files, and then a
+        # complaint about missing labels from rank and report
+        path = _subset(synthetic_dataset_dir / "train.tsv",
+                       tmp_path / "train.tsv", slice(0))
+        assert path.read_text().count("\n") == 1
+        assert run(command, "--train", str(path), "--out", str(tmp_path)) == 2
+        assert (f"dataset {path} contains no records"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "features_train.tsv").exists()
+
     def test_evaluate_regressor_on_one_test_row_is_data_error(
             self, synthetic_dataset_dir, tmp_path, capsys):
         self._features(synthetic_dataset_dir, tmp_path, slice(None),

@@ -1,10 +1,15 @@
 """Dataset loading, validation and label handling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tseval.errors import DataFormatError
+from tseval.errors import DataFormatError, read_lines
 from tseval.qats_io import (
+    DIMENSIONS,
     Dataset,
     QatsRecord,
     decode_labels,
@@ -52,6 +57,79 @@ class TestParseHelpers:
             normalize_dimension("quality")
 
 
+def reference_load(path, split_tag="unlabeled"):
+    """A dict per row, as load_dataset once read them; its reference."""
+    path = Path(path)
+    lines = read_lines(path, "dataset")
+    if not lines:
+        raise DataFormatError(f"dataset {path} is empty")
+    header = lines[0].split("\t")
+    has_id = header and header[0] == "id"
+    expected = (["id"] if has_id else []) + ["original", "simplified"]
+    labeled = len(header) > len(expected)
+    if labeled:
+        expected += list(DIMENSIONS)
+    if header != expected:
+        raise DataFormatError(
+            f"{path}: bad header {header}; expected "
+            "[id\\t]original\\tsimplified[\\tG\\tM\\tS\\tOverall]"
+        )
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split("\t")
+        if len(parts) != len(header):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {len(header)} columns, "
+                f"found {len(parts)}"
+            )
+        fields = dict(zip(header, parts))
+        rid = fields["id"] if has_id else str(lineno - 1)
+        source = fields["original"]
+        output = fields["simplified"]
+        if not source.strip():
+            raise DataFormatError(f"{path}:{lineno}: empty source sentence")
+        labels = None
+        if labeled:
+            labels = {
+                dim: parse_label(fields[dim], f"{path}:{lineno} column {dim}")
+                for dim in DIMENSIONS
+            }
+        records.append(QatsRecord(id=rid, source_text=source,
+                                  output_text=output, labels=labels))
+    return Dataset(records=tuple(records), split_tag=split_tag)
+
+
+_SPELLINGS = st.sampled_from(
+    ["Good", "good", " good ", "OK", "ok", "Ok\r", "BAD", "bad "])
+_SENTENCES = st.sampled_from(["The cat sat.", "A dog.", "x\ry", "",
+                              "two\u2028lines"])
+
+
+@st.composite
+def _dataset_files(draw):
+    """A dataset with or without the id column and the label columns; a
+    row may repeat an id, hold a bad label or a blank source, or have a
+    column too few or too many."""
+    header = ["original", "simplified"]
+    if has_id := draw(st.booleans()):
+        header.insert(0, "id")
+    if labeled := draw(st.booleans()):
+        header += DIMENSIONS
+    lines = ["\t".join(header)]
+    for i in range(draw(st.integers(1, 6))):
+        row = [draw(st.sampled_from([f"r{i}", "r0"]))] if has_id else []
+        row += [draw(_SENTENCES.filter(bool)), draw(_SENTENCES)]
+        if labeled:
+            row += [draw(_SPELLINGS) for _ in DIMENSIONS]
+        if draw(st.integers(0, 7)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(
+                st.sampled_from(["G", "", " ", "excellent"]))
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        lines.append("\t".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestLoadDataset:
     def test_labeled_file(self, tmp_path):
         ds = load_dataset(write(tmp_path, "d.tsv", LABELED), "train")
@@ -95,6 +173,49 @@ class TestLoadDataset:
             load_dataset(write(tmp_path, "d.tsv", content))
         assert ":2" in str(err.value)
         assert "column M" in str(err.value)
+
+    @pytest.mark.parametrize("header", ["original\tsimplified",
+                                        "id\toriginal\tsimplified\tG\tM\tS"
+                                        "\tOverall"])
+    def test_header_without_records_rejected(self, tmp_path, header):
+        path = write(tmp_path, "d.tsv", header + "\n")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"dataset {path} contains no records"
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_first_bad_label_named_as_the_reference_names_it(
+            self, tmp_path, column):
+        cells = ["good", "ok", "bad", "Good"][:column] + ["fine"] + [
+            "poor"] * (3 - column)
+        path = write(tmp_path, "d.tsv", LABELED + "A cat.\tCat.\t"
+                     + "\t".join(cells) + "\nA.\t\tno\tno\tno\tno\n")
+        with pytest.raises(DataFormatError) as err:
+            reference_load(path)
+        assert f"{path}:4 column {DIMENSIONS[column]}" in str(err.value)
+        with pytest.raises(DataFormatError) as mine:
+            load_dataset(path)
+        assert str(mine.value) == str(err.value)
+
+    @given(text=_dataset_files())
+    @example(text=LABELED)
+    @example(text="id\toriginal\tsimplified\tG\tM\tS\tOverall\n"
+                  "a\tA cat.\tCat.\t good \tOK\tbad\tGood\n"
+                  "b\tA dog.\tDog.\tgood\tok\tbad\tfine\n")
+    @example(text="original\tsimplified\tG\tM\tS\tOverall\n"
+                  "A cat.\tCat.\tgood\tok\tbad\n")
+    @settings(max_examples=300, deadline=None)
+    def test_load_equals_the_dict_per_row_reader(self, tmp_path_factory,
+                                                  text):
+        path = write(tmp_path_factory.mktemp("ds"), "d.tsv", text)
+        try:
+            expected = reference_load(path, "train")
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as err:
+                load_dataset(path, "train")
+            assert str(err.value) == str(exc)
+        else:
+            assert load_dataset(path, "train") == expected
 
     def test_partial_label_columns_rejected(self, tmp_path):
         content = "original\tsimplified\tG\nA cat.\tCat.\tgood\n"

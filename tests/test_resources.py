@@ -1,5 +1,6 @@
 """Resource loaders and the n-gram language model."""
 
+import csv
 import math
 import random
 import tracemalloc
@@ -7,10 +8,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tseval.errors import DataFormatError
+from tseval.errors import DataFormatError, read_lines
 from tseval.resources import (
     load_concreteness,
     load_frequency_table,
@@ -71,6 +72,71 @@ class TestFrequencyTable:
         assert table.rank_of("the") == 1
 
 
+def _reference_concreteness(path):
+    """The ratings a csv.DictReader reads from a concreteness file, as a
+    dict, or the message of the first defect; the loader's reference."""
+    lines = read_lines(path, "concreteness file")
+    if not lines:
+        return f"concreteness file {path} is empty"
+    reader = csv.DictReader(lines, delimiter=max("\t,;", key=lines[0].count))
+    try:
+        fields = reader.fieldnames or []
+        for col in ("Word", "Conc.M"):
+            if col not in fields:
+                return (f"concreteness file {path} is missing column "
+                        f"{col!r} (found {fields})")
+        ratings = {}
+        for row in reader:
+            word = (row["Word"] or "").strip().lower()
+            raw = (row["Conc.M"] or "").strip()
+            if not word:
+                continue
+            try:
+                value = float(raw)
+            except ValueError:
+                return (f"{path}:{reader.line_num}: rating {raw!r} is not "
+                        f"a number")
+            if not 1.0 <= value <= 5.0:
+                return (f"{path}:{reader.line_num}: rating {value} outside "
+                        f"the 1-5 scale")
+            ratings.setdefault(word, value)
+    except csv.Error as exc:
+        return f"{path}:{reader.reader.line_num}: {exc}"
+    return ratings or f"concreteness file {path} contains no ratings"
+
+
+# words, valid ratings, and odd fields: a bad rating, a delimiter, a quote
+# that opens a field over two lines, a "\r" that the csv reader rejects
+_LEXICON_WORDS = st.sampled_from(["cat", " Dog ", "CAT", "", "x y"])
+_LEXICON_RATINGS = st.sampled_from(["1", "2.5", " 4 ", "5.0", "3"])
+_LEXICON_ODD = st.sampled_from([
+    "0.5", "x", "", '"two\nlines"', '"a,b;c\td"', '"', "a\rb", ",", ";",
+    "\t"])
+
+
+@st.composite
+def _lexicon_files(draw):
+    """A lexicon with the Word and Conc.M columns, some repeated, among
+    others, in any order; rows may be blank, short or long."""
+    delimiter = draw(st.sampled_from("\t,;"))
+    names = draw(st.permutations(["Word", "Conc.M"] + draw(st.lists(
+        st.sampled_from(["Note", "Conc.M", "Word", "word"]), max_size=2))))
+    fields = [_LEXICON_RATINGS if name == "Conc.M" else _LEXICON_WORDS
+              for name in names]
+    lines = [delimiter.join(names)]
+    for _ in range(draw(st.integers(0, 6))):
+        row = [draw(field) for field in fields]
+        if draw(st.integers(0, 4)) == 0:  # a short or blank row
+            row = row[:draw(st.integers(0, len(row)))]
+        else:  # extra fields, or none
+            row += draw(st.lists(_LEXICON_RATINGS, max_size=2))
+        if row and draw(st.integers(0, 7)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_LEXICON_ODD)
+        lines.append(delimiter.join(row))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "\n".join(lines) + "\n"
+
+
 class TestConcreteness:
     def test_basic(self, tmp_path):
         path = tmp_path / "conc.tsv"
@@ -116,6 +182,44 @@ class TestConcreteness:
         with pytest.raises(DataFormatError) as info:
             load_concreteness(path)
         assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("text", [
+        "Word\tConc.M\n",
+        "Word\tConc.M\n\n \t4\n\t2\n",
+        "Word;Conc.M\n;3\n",
+    ])
+    def test_no_ratings_rejected(self, tmp_path, text):
+        # an empty lexicon used to make AvgConcreteness 0.0 on every pair
+        path = tmp_path / "conc.tsv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_concreteness(path)
+        assert str(info.value) == (
+            f"concreteness file {path} contains no ratings")
+
+    @given(text=_lexicon_files())
+    @example(text="Word,Conc.M\ncat,2\n")
+    @example(text="Word\tConc.M\n\ncat\t2\n\n\ndog\t3\n")
+    @example(text="Word;Conc.M\ncat;2\n")
+    @example(text='Word,Note,Conc.M\ncat,"two\nlines",2\ndog,"x",9\n')
+    @example(text="Word,Conc.M\ncat\ndog,2\n")  # a short row
+    @example(text="Note,Word,Conc.M\nx,cat\n")  # short: an empty rating
+    @example(text="Word,Conc.M\ncat,2,x,y\ndog,3,\n")  # long rows
+    @example(text="Conc.M,Word,Conc.M\n9,cat,2\n1,dog\n")  # the last wins
+    @example(text="\ufeffWord\tConc.M\ncat\t2\n")
+    @example(text="Word,Conc.M\nca\rt,2\n")  # "\r" in an unquoted field
+    @settings(max_examples=400, deadline=None)
+    def test_load_equals_dictreader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("conc") / "conc.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = _reference_concreteness(path)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as info:
+                load_concreteness(path)
+            assert str(info.value) == expected
+        else:
+            assert list(load_concreteness(path).ratings.items()) == list(
+                expected.items())
 
     def test_comma_delimiter_sniffed(self, tmp_path):
         path = tmp_path / "conc.csv"

@@ -1,16 +1,22 @@
 """Correlation, Fisher intervals, ranking and weighted F1."""
 
+import importlib
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tseval import qats_io, resources
 from tseval.errors import DegenerateDataError
-from tseval.features import FeatureMatrix
+from tseval.features import FeatureMatrix, compute_matrix
 from tseval.stats import fisher_ci, pearson, rank_features, weighted_f1
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def weighted_f1_oracle(predicted, gold):
@@ -33,6 +39,29 @@ def weighted_f1_oracle(predicted, gold):
             f1 = 2 * precision * recall / (precision + recall)
         result += (gold_n / total) * f1
     return result
+
+
+def pearson_reference(x, y):
+    """Pearson r of one pair of vectors, as pearson once computed it, or
+    None where it is undefined; the reference of the batched pass."""
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.size < 2 or xa.min() == xa.max() or ya.min() == ya.max():
+        return None
+    xc = xa - xa.mean()
+    yc = ya - ya.mean()
+    xn = xc / float(np.abs(xc).max())
+    yn = yc / float(np.abs(yc).max())
+    r = float(np.sum(xn * yn)) / math.sqrt(
+        float(np.sum(xn * xn)) * float(np.sum(yn * yn)))
+    return min(1.0, max(-1.0, r))
+
+
+def same_float(a, b):
+    """Bit for bit, so -0.0 differs from 0.0; None only equals None."""
+    if a is None or b is None:
+        return a is b
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class TestPearson:
@@ -244,6 +273,10 @@ class TestRankFeatures:
         matrix = _matrix({"x": [1.0, 2.0]})
         with pytest.raises(ValueError):
             rank_features(matrix, [1.0, 2.0, 3.0], "G")
+        with pytest.raises(ValueError, match="2 test labels for 3 test"):
+            rank_features(matrix, [1.0, 2.0], "G",
+                          test_matrix=_matrix({"x": [1.0, 2.0, 3.0]}),
+                          test_labels=[1.0, 2.0])
 
     def test_serializations(self):
         labels = [0.0, 1.0, 2.0, 0.0]
@@ -253,6 +286,88 @@ class TestRankFeatures:
         assert tsv.splitlines()[0] == "rank\tfeature\tr_train\tci_low\tci_high\tr_test"
         md = table.to_markdown()
         assert md.count("|") > 5
+
+
+# A column's values: random at one magnitude near 1e-300, 1 or 1e300,
+# constant, or constant but for one value a few ulps away.
+_MAGNITUDES = st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300])
+
+
+@st.composite
+def _column(draw, n):
+    kind = draw(st.sampled_from(["random", "small ints", "constant",
+                                 "near-constant"]))
+    scale = draw(_MAGNITUDES)
+    if kind == "random":
+        values = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+        return [v * scale for v in values]
+    if kind == "small ints":
+        return [float(draw(st.integers(0, 2))) for _ in range(n)]
+    base = draw(st.floats(-10, 10)) * scale
+    values = [base] * n
+    if kind == "near-constant" and n:
+        at = draw(st.integers(0, n - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            values[at] = math.nextafter(values[at], math.inf)
+    return values
+
+
+@st.composite
+def _ranking_inputs(draw):
+    """(train matrix, labels, test matrix, test labels) of one width."""
+    k = draw(st.integers(1, 6))
+    split = []
+    for rows in (draw(st.integers(0, 12)), draw(st.integers(0, 6))):
+        columns = {f"f{j}": draw(_column(rows)) for j in range(k)}
+        labels = draw(_column(rows))
+        split += [_matrix(columns), labels]
+    return tuple(split)
+
+
+class TestBatchedCorrelations:
+    """rank_features computes r for every column in one pass; each must
+    equal the one-column computation bit for bit."""
+
+    def _check(self, matrix, labels, test_matrix=None, test_labels=None):
+        table = rank_features(matrix, labels, "G", test_matrix=test_matrix,
+                              test_labels=test_labels)
+        for e in table.entries:
+            r = pearson_reference(matrix.column(e.feature_name), labels)
+            if r is None:
+                assert e.degenerate and same_float(e.r_train, 0.0)
+                assert e.ci_low is None and e.r_test is None
+                continue
+            assert not e.degenerate and same_float(e.r_train, r)
+            assert same_float(pearson(matrix.column(e.feature_name),
+                                      labels), r)
+            if test_matrix is not None:
+                assert same_float(e.r_test, pearson_reference(
+                    test_matrix.column(e.feature_name), test_labels))
+
+    @given(_ranking_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_each_column_as_alone(self, inputs):
+        matrix, labels, test_matrix, test_labels = inputs
+        self._check(matrix, labels, test_matrix, test_labels)
+
+    def test_workload_train_matrices(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        workloads = importlib.import_module("workloads")
+        for name in workloads.SPECS:
+            for seed in (1, 2, 3):
+                paths = workloads.write_inputs(
+                    workloads.generate(name, seed), tmp_path / f"{name}{seed}")
+                train = qats_io.load_dataset(paths["train"], "train")
+                matrix = compute_matrix(qats_io.to_pairs(train),
+                                        resources.Resources(
+                    freq_table=resources.load_frequency_table(paths["freq"]),
+                    concreteness=resources.load_concreteness(
+                        paths["concreteness"]),
+                    vectors=resources.load_vectors(paths["vectors"]),
+                    lm=resources.train_lm(paths["lm_corpus"])))
+                for dim in qats_io.DIMENSIONS:
+                    self._check(matrix, qats_io.encode_labels(train, dim))
 
 
 class TestWeightedF1:

@@ -8,9 +8,10 @@ SRC/src (SRC is a checkout of this repository) on them:
 
 * `features` with all four resources,
 * `rank`,
-* `train` and `evaluate` with the workload's dimension and model.
+* `train` and `evaluate` with the workload's dimension and model,
+* `report`, whose label counts show what `load_dataset` read.
 
-The artifacts go to OUT/<workload>-<seed>/ (13 files per run), so two
+The artifacts go to OUT/<workload>-<seed>/ (15 files per run), so two
 checkouts can be compared with `diff -r OUT1 OUT2`. One of them is
 `train.log`, the stdout of `train` (the cross-validation table, its
 warnings and the model path) with OUT replaced by the token `<OUT>`.
@@ -85,6 +86,7 @@ def _runs(tmp: Path):
                 ("rank", []),
                 ("train", model + ["--folds", str(spec.folds)]),
                 ("evaluate", model),
+                ("report", []),
             ]
     yield SHORT, write_short_set(tmp / SHORT), [("features", []),
                                                 ("rank", [])]
