@@ -1,11 +1,14 @@
 """Exception types shared across the package, the one reader of input
-files and its line rule, and the one check of the numbers read from them."""
+files and its line rule, the one check of the numbers read from them, and
+the one rule for adding floats that reach an artifact."""
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +72,14 @@ def split_lines(text: str) -> list[str]:
 def read_lines(path: str | Path, what: str) -> list[str]:
     """read_input's text of an input file, split by split_lines."""
     return split_lines(read_input(path, what))
+
+
+def sum_left(values: Iterable[float]) -> float:
+    """The floats `values` added left to right, starting from 0.0: what
+    sum() gives on Python 3.10 and 3.11. From 3.12 on, sum() compensates
+    rounding, so a float sum that reaches an artifact goes through here
+    to write the same bytes on every Python."""
+    return reduce(operator.add, values, 0.0)
 
 
 def parse_row(fields: Sequence[str], width: int, path: str | Path,

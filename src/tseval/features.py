@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DataFormatError, DegenerateDataError,
-                     ResourceMissingError, parse_rows, read_lines)
+                     ResourceMissingError, parse_rows, read_lines, sum_left)
 from .mtmetrics import (BleuConfig, bleu_counts, bleu_from_counts, meteor,
                         rouge, ter_align)
 from .resources import EMPTY_RESOURCES, Resources, token_logprobs
@@ -90,7 +90,7 @@ def _avg_concreteness(pair: SentencePair, resources: Resources) -> float:
     lex = resources.concreteness
     covered = [r for r in (lex.rating_of(w) for w in pair.output.words)
                if r is not None]
-    return sum(covered) / len(covered) if covered else 0.0
+    return sum_left(covered) / len(covered) if covered else 0.0
 
 
 def _fkgl(pair: SentencePair, resources: Resources, syllables: int) -> float:
@@ -181,7 +181,7 @@ _REGISTRY: tuple[FeatureSpec, ...] = (
     _spec("NBOutputWords", lambda p, r: p.output.word_count),
     _spec("NBOutputWordsPerSent", lambda p, r: _words_per_sentence(p.output)),
     _spec("AvgLMProbsOutput",
-          lambda p, r, xs: sum(xs) / len(xs) if xs else LOGPROB_FLOOR,
+          lambda p, r, xs: sum_left(xs) / len(xs) if xs else LOGPROB_FLOOR,
           requires=("lm",), reads=("logprobs",)),
     _spec("MinLMProbsOutput", lambda p, r, xs: min(xs, default=LOGPROB_FLOOR),
           requires=("lm",), reads=("logprobs",)),

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import sum_left
 from .textproc import TokenizedText, porter_stem
 
 __all__ = [
@@ -162,19 +163,18 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
             break
         logs.append(math.log(num / den))
     brevity = math.exp(min(0.0, 1.0 - src_len / out_len))
+    sums = list(accumulate(logs, initial=0.0))  # left to right, as sum_left
 
     scores = []
     for cfg in cfgs:
         k = min(cfg.max_order, len(raw))
         if k <= len(logs):
-            # sum per prefix: a running total differs from sum() on
-            # Pythons whose sum() compensates rounding
-            scores.append(brevity * math.exp(sum(logs[:k]) / k))
+            scores.append(brevity * math.exp(sums[k] / k))
         elif cfg.smoothing == "none":
             scores.append(0.0)
         else:
             precisions = _smooth(raw[:k], out_len)
-            log_mean = sum(math.log(x) for x in precisions) / k
+            log_mean = sum_left(math.log(x) for x in precisions) / k
             scores.append(brevity * math.exp(log_mean))
     return scores
 
@@ -275,7 +275,7 @@ def _segments(cand: list[str], ref: list[str], stem_of: dict[str, str],
 
 
 class _Tables(NamedTuple):
-    """What _align computes once for a pair with matches; the first
+    """What _align computes once for a pair with matches; the greedy
     alignment and the search both read it."""
 
     stem_of: dict[str, str]
@@ -363,11 +363,9 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
     Every word gets exactly its maximal number of exact matches (stage
     priority), and every stem class exactly the maximal number of stem
     matches among the occurrences left over (_quotas). Among those
-    alignments the fewest chunks are wanted. The alignment _search reaches
-    first is tried as a plain loop: when it meets the root bound it is
-    optimal, and the search, which no bound prunes on the way to it,
-    would return it after at most len(cand) nodes. Every other pair runs
-    _search.
+    alignments the fewest chunks are wanted. A greedy alignment that
+    meets the root bound has them, whatever NODE_BUDGET is
+    (_greedy_meets_root); every other pair runs _search.
 
     The chunk count is exact when ``exhaustive`` is true. Otherwise a
     node was cut by NODE_BUDGET (expanded search nodes), and the count
@@ -376,18 +374,20 @@ def _align(cand: list[str], ref: list[str]) -> tuple[int, int, bool]:
     t = _tables(cand, ref)
     if t is None:
         return 0, 0, True
-    if len(cand) <= NODE_BUDGET and _first_meets_root(cand, ref, t):
+    if _greedy_meets_root(cand, ref, t):
         return t.matches, t.root, True
     return _search(cand, ref, t)
 
 
-def _first_meets_root(cand: list[str], ref: list[str], t: _Tables) -> bool:
-    """Whether the alignment _search reaches first places every match in
-    t.root chunks. At each cand word it takes _search's first child: the
-    exact match, with the continuation ref[last_j + 1] first, else the
-    lowest free position; otherwise the stem match under the same rule;
-    otherwise no match. Where _search offers no child at all, a quota
-    can no longer be met, so this alignment places too few matches."""
+def _greedy_meets_root(cand: list[str], ref: list[str], t: _Tables) -> bool:
+    """Whether a greedy alignment places all t.matches matches in t.root
+    chunks, and so is optimal. At each cand word it takes the exact match,
+    the continuation ref[last_j + 1] first, else the lowest free position;
+    else the stem match by the same rule, to a ref word with more free
+    occurrences than exact matches still owed to it; else none. Each match
+    lowers a positive quota, so with all placed every quota is met and the
+    alignment is one of those _align ranges over; a chunk never crosses a
+    segment, so each of those has at least t.root chunks."""
     (stem_of, exact, stem, ref_count, remaining, _, root, at_word,
      at_stem) = t
     used = [False] * len(ref)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DataFormatError, DegenerateDataError, parse_row,
-                     read_lines)
+                     read_lines, sum_left)
 from .features import FeatureMatrix, name_defect
 from .qats_io import LABELS
 from .stats import pearson, weighted_f1
@@ -275,8 +275,10 @@ def _norm(grad_w: np.ndarray, grad_b: np.ndarray) -> float:
     return math.sqrt(float((grad_w * grad_w).sum() + (grad_b * grad_b).sum()))
 
 
-# fit_classifier stops when the gradient norm falls below this.
+# fit_classifier stops when the gradient norm falls below _GRAD_TOL, or
+# with an IterationCapWarning after _NEWTON_MAX_ITER Newton steps.
 _GRAD_TOL = 1e-6
+_NEWTON_MAX_ITER = 100
 # Relative change of the loss that its evaluation cannot resolve.
 _LOSS_ROUNDING = 10 * np.finfo(float).eps
 
@@ -291,13 +293,12 @@ class IterationCapWarning(RuntimeWarning):
 
 
 def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
-                   n_classes: int | None = None,
-                   max_iter: int = 100) -> LinearModel:
+                   n_classes: int | None = None) -> LinearModel:
     """Multinomial logistic regression with an L2 penalty on the weights
     (not the intercepts), trained by damped Newton steps with a
     backtracking (Armijo) line search until the gradient norm falls below
-    _GRAD_TOL (1e-6) or the iteration cap is reached; reaching the cap first raises an
-    IterationCapWarning."""
+    _GRAD_TOL (1e-6) or _NEWTON_MAX_ITER (100) steps are taken; reaching
+    the cap first raises an IterationCapWarning."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.shape[0] != y.shape[0]:
@@ -324,10 +325,10 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     W = np.zeros((C, d))
     b = np.zeros(C)
     loss, grad_w, grad_b = _nll_and_grad(W, b, X, Y, lam)
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         if _norm(grad_w, grad_b) < _GRAD_TOL:
             break
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             warnings.warn(IterationCapWarning(lam), stacklevel=2)
             break
         # lstsq, not solve: at lam = 0, collinear columns of X leave
@@ -473,7 +474,7 @@ class CVResult:
 
     @property
     def mean(self) -> float:
-        return sum(self.fold_scores) / len(self.fold_scores)
+        return sum_left(self.fold_scores) / len(self.fold_scores)
 
 
 def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:

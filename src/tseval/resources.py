@@ -99,7 +99,9 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
     lines = read_lines(path, "concreteness file")
     if not lines:
         raise DataFormatError(f"concreteness file {path} is empty")
-    reader = csv.reader(lines, delimiter=max("\t,;", key=lines[0].count))
+    # each line keeps its "\n", which a quoted field over two lines holds
+    reader = csv.reader((line + "\n" for line in lines),
+                        delimiter=max("\t,;", key=lines[0].count))
     try:
         header = next(reader)
         column = {name: i for i, name in enumerate(header)}  # the last wins

@@ -1,7 +1,6 @@
 """End-to-end CLI workflow on synthetic data: features -> rank -> train ->
 evaluate -> report, plus determinism, config files and exit codes."""
 
-import functools
 import re
 import shutil
 import warnings
@@ -215,8 +214,7 @@ class TestTrainEvaluateCommands:
                                                   monkeypatch):
         # lambda = 0.001 and one Newton step per fit, so every fit stops
         # at the cap
-        monkeypatch.setattr(qemodel, "fit_classifier", functools.partial(
-            qemodel.fit_classifier, max_iter=1))
+        monkeypatch.setattr(qemodel, "_NEWTON_MAX_ITER", 1)
         self._write_probe_inputs(tmp_path)
         code = run("train", "--train", str(tmp_path / "train.tsv"),
                    "--dimension", "G", "--model", "logistic", "--lam", "0.001",

@@ -710,26 +710,36 @@ class TestMeteor:
             return 0, 0, True
         return mtmetrics._search(cand, ref, tables)
 
-    @given(inflected_lists, inflected_lists, st.integers(0, 3))
+    @given(inflected_lists, inflected_lists, st.integers(0, 60))
     @settings(max_examples=200, deadline=None)
-    def test_first_alignment_agrees_with_the_search(self, cand, ref, extra):
-        # where the first alignment meets the root bound, the search
-        # reaches it first; elsewhere _align is the search
-        for budget in (mtmetrics.NODE_BUDGET, len(cand) + extra):
-            with mock.patch.object(mtmetrics, "NODE_BUDGET", budget):
-                assert mtmetrics._align(cand, ref) == self.search_alone(
-                    cand, ref)
+    def test_search_and_greedy_alignment_match_the_oracle(self, cand, ref,
+                                                          budget):
+        _, total, neg_chunks = meteor_alignment_oracle(cand, ref)
+        # the search alone finds the fewest chunks on every input
+        assert self.search_alone(cand, ref) == (total, -neg_chunks, True)
+        # a greedy alignment that meets the root bound is optimal, so
+        # _align returns it at any budget; elsewhere _align is the search
+        tables = mtmetrics._tables(cand, ref)
+        greedy = tables is not None and mtmetrics._greedy_meets_root(
+            cand, ref, tables)
+        if greedy:
+            assert -neg_chunks == tables.root
+        for b in (0, budget, mtmetrics.NODE_BUDGET):
+            with mock.patch.object(mtmetrics, "NODE_BUDGET", b):
+                assert mtmetrics._align(cand, ref) == (
+                    (total, tables.root, True) if greedy
+                    else self.search_alone(cand, ref))
 
-    # (matches, chunks, exhaustive) per node budget of the search alone, on
-    # a 60-word output that is its source with the halves swapped, whose
-    # first alignment meets its root bound of 2 chunks, and on the first
-    # heavy pair, whose first alignment does not. Below len(cand) = 60
-    # nodes the search cannot reach the swapped pair's first alignment,
-    # so _align must not return it there.
+    # (matches, chunks, exhaustive) per node budget on a 60-word output
+    # that is its source with the halves swapped, whose greedy alignment
+    # meets its root bound of 2 chunks, and on the first heavy pair, whose
+    # greedy alignment does not. The swapped pair's count is exact at
+    # every budget, though below 59 nodes the search alone stops at
+    # (60, 60, False); the heavy pair's is the search's.
     GATED_ALIGNMENTS = {
-        0: ((60, 60, False), (15, 15, False)),
-        10: ((60, 60, False), (15, 15, False)),
-        58: ((60, 60, False), (15, 14, False)),
+        0: ((60, 2, True), (15, 15, False)),
+        10: ((60, 2, True), (15, 15, False)),
+        58: ((60, 2, True), (15, 14, False)),
         59: ((60, 2, True), (15, 14, False)),
     }
 
@@ -740,12 +750,14 @@ class TestMeteor:
         words = [f"w{rng.randrange(60)}" for _ in range(60)]
         src, out = next(self.heavy_pairs())
         pairs = [(words[30:] + words[:30], words), (out.words, src.words)]
-        first = mtmetrics._tables(*pairs[0])
-        assert mtmetrics._first_meets_root(*pairs[0], first)
+        assert [mtmetrics._greedy_meets_root(*pair, mtmetrics._tables(*pair))
+                for pair in pairs] == [True, False]
         monkeypatch.setattr(mtmetrics, "NODE_BUDGET", budget)
         got = tuple(mtmetrics._align(cand, ref) for cand, ref in pairs)
         assert got == self.GATED_ALIGNMENTS[budget]
-        assert got == tuple(self.search_alone(*pair) for pair in pairs)
+        assert got[1] == self.search_alone(*pairs[1])
+        if budget < 59:
+            assert self.search_alone(*pairs[0]) == (60, 60, False)
 
     def test_search_does_not_recurse(self):
         # The output is the 300-word source with about a fifth of its words

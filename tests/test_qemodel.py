@@ -276,10 +276,11 @@ class TestClassifier:
             warnings.simplefilter("error")
             fit_classifier(X, y, lam=0.5, n_classes=3)
 
-    def test_iteration_cap_warns(self):
+    def test_iteration_cap_warns(self, monkeypatch):
         X, y, lam = _probe_inputs()
+        monkeypatch.setattr(qemodel, "_NEWTON_MAX_ITER", 1)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
-            fit_classifier(X, y, lam=lam, max_iter=1)
+            fit_classifier(X, y, lam=lam)
 
     def test_probe_fit_is_stationary(self):
         X, y, lam = _probe_inputs()

@@ -78,7 +78,8 @@ def _reference_concreteness(path):
     lines = read_lines(path, "concreteness file")
     if not lines:
         return f"concreteness file {path} is empty"
-    reader = csv.DictReader(lines, delimiter=max("\t,;", key=lines[0].count))
+    reader = csv.DictReader((line + "\n" for line in lines),
+                            delimiter=max("\t,;", key=lines[0].count))
     try:
         fields = reader.fieldnames or []
         for col in ("Word", "Conc.M"):
@@ -208,6 +209,7 @@ class TestConcreteness:
     @example(text="Conc.M,Word,Conc.M\n9,cat,2\n1,dog\n")  # the last wins
     @example(text="\ufeffWord\tConc.M\ncat\t2\n")
     @example(text="Word,Conc.M\nca\rt,2\n")  # "\r" in an unquoted field
+    @example(text='Word,Conc.M\n"ice\ncream",4\n')  # a word over two lines
     @settings(max_examples=400, deadline=None)
     def test_load_equals_dictreader(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("conc") / "conc.csv"
@@ -220,6 +222,15 @@ class TestConcreteness:
         else:
             assert list(load_concreteness(path).ratings.items()) == list(
                 expected.items())
+
+    def test_quoted_line_break_stays_in_the_word(self, tmp_path):
+        path = tmp_path / "conc.csv"
+        path.write_text('Word,Conc.M\n"ice\ncream",4\ncat,5\n')
+        with path.open(newline="") as f:
+            expected = {row["Word"]: float(row["Conc.M"])
+                        for row in csv.DictReader(f)}
+        assert expected == {"ice\ncream": 4.0, "cat": 5.0}
+        assert load_concreteness(path).ratings == expected
 
     def test_comma_delimiter_sniffed(self, tmp_path):
         path = tmp_path / "conc.csv"
