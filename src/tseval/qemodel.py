@@ -161,6 +161,15 @@ def _center(X: np.ndarray, y: np.ndarray, fit_intercept: bool):
     return X, y, np.zeros(X.shape[1]), 0.0
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite entry of values."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        at = ", ".join(map(str, bad[0]))
+        raise ValueError(f"{name} holds a non-finite value "
+                         f"{values[tuple(bad[0])]} at [{at}]")
+
+
 def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
                   lam: float = 1.0, fit_intercept: bool = True) -> LinearModel:
     """Fit a linear regressor.
@@ -168,7 +177,7 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
     linreg solves the unpenalized normal equations and refuses singular
     systems; ridge solves the L2-penalized ones in closed form; lasso runs
     coordinate descent with soft thresholding until the largest weight
-    change drops below 1e-7.
+    change drops below 1e-7. A non-finite value in X or y is a ValueError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -178,6 +187,8 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
         raise ValueError("regularization strength must be >= 0")
     if kind not in ("linreg", "ridge", "lasso"):
         raise ValueError(f"unknown regressor kind {kind!r}")
+    _check_finite("X", X)
+    _check_finite("y", y)
 
     Xc, yc, x_mean, y_mean = _center(X, y, fit_intercept)
 
@@ -292,25 +303,58 @@ class IterationCapWarning(RuntimeWarning):
         self.lam = lam
 
 
+def _newton_step(H: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+    """Solve H step = g, H being the Hessian plus the gauge term.
+
+    For lam > 0 the penalty and the gauge make H positive definite, so it
+    has a Cholesky factor L (H = L L^T), and the step is L^-T (L^-1 g).
+    At lam = 0, collinear columns of X leave flat directions beyond the
+    gauge ones, and lstsq's minimum-norm solution keeps the weights off
+    them. lstsq is also the fallback when rounding leaves H without a
+    Cholesky factor."""
+    if lam > 0:
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.linalg.solve(L.T, np.linalg.solve(L, g))
+    return np.linalg.lstsq(H, g, rcond=None)[0]
+
+
 def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
                    n_classes: int | None = None) -> LinearModel:
     """Multinomial logistic regression with an L2 penalty on the weights
     (not the intercepts), trained by damped Newton steps with a
     backtracking (Armijo) line search until the gradient norm falls below
     _GRAD_TOL (1e-6) or _NEWTON_MAX_ITER (100) steps are taken; reaching
-    the cap first raises an IterationCapWarning."""
+    the cap first raises an IterationCapWarning.
+
+    Each step solves the Newton system through a Cholesky factor when
+    lam > 0, and by lstsq's minimum-norm solution at lam = 0 or when the
+    factorization fails (_newton_step). y holds class indices 0..C-1, C
+    being n_classes or else the largest label + 1; a label outside that
+    range, or a non-finite value in X or y, is a ValueError."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X rows and y length must agree")
     if lam < 0:
         raise ValueError("regularization strength must be >= 0")
+    _check_finite("X", X)
+    _check_finite("y", y)
+    y = y.astype(int)
     present = np.unique(y)
     if present.size < 2:
         raise DegenerateDataError(
             "classifier training needs at least two distinct classes"
         )
     C = n_classes if n_classes is not None else int(present.max()) + 1
+    outside = np.flatnonzero((y < 0) | (y >= C))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"label {y[i]} at row {i} is outside the class "
+                         f"range 0..{C - 1}")
     n, d = X.shape
     Y = np.zeros((n, C))
     Y[np.arange(n), y] = 1.0
@@ -331,11 +375,9 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
         if it == _NEWTON_MAX_ITER:
             warnings.warn(IterationCapWarning(lam), stacklevel=2)
             break
-        # lstsq, not solve: at lam = 0, collinear columns of X leave
-        # flat directions beyond the gauge ones
         g = np.hstack([grad_w, grad_b[:, None]])
-        step = np.linalg.lstsq(_nll_hessian(W, b, X, lam) + gauge,
-                               g.ravel(), rcond=None)[0].reshape(C, d + 1)
+        step = _newton_step(_nll_hessian(W, b, X, lam) + gauge, g.ravel(),
+                            lam).reshape(C, d + 1)
         decrease = float((g * step).sum())
         t = 1.0
         while True:

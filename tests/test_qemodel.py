@@ -394,6 +394,82 @@ class TestClassifier:
         with pytest.raises(DegenerateDataError):
             fit_classifier(np.ones((5, 2)), [1, 1, 1, 1, 1])
 
+    @pytest.mark.parametrize("labels, n_classes, message", [
+        ([-1, 0, 1] * 5, None, r"label -1 at row 0 .* 0\.\.1"),
+        ([0, 1, 2] * 5, 2, r"label 2 at row 2 .* 0\.\.1"),
+    ], ids=["negative", "beyond-n-classes"])
+    def test_label_outside_class_range_rejected(self, labels, n_classes,
+                                                message):
+        X = np.random.default_rng(19).normal(size=(15, 2))
+        with pytest.raises(ValueError, match=message):
+            fit_classifier(X, labels, n_classes=n_classes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_collinear_copies_share_weights_at_lambda_zero(self, seed):
+        # the flat direction between the two copies is left alone only by
+        # a minimum-norm step; a Cholesky factor, when rounding lets one
+        # exist, or a plain solve moves along it
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, 4))
+        X = np.column_stack([X, X[:, 0]])
+        y = rng.integers(0, 3, size=60)
+        model = fit_classifier(X, y, lam=0.0, n_classes=3)
+        assert np.abs(model.weights[:, 0] - model.weights[:, 4]).max() \
+            <= 1e-12
+
+    @pytest.mark.parametrize("lam", LAMBDA_GRID)
+    @pytest.mark.parametrize("missing_class", [False, True],
+                             ids=["three-classes", "missing-class"])
+    def test_cholesky_step_agrees_with_lstsq_fallback(self, monkeypatch,
+                                                      lam, missing_class):
+        X, y, _ = _probe_inputs()
+        if missing_class:  # as a CV fold can leave it
+            y = np.where(y == 1, 2, y)
+
+        def fit():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = fit_classifier(X, y, lam=lam, n_classes=3)
+            caps = sum(isinstance(w.message, qemodel.IterationCapWarning)
+                       for w in caught)
+            return model, caps
+
+        cholesky, cholesky_caps = fit()
+
+        def no_factor(_):
+            raise np.linalg.LinAlgError("forced fallback")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+        lstsq, lstsq_caps = fit()
+        np.testing.assert_allclose(cholesky.weights, lstsq.weights,
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cholesky.intercept, lstsq.intercept,
+                                   rtol=1e-9, atol=1e-12)
+        assert (cholesky.predict(X) == lstsq.predict(X)).all()
+        assert cholesky_caps == lstsq_caps
+
+
+class TestLearnerInputs:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, kind, where, value):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(20, 3))
+        y = rng.integers(0, 3, size=20).astype(float)
+        if where == "X":
+            X[4, 1] = value
+        else:
+            y[7] = value
+        at = "[4, 1]" if where == "X" else "[7]"
+        with pytest.raises(ValueError,
+                           match=rf"^{where} holds a non-finite .* at "
+                                 + re.escape(at)):
+            if kind == "logistic":
+                fit_classifier(X, y, n_classes=3)
+            else:
+                fit_regressor(X, y, kind=kind)
+
 
 class TestPipeline:
     def _regression_setup(self, n=60, d=8, seed=18):
