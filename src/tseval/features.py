@@ -72,25 +72,65 @@ def _words_in_common(src: TokenizedText, out: TokenizedText) -> float:
     return len(src_types & set(out.words)) / len(src_types)
 
 
-def _avg_cosine(pair: SentencePair, resources: Resources) -> float:
+def _vector_sums(texts: list[list[int]], matrix: np.ndarray) -> np.ndarray:
+    """The sum of the rows of matrix that each text lists, one row per
+    text, each what matrix[rows].sum(axis=0) gives.
+
+    That sum starts from numpy's add identity, +0.0, and adds the rows in
+    order (a one-column matrix excepted, which numpy sums pairwise). The
+    texts are summed alike but all at once: sorted longest first, step j
+    adds the j-th row of every text longer than j into that text's row of
+    one accumulator, in place."""
+    order = sorted(range(len(texts)), key=lambda i: -len(texts[i]))
+    ranked = [texts[i] for i in order]
+    sums = np.zeros((len(texts), matrix.shape[1]))
+    longer = len(ranked)  # the texts longer than j
+    for j in range(len(ranked[0]) if ranked else 0):
+        while len(ranked[longer - 1]) <= j:
+            longer -= 1
+        step = sums[:longer]
+        step += matrix[[rows[j] for rows in ranked[:longer]]]
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
+def _cosines(pairs: Sequence[SentencePair],
+             resources: Resources) -> list[float]:
+    """AvgCosineSim of every pair: the cosine of the mean word vectors of
+    its source and of its output, 0.0 when either has no vector."""
     vectors = resources.vectors
-    means = []
-    for text in (pair.source, pair.output):
-        rows = [r for r in map(vectors.row_of, text.words) if r is not None]
-        if not rows:
-            return 0.0
+    row_of = vectors.rows.get
+    texts = [[r for r in map(row_of, map(str.lower, text.words))
+              if r is not None]
+             for pair in pairs for text in (pair.source, pair.output)]
+    means = _vector_sums(texts, vectors.matrix)
+    lengths = np.array([len(rows) for rows in texts], float)[:, None]
+    np.divide(means, lengths, out=means, where=lengths > 0)
+    out = []
+    for k in range(0, len(texts), 2):
+        if not (texts[k] and texts[k + 1]):
+            out.append(0.0)
+            continue
+        a, b = means[k], means[k + 1]
         # what np.mean and np.linalg.norm compute, without their overhead
-        means.append(vectors.matrix[rows].sum(axis=0) / len(rows))
-    a, b = means
-    denom = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
-    return float(a.dot(b) / denom) if denom > 0 else 0.0
+        denom = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
+        out.append(float(a.dot(b) / denom) if denom > 0 else 0.0)
+    return out
 
 
 def _avg_concreteness(pair: SentencePair, resources: Resources) -> float:
-    lex = resources.concreteness
-    covered = [r for r in (lex.rating_of(w) for w in pair.output.words)
+    rating = resources.concreteness.ratings.get
+    covered = [r for r in map(rating, map(str.lower, pair.output.words))
                if r is not None]
     return sum_left(covered) / len(covered) if covered else 0.0
+
+
+def _max_freq_rank(pair: SentencePair, resources: Resources) -> float:
+    ranks = resources.freq_table.rank_of_map
+    words = pair.output.words
+    return max(map(ranks.get, map(str.lower, words),
+                   repeat(len(ranks) + 1, len(words))), default=0.0)
 
 
 def _fkgl(pair: SentencePair, resources: Resources, syllables: int) -> float:
@@ -115,20 +155,23 @@ _BLEU_CONFIGS = (*(BleuConfig(max_order=n) for n in (1, 2, 3, 4)),
 
 
 # Values that several features read, by name. Each is a function of
-# (pair, resources), computed for the pairs of one compute_matrix call
-# only when a selected feature reads it. The metric functions are looked
-# up by their global names at call time, so a caller can wrap them.
+# (pairs, resources) that gives one value per pair, for the pairs of one
+# compute_matrix call, and runs only when a selected feature reads it.
+# The per-pair metric functions are looked up by their global names at
+# call time, so a caller can wrap them.
 _INTERMEDIATES = {
-    "ter": lambda p, r: ter_align(p.source, p.output),
-    "bleu": lambda p, r: bleu_from_counts(
+    "ter": lambda pairs, r: (ter_align(p.source, p.output) for p in pairs),
+    "bleu": lambda pairs, r: (bleu_from_counts(
         bleu_counts(p.source, p.output), p.source.word_count,
-        p.output.word_count, _BLEU_CONFIGS),
+        p.output.word_count, _BLEU_CONFIGS) for p in pairs),
     # An output without words is not scored: its features read
     # LOGPROB_FLOOR.
-    "logprobs": lambda p, r: (token_logprobs(r.lm, p.output)
-                              if p.output.word_count else []),
-    "output_syllables": lambda p, r: sum(count_syllables(w)
-                                         for w in p.output.words),
+    "logprobs": lambda pairs, r: (token_logprobs(r.lm, p.output)
+                                  if p.output.word_count else []
+                                  for p in pairs),
+    "output_syllables": lambda pairs, r: (
+        sum(map(count_syllables, p.output.words)) for p in pairs),
+    "cosine": _cosines,
 }
 
 
@@ -169,7 +212,8 @@ _REGISTRY: tuple[FeatureSpec, ...] = (
     _spec("METEOR", lambda p, r: meteor(p.source, p.output)),
     _spec("ROUGE", lambda p, r: rouge(p.source, p.output)),
     _bleu_spec("BLEUSmoothed", 4),
-    _spec("AvgCosineSim", _avg_cosine, requires=("vectors",)),
+    _spec("AvgCosineSim", lambda p, r, cosine: cosine,
+          requires=("vectors",), reads=("cosine",)),
     _spec("NBOutputChars", lambda p, r: p.output.char_count),
     _spec("NBOutputCharsPerSent",
           lambda p, r: _per_sentence(p.output.char_count, p.output)),
@@ -185,9 +229,7 @@ _REGISTRY: tuple[FeatureSpec, ...] = (
           requires=("lm",), reads=("logprobs",)),
     _spec("MinLMProbsOutput", lambda p, r, xs: min(xs, default=LOGPROB_FLOOR),
           requires=("lm",), reads=("logprobs",)),
-    _spec("MaxPosInFreqTable", lambda p, r: max(
-        map(r.freq_table.rank_of, p.output.words), default=0.0),
-        requires=("freq_table",)),
+    _spec("MaxPosInFreqTable", _max_freq_rank, requires=("freq_table",)),
     _spec("AvgConcreteness", _avg_concreteness, requires=("concreteness",)),
     _spec("OutputFKGL", _fkgl, reads=("output_syllables",)),
     _spec("OutputFRE", _fre, reads=("output_syllables",)),
@@ -326,8 +368,9 @@ def compute_matrix(pairs: Sequence[SentencePair],
     The matrix is filled column by column. An intermediate that several
     features read (the TER alignment "ter", the five BLEU scores "bleu"
     from one count of the pair's n-grams, the LM log-probabilities
-    "logprobs", the syllable count "output_syllables") is computed once
-    per pair, before the first selected feature that reads it. When a
+    "logprobs", the syllable count "output_syllables", the cosine of the
+    mean word vectors "cosine") is computed once per pair, for all pairs
+    at once, before the first selected feature that reads it. When a
     timings dict is supplied, the wall time of each intermediate and of
     each feature column is added to it under its own name.
     """
@@ -335,9 +378,11 @@ def compute_matrix(pairs: Sequence[SentencePair],
     values: dict[str, list] = {}
     data = np.empty((len(pairs), len(specs)))
 
-    def timed(name, column):
+    def timed(name, compute, *args):
+        """The values of compute(*args), one per pair, in a list; the
+        time taken is added to timings[name]."""
         start = time.perf_counter()
-        result = _per_pair(column, pairs)
+        result = _per_pair(compute(*args), pairs)
         if timings is not None:
             timings[name] = (timings.get(name, 0.0)
                              + time.perf_counter() - start)
@@ -346,11 +391,11 @@ def compute_matrix(pairs: Sequence[SentencePair],
     for j, spec in enumerate(specs):
         for name in spec.reads:
             if name not in values:
-                values[name] = timed(name, map(
-                    _INTERMEDIATES[name], pairs, repeat(resources)))
-        data[:, j] = timed(spec.name, map(float, map(
+                values[name] = timed(name, _INTERMEDIATES[name], pairs,
+                                     resources)
+        data[:, j] = timed(spec.name, map, float, map(
             spec.compute, pairs, repeat(resources),
-            *(values[name] for name in spec.reads))))
+            *(values[name] for name in spec.reads)))
 
     if not np.all(np.isfinite(data)):
         bad = [pairs[i].id for i in np.nonzero(~np.isfinite(data).all(axis=1))[0]]

@@ -670,10 +670,16 @@ def _levenshtein(a: Sequence, b: Sequence) -> int:
 def _multiset_lower_bound(src: Sequence, out: Sequence) -> int:
     """max(|src|, |out|) minus the multiset overlap of the two: no
     alignment of any rearrangement of out costs less."""
-    cs = Counter(src)
-    co = Counter(out)
-    overlap = sum(min(c, co.get(t, 0)) for t, c in cs.items())
-    return max(len(src) - overlap, len(out) - overlap)
+    left = Counter(src)  # the items of src that out has not matched
+    unmatched = 0
+    for t in out:
+        c = left.get(t, 0)
+        if c:
+            left[t] = c - 1
+        else:
+            unmatched += 1
+    overlap = len(out) - unmatched
+    return max(len(src) - overlap, unmatched)
 
 
 # Block-shift search over the output sequence. `ter_align` runs it only

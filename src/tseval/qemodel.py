@@ -177,7 +177,8 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
     linreg solves the unpenalized normal equations and refuses singular
     systems; ridge solves the L2-penalized ones in closed form; lasso runs
     coordinate descent with soft thresholding until the largest weight
-    change drops below 1e-7. A non-finite value in X or y is a ValueError.
+    change drops below 1e-7. A non-finite value in X or y is a ValueError,
+    and an X without rows a DegenerateDataError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -187,6 +188,8 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
         raise ValueError("regularization strength must be >= 0")
     if kind not in ("linreg", "ridge", "lasso"):
         raise ValueError(f"unknown regressor kind {kind!r}")
+    if not X.shape[0]:
+        raise DegenerateDataError("regression needs at least one row")
     _check_finite("X", X)
     _check_finite("y", y)
 
@@ -333,8 +336,9 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     Each step solves the Newton system through a Cholesky factor when
     lam > 0, and by lstsq's minimum-norm solution at lam = 0 or when the
     factorization fails (_newton_step). y holds class indices 0..C-1, C
-    being n_classes or else the largest label + 1; a label outside that
-    range, or a non-finite value in X or y, is a ValueError."""
+    being n_classes or else the largest label + 1; a label that is not an
+    integer or lies outside that range, or a non-finite value in X or y,
+    is a ValueError."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0]:
@@ -343,6 +347,10 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
         raise ValueError("regularization strength must be >= 0")
     _check_finite("X", X)
     _check_finite("y", y)
+    fractional = np.flatnonzero(y != np.floor(y))
+    if fractional.size:
+        i = int(fractional[0])
+        raise ValueError(f"label {y[i]} at row {i} is not a class index")
     y = y.astype(int)
     present = np.unique(y)
     if present.size < 2:
@@ -445,8 +453,7 @@ def _project(X: np.ndarray, pca_k: int):
 
 def _fit_model(projected: np.ndarray, y, kind: str, lam: float) -> LinearModel:
     if kind == "logistic":
-        return fit_classifier(projected, np.asarray(y, dtype=int), lam=lam,
-                              n_classes=_N_CLASSES)
+        return fit_classifier(projected, y, lam=lam, n_classes=_N_CLASSES)
     return fit_regressor(projected, y, kind=kind, lam=lam)
 
 

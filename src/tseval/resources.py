@@ -218,13 +218,16 @@ class NgramLanguageModel:
     Words are ids: <s> is 0, <unk> is 1 and vocabulary words 2 and up.
     The order-n event (w1, ..., wn) is the integer key whose base-`base`
     digits are the ids, w1 the highest; its context (w1, ..., wn-1) is
-    key // base, which is 0 for every event of order 1.
+    key // base, which is 0 for every event of order 1. The order-1 term
+    (count + k) / (tokens + k * event_count) of every id is kept in
+    unigram_terms, indexed by id.
     """
 
     order: int
     word_ids: dict[str, int] = field(repr=False)
     context_counts: tuple[dict[int, int], ...] = field(repr=False)  # 1..n
     continuation_counts: tuple[dict[int, int], ...] = field(repr=False)
+    unigram_terms: list[float] = field(repr=False)
 
     @property
     def event_count(self) -> int:
@@ -250,17 +253,26 @@ class NgramLanguageModel:
         history."""
         order, base = self.order, self.base
         smooth = ADD_K * self.event_count
+        unseen = (0 + ADD_K) / (0 + smooth)  # the term of an unseen context
+        unigram = self.unigram_terms
+        # per order n >= 2: how far back its first word is, that word's
+        # digit in the key, and the lookups of its tables
+        higher = [(n - 1, base ** (n - 1), self.context_counts[n - 1].get,
+                   self.continuation_counts[n - 1].get)
+                  for n in range(2, order + 1)]
         padded = [BOS_ID] * (order - 1) + ids
         probs = []
         for end in range(order - 1, len(padded)):
-            total = 0.0
-            key, digit = 0, 1
-            for n in range(1, order + 1):
-                key += padded[end - n + 1] * digit
-                digit *= base
-                num = self.continuation_counts[n - 1].get(key, 0)
-                den = self.context_counts[n - 1].get(key // base, 0)
-                total += (num + ADD_K) / (den + smooth)
+            key = padded[end]
+            total = unigram[key]  # 0.0 plus the order-1 term
+            for back, digit, context_count, count in higher:
+                key += padded[end - back] * digit
+                # an event is seen only in a seen context
+                den = context_count(key // base)
+                if den is None:
+                    total += unseen
+                else:
+                    total += (count(key, 0) + ADD_K) / (den + smooth)
             probs.append(total / order)
         return probs
 
@@ -313,9 +325,13 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
         keys = keys + padded[where - back] * base ** back
         tables.append(_counts(keys, base))
     context_counts, continuation_counts = zip(*tables)
+    unigram = np.bincount(ids.astype(np.int64), minlength=base)
+    unigram_terms = ((unigram + ADD_K)
+                     / (len(ids) + ADD_K * (len(word_ids) + 1))).tolist()
     return NgramLanguageModel(order=order, word_ids=word_ids,
                               context_counts=context_counts,
-                              continuation_counts=continuation_counts)
+                              continuation_counts=continuation_counts,
+                              unigram_terms=unigram_terms)
 
 
 def token_logprobs(model: NgramLanguageModel,

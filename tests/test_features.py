@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from tseval.resources import (
     token_logprobs,
     train_lm,
 )
-from tseval.textproc import count_syllables
+from tseval.textproc import TokenizedText, count_syllables, tokenize
 
 TABLE_FEATURES = [
     "NBSourcePunct", "NBSourceWords", "NBOutputPunct", "TypeTokenRatio",
@@ -369,6 +370,29 @@ class TestComputeMatrix:
         assert set(timings) == {"ROUGE", "TERp", "ter"}
         assert all(t >= 0.0 for t in timings.values())
 
+    def test_cosine_sums_timed_as_their_own_intermediate(self,
+                                                         full_resources):
+        timings = {}
+        compute_matrix(self._pairs(), full_resources,
+                       which=["AvgCosineSim"], timings=timings)
+        assert set(timings) == {"AvgCosineSim", "cosine"}
+        assert timings["cosine"] > 0.0
+
+    def test_intermediate_timed_from_its_call(self, full_resources,
+                                              monkeypatch):
+        # the work done when an intermediate is called, before it yields
+        # a value, is its own time too
+        def slow(pairs, resources):
+            time.sleep(0.05)
+            return [0.5] * len(pairs)
+
+        monkeypatch.setitem(features._INTERMEDIATES, "cosine", slow)
+        timings = {}
+        matrix = compute_matrix(self._pairs(), full_resources,
+                                which=["AvgCosineSim"], timings=timings)
+        assert matrix.column("AvgCosineSim").tolist() == [0.5] * 3
+        assert timings["cosine"] >= 0.05 > timings["AvgCosineSim"]
+
     def test_bleu_counted_once_per_pair(self, full_resources, monkeypatch):
         calls = []
         counts = features.bleu_counts
@@ -445,6 +469,127 @@ class TestComputeMatrix:
         assert matrix.rows.shape == (len(ids), len(matrix.feature_names))
         # bitwise, so -0.0 stays -0.0
         assert matrix.rows.tobytes() == np.array(rows).tobytes()
+
+
+def _reference_cosine(pair: SentencePair, vectors: WordVectors) -> float:
+    """AvgCosineSim of one pair, each mean vector summed on its own by
+    numpy."""
+    means = []
+    for text in (pair.source, pair.output):
+        rows = [vectors.rows[w] for w in map(str.lower, text.words)
+                if w in vectors.rows]
+        if not rows:
+            return 0.0
+        means.append(vectors.matrix[rows].sum(axis=0) / len(rows))
+    a, b = means
+    denom = math.sqrt(a.dot(a)) * math.sqrt(b.dot(b))
+    return float(a.dot(b) / denom) if denom > 0 else 0.0
+
+
+def _cosine_column(pairs, vectors) -> bytes:
+    return compute_matrix(pairs, Resources(vectors=vectors),
+                          which=["AvgCosineSim"]).rows.tobytes()
+
+
+class TestCosineSums:
+    """AvgCosineSim adds the vectors of every text of a compute_matrix
+    call in one pass; each sum, and so each pair's value, must be the
+    per-text numpy formula's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sums_are_numpy_sums_bit_for_bit(self, seed):
+        # numpy adds the rows of a matrix of two or more columns in order,
+        # from +0.0: a column of -0.0 sums to +0.0
+        rng = np.random.default_rng(seed)
+        pick = random.Random(seed)
+        # about a third of the components are -0.0 or +0.0, and the rows'
+        # magnitudes span six decades, so the order of the adds shows
+        matrix = (rng.normal(size=(12, pick.randint(2, 9)))
+                  * 10.0 ** rng.integers(-3, 4, size=(12, 1)))
+        matrix[rng.random(matrix.shape) < 0.2] = -0.0
+        matrix[rng.random(matrix.shape) < 0.15] = 0.0
+        texts = [pick.choices(range(12), k=pick.choice([0, 1, 2, 5, 300]))
+                 for _ in range(40)]
+        sums = features._vector_sums(texts, matrix)
+        for rows, got in zip(texts, sums):
+            want = matrix[rows].sum(axis=0)
+            assert got.tobytes() == want.tobytes(), rows
+
+    def test_one_component_vectors(self):
+        # numpy sums one column pairwise, so these sums may differ in their
+        # last bits; the cosine of two one-component means is -1.0 or 1.0
+        # either way
+        rng = np.random.default_rng(4)
+        words = [f"w{k}" for k in range(10)]
+        vectors = WordVectors(rows={w: k for k, w in enumerate(words)},
+                              matrix=rng.normal(size=(10, 1)))
+        pick = random.Random(4)
+        pairs = [SentencePair.from_text(
+            " ".join(pick.choices(words, k=pick.randint(1, 200))),
+            " ".join(pick.choices(words, k=pick.randint(0, 200))),
+            id=str(i)) for i in range(40)]
+        self._check(pairs, vectors)
+
+    def _check(self, pairs, vectors):
+        expected = np.array([[_reference_cosine(p, vectors)] for p in pairs])
+        assert _cosine_column(pairs, vectors) == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_texts_with_repeats_and_unknown_words(self, seed):
+        rng = np.random.default_rng(seed)
+        pick = random.Random(seed)
+        words = [f"w{k}" for k in range(25)]
+        dim = pick.randint(2, 40)
+        vectors = WordVectors(rows={w: k for k, w in enumerate(words[:15])},
+                              matrix=rng.normal(size=(15, dim)))
+        pairs = [SentencePair.from_text(
+            " ".join(pick.choices(words, k=pick.randint(1, 30))),
+            " ".join(pick.choices(words[:pick.randint(1, 25)],
+                                  k=pick.randint(0, 30))), id=str(i))
+            for i in range(60)]
+        self._check(pairs, vectors)
+
+    def test_texts_without_vectors(self):
+        vectors = WordVectors(rows={"cat": 0, "mat": 1},
+                              matrix=np.array([[1.0, 2.0], [3.0, -1.0]]))
+        pairs = [SentencePair.from_text("dog ran", "the cat", id="oov-src"),
+                 SentencePair.from_text("the cat", "dog ran", id="oov-out"),
+                 SentencePair.from_text("the cat", "", id="empty"),
+                 SentencePair.from_text("dog", "", id="both"),
+                 SentencePair.from_text("cat mat cat", "mat mat", id="ok")]
+        self._check(pairs, vectors)
+        assert compute_matrix(pairs, Resources(vectors=vectors),
+                              which=["AvgCosineSim"]).column(
+            "AvgCosineSim").tolist()[:4] == [0.0] * 4
+
+    def test_negative_zero_components(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("a -0 -0 1\nb -0.0 2 -0\nc 1 -0 -0\nd 0 -0 0\n")
+        vectors = load_vectors(path)
+        assert str(vectors.matrix[0, 0]) == "-0.0"
+        texts = ["a", "b", "c", "d", "a b", "b b", "c d", "d d", "a c d"]
+        pairs = [SentencePair.from_text(src, out, id=f"{src}/{out}")
+                 for src in texts for out in texts]
+        self._check(pairs, vectors)
+
+    def test_words_are_looked_up_lowercased(self, full_resources):
+        vectors = full_resources.vectors
+        upper = TokenizedText(sentences=(("The", "CAT", "Sat"),),
+                              punct_tokens=(), char_count=11)
+        lower = TokenizedText(sentences=(("the", "cat", "sat"),),
+                              punct_tokens=(), char_count=11)
+        source = tokenize("the mat sat on the dog")
+        pairs = [SentencePair(source=source, output=upper),
+                 SentencePair(source=upper, output=source)]
+        self._check(pairs, vectors)
+        for names in (["AvgCosineSim"], ["MaxPosInFreqTable"],
+                      ["AvgConcreteness"]):
+            got = compute_matrix(pairs, full_resources, which=names).rows
+            want = compute_matrix(
+                [SentencePair(source=source, output=lower),
+                 SentencePair(source=lower, output=source)],
+                full_resources, which=names).rows
+            assert got.tobytes() == want.tobytes(), names
 
 
 def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
@@ -528,3 +673,17 @@ def test_every_column_matches_a_per_pair_reference(full_resources, texts):
     expected = [_reference_row(pair, full_resources) for pair in pairs]
     for name in matrix.feature_names:
         assert matrix.column(name).tolist() == [row[name] for row in expected], name
+
+
+@given(st.lists(st.tuples(_TEXTS.filter(lambda t: t.strip()), _TEXTS),
+                min_size=1, max_size=12))
+@settings(max_examples=30, deadline=None)
+def test_matrix_equals_the_stack_of_its_slices(full_resources, texts):
+    pairs = [SentencePair.from_text(src, out, id=str(i))
+             for i, (src, out) in enumerate(texts)]
+    whole = compute_matrix(pairs, full_resources).rows
+    for size in (1, 7, len(pairs)):
+        rows = np.vstack([
+            compute_matrix(pairs[i:i + size], full_resources).rows
+            for i in range(0, len(pairs), size)])
+        assert rows.tobytes() == whole.tobytes(), size

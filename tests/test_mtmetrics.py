@@ -866,6 +866,31 @@ class TestLevenshtein:
                                       "a cat sat down".split()) == 2
 
 
+def multiset_lower_bound_oracle(src, out):
+    """max(|src|, |out|) minus the overlap summed per type from two
+    Counters."""
+    cs, co = Counter(src), Counter(out)
+    overlap = sum(min(c, co.get(t, 0)) for t, c in cs.items())
+    return max(len(src) - overlap, len(out) - overlap)
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(0, k - 1), max_size=40),
+    st.lists(st.integers(0, k + 1), max_size=40))))
+@example(([], []))
+@example(([0, 0, 1], []))
+@example(([], [2, 2]))
+@example(([0, 0, 0, 1], [0, 1, 1, 1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_multiset_lower_bound_equals_the_counter_formula(sides):
+    src, out = sides
+    assert (mtmetrics._multiset_lower_bound(src, out)
+            == multiset_lower_bound_oracle(src, out)), sides
+    words = [f"w{t}" for t in src], [f"w{t}" for t in out]
+    assert (mtmetrics._multiset_lower_bound(*words)
+            == multiset_lower_bound_oracle(*words))
+
+
 def _workload_pairs(name, monkeypatch):
     """(source, output) TokenizedTexts of a benchmark workload's seed-1
     pairs, tokenized from the text its input files hold."""

@@ -165,6 +165,16 @@ class TestRegressors:
         with pytest.raises(DegenerateDataError, match="ridge"):
             fit_regressor(X, np.arange(10.0), kind="linreg")
 
+    @pytest.mark.parametrize("kind", ["linreg", "ridge", "lasso"])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_no_rows_rejected(self, kind, fit_intercept):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "Mean of empty slice"
+            with pytest.raises(DegenerateDataError,
+                               match="^regression needs at least one row$"):
+                fit_regressor(np.zeros((0, 3)), [], kind=kind,
+                              fit_intercept=fit_intercept)
+
     def test_ridge_handles_collinear(self):
         X = np.column_stack([np.arange(10.0), 2 * np.arange(10.0)])
         model = fit_regressor(X, np.arange(10.0), kind="ridge", lam=1.0)
@@ -403,6 +413,30 @@ class TestClassifier:
         X = np.random.default_rng(19).normal(size=(15, 2))
         with pytest.raises(ValueError, match=message):
             fit_classifier(X, labels, n_classes=n_classes)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 1.7, 0.2, 1.1, 0.9, 1.2], r"^label 0\.5 at row 0 is not"),
+        ([0, 1, 2, 1, 2.000001, 0], r"^label 2\.000001 at row 4 is not"),
+        ([0, 1, 0, 1, -0.5, 1], r"^label -0\.5 at row 4 is not"),
+    ], ids=["first-row", "near-integer", "negative"])
+    def test_non_integer_label_rejected(self, labels, message):
+        X = np.random.default_rng(20).normal(size=(6, 2))
+        with pytest.raises(ValueError, match=message):
+            fit_classifier(X, labels, n_classes=3)
+
+    def test_pipeline_passes_labels_uncast(self):
+        # the pipeline must not truncate labels before fit_classifier
+        # checks them
+        X = np.random.default_rng(22).normal(size=(12, 3))
+        y = [0, 1, 2] * 3 + [0, 1.5, 2]
+        with pytest.raises(ValueError, match=r"^label 1\.5 at row 10 "):
+            fit_pipeline(matrix_from(X), y, "G",
+                         PipelineConfig(kind="logistic", lam=1.0, pca_k=2))
+        # integral floats are class indices
+        model = fit_pipeline(matrix_from(X), [0.0, 1.0, 2.0] * 4, "G",
+                             PipelineConfig(kind="logistic", lam=1.0,
+                                            pca_k=2)).model
+        assert model.weights.shape == (3, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_collinear_copies_share_weights_at_lambda_zero(self, seed):

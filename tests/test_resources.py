@@ -692,3 +692,49 @@ class TestLanguageModelCounts:
         lm = self._check(tmp_path, sentences, 6, text)
         assert lm.base ** 6 > 2 ** 63
         assert max(lm.continuation_counts[5]) >= 2 ** 63
+
+    @pytest.mark.parametrize("order,n_words", [(2, 40), (3, 40), (6, 1500)])
+    def test_unseen_contexts_score_as_the_reference(self, tmp_path, order,
+                                                    n_words):
+        # A new order of known words, unknown words and a repeated word
+        # give contexts the corpus never had, and continuations it never
+        # had of contexts it had. At 1 500 words and order 6 the keys are
+        # Python ints.
+        rng = random.Random(order)
+        words = [f"v{i}" for i in range(n_words)]
+        stream = words + words + words[:20]
+        rng.shuffle(stream)
+        sentences = [stream[i:i + 12] for i in range(0, len(stream), 12)]
+        said = words[:15] + ["nope", "v3", "v3", "v3"] + words[15:30]
+        rng.shuffle(said)
+        text = tokenize(" ".join(said) + ". V1 v2 nope v1.")
+        lm = self._check(tmp_path, sentences, order, text)
+        assert (lm.base ** order >= 2 ** 63) == (order == 6)
+        _, contexts, continuations = reference_counts(sentences, order)
+        vocab = set(lm.word_ids)
+        unseen_context = new_continuation = 0
+        for sent in text.sentences:
+            padded = ["<s>"] * (order - 1) + [
+                w if w in vocab else "<unk>" for w in map(str.lower, sent)]
+            for i in range(len(sent)):
+                gram = tuple(padded[i:i + order])
+                for n in range(2, order + 1):
+                    if gram[-n:-1] not in contexts[n - 1]:
+                        unseen_context += 1
+                    elif gram[-n:] not in continuations[n - 1]:
+                        new_continuation += 1
+        assert unseen_context >= 2 and new_continuation >= 3
+
+    def test_unigram_terms_are_the_order_one_terms(self, tmp_path):
+        sentences = _random_corpus(4, n_words=30, n_sentences=50)
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(" ".join(s) + "\n" for s in sentences),
+                        encoding="utf-8")
+        lm = train_lm(path, order=3)
+        vocab, _, continuations = reference_counts(sentences, 3)
+        word_of = {0: "<s>", 1: "<unk>"}
+        word_of.update((i, w) for w, i in lm.word_ids.items())
+        tokens = sum(continuations[0].values())
+        assert lm.unigram_terms == [
+            (continuations[0][(word_of[i],)] + 0.1)
+            / (tokens + 0.1 * (len(vocab) + 1)) for i in range(lm.base)]
