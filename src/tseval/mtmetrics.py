@@ -8,7 +8,6 @@ token sequence; sentence boundaries only constrain n-gram extraction.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from bisect import bisect_left, insort
@@ -720,32 +719,31 @@ def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
 
 
 def _exact_refine(src, out, greedy):
-    """Best-first search over move sequences, seeded and bounded by the
+    """Level-order search over move sequences, seeded and bounded by the
     greedy solution, scoring each permutation with the bit-parallel
     `_levenshtein`. A block move is a swap (a, b, c) of two adjacent
-    segments, each enumerated once per state. Block moves only permute
-    `out`, and a state is pushed only when its move count strictly
-    improves, so each of the at most EXACT_LIMIT! permutations is
-    expanded once."""
+    segments, each enumerated once per state. Every move costs one, so
+    level k holds the permutations of `out` first reached in k moves;
+    each level is scored in sorted order, and each of the at most
+    EXACT_LIMIT! permutations once."""
     best_total = greedy[0] + greedy[1]
     best = greedy
-    dist = {out: 0}
-    heap = [(0, out)]
-    while heap:
-        moves, state = heapq.heappop(heap)
-        if moves != dist.get(state):
-            continue
-        ed = _levenshtein(src, state)
-        if moves + ed < best_total:
-            best_total = moves + ed
-            best = (moves, ed, state)
-        if moves + 1 >= best_total:
-            continue
-        for a, b, c in combinations(range(len(state) + 1), 3):
-            cand = state[:a] + state[b:c] + state[a:b] + state[c:]
-            if moves + 1 < dist.get(cand, 1 << 30):
-                dist[cand] = moves + 1
-                heapq.heappush(heap, (moves + 1, cand))
+    moves, level, seen = 0, [out], {out}
+    while level:
+        following = []
+        for state in sorted(level):
+            ed = _levenshtein(src, state)
+            if moves + ed < best_total:
+                best_total = moves + ed
+                best = (moves, ed, state)
+            if moves + 1 >= best_total:
+                continue
+            for a, b, c in combinations(range(len(state) + 1), 3):
+                cand = state[:a] + state[b:c] + state[a:b] + state[c:]
+                if cand not in seen:
+                    seen.add(cand)
+                    following.append(cand)
+        moves, level = moves + 1, following
     return best
 
 
@@ -894,12 +892,14 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
     against the shifted output, normalized by the source length.
 
     The edit distance comes from the bit-parallel `_levenshtein`. When it
-    equals the `_multiset_lower_bound`, no shift can help, and every
+    is above the `_multiset_lower_bound`, `_plan_shifts` plans the shifts
+    and returns the distance left. Shifts only permute the output, so
+    the bound and both lengths stay the same. At the bound, every
     optimal alignment matches the whole multiset overlap, substitutes the
     rest of the shorter side and inserts or deletes the length
-    difference. Those counts are returned as they are, with no search
-    and no distance table. Otherwise `_plan_shifts` plans the shifts and
-    `_decompose` backtraces the `_distance_table` of the shifted output.
+    difference; those counts are returned as they are, with no distance
+    table. Only a (shifted) output still above the bound gets the
+    `_decompose` backtrace of its `_distance_table`.
     """
     src_words = source.words
     out_words = output.words
@@ -908,17 +908,18 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
 
     ed = _levenshtein(src_words, out_words)
     lb = _multiset_lower_bound(src_words, out_words)
+    shifts = 0
+    if ed > lb:
+        vocab: dict[str, int] = {}
+        src_ids = tuple(vocab.setdefault(w, len(vocab)) for w in src_words)
+        out_ids = tuple(vocab.setdefault(w, len(vocab)) for w in out_words)
+        shifts, ed, final = _plan_shifts(src_ids, out_ids, ed, lb)
     if ed == lb:
         n_src, n_out = len(src_words), len(out_words)
         aligned = min(n_src, n_out)
         matches = max(n_src, n_out) - lb
-        ins, dels, subs, shifts = (n_out - aligned, n_src - aligned,
-                                   aligned - matches, 0)
+        ins, dels, subs = n_out - aligned, n_src - aligned, aligned - matches
     else:
-        vocab: dict[str, int] = {}
-        src_ids = tuple(vocab.setdefault(w, len(vocab)) for w in src_words)
-        out_ids = tuple(vocab.setdefault(w, len(vocab)) for w in out_words)
-        shifts, _, final = _plan_shifts(src_ids, out_ids, ed, lb)
         ins, dels, subs, matches = _decompose(
             src_ids, final, _distance_table(src_ids, final))
     num_errors = ins + dels + subs + shifts

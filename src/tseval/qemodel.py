@@ -170,6 +170,18 @@ def _check_finite(name: str, values: np.ndarray) -> None:
                          f"{values[tuple(bad[0])]} at [{at}]")
 
 
+def _class_labels(y) -> np.ndarray:
+    """y as int class labels; a non-finite or non-integer label is a
+    ValueError naming its row."""
+    y = np.asarray(y, dtype=float)
+    _check_finite("y", y)
+    fractional = np.flatnonzero(y != np.floor(y))
+    if fractional.size:
+        i = int(fractional[0])
+        raise ValueError(f"label {y[i]} at row {i} is not a class index")
+    return y.astype(int)
+
+
 def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
                   lam: float = 1.0, fit_intercept: bool = True) -> LinearModel:
     """Fit a linear regressor.
@@ -346,12 +358,7 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     if lam < 0:
         raise ValueError("regularization strength must be >= 0")
     _check_finite("X", X)
-    _check_finite("y", y)
-    fractional = np.flatnonzero(y != np.floor(y))
-    if fractional.size:
-        i = int(fractional[0])
-        raise ValueError(f"label {y[i]} at row {i} is not a class index")
-    y = y.astype(int)
+    y = _class_labels(y)
     present = np.unique(y)
     if present.size < 2:
         raise DegenerateDataError(
@@ -499,8 +506,7 @@ def predict(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.ndarray:
 
 def _score(predictions: np.ndarray, y, classification: bool) -> float:
     if classification:
-        return weighted_f1(predictions.tolist(),
-                           np.asarray(y, dtype=int).tolist())
+        return weighted_f1(predictions.tolist(), _class_labels(y).tolist())
     return pearson(predictions, y)
 
 

@@ -1,6 +1,7 @@
 """Loaders for external lexical resources and a count-based language model.
 
-All lookups are case-insensitive (keys are lowercased). Loaded objects are
+The loaders lowercase every key, and the features look words up after
+lowercasing them, so lookups are case-insensitive. Loaded objects are
 immutable after construction and safe for concurrent reads.
 """
 
@@ -47,12 +48,6 @@ class FrequencyTable:
 
     rank_of_map: dict[str, int] = field(repr=False)  # in rank order
 
-    def rank_of(self, word: str) -> int:
-        return self.rank_of_map.get(word.lower(), len(self.rank_of_map) + 1)
-
-    def __len__(self) -> int:
-        return len(self.rank_of_map)
-
 
 def load_frequency_table(path: str | Path) -> FrequencyTable:
     """Load a frequency table: one word per line, most frequent first,
@@ -74,12 +69,6 @@ class ConcretenessLexicon:
     """Word -> concreteness rating on the published 1-5 scale."""
 
     ratings: dict[str, float] = field(repr=False)
-
-    def rating_of(self, word: str) -> float | None:
-        return self.ratings.get(word.lower())
-
-    def __len__(self) -> int:
-        return len(self.ratings)
 
 
 _WORD_COLUMN = "Word"
@@ -148,12 +137,6 @@ class WordVectors:
     rows: dict[str, int] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
 
-    def row_of(self, word: str) -> int | None:
-        return self.rows.get(word.lower())
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def load_vectors(path: str | Path) -> WordVectors:
     """Load word vectors in the standard text format: an optional
@@ -218,14 +201,15 @@ class NgramLanguageModel:
     Words are ids: <s> is 0, <unk> is 1 and vocabulary words 2 and up.
     The order-n event (w1, ..., wn) is the integer key whose base-`base`
     digits are the ids, w1 the highest; its context (w1, ..., wn-1) is
-    key // base, which is 0 for every event of order 1. The order-1 term
-    (count + k) / (tokens + k * event_count) of every id is kept in
+    key // base. context_counts and continuation_counts hold the tables
+    of orders 2..n, order n at index n - 2. Order 1 needs no table: the
+    term (count + k) / (tokens + k * event_count) of every id is kept in
     unigram_terms, indexed by id.
     """
 
     order: int
     word_ids: dict[str, int] = field(repr=False)
-    context_counts: tuple[dict[int, int], ...] = field(repr=False)  # 1..n
+    context_counts: tuple[dict[int, int], ...] = field(repr=False)  # 2..n
     continuation_counts: tuple[dict[int, int], ...] = field(repr=False)
     unigram_terms: list[float] = field(repr=False)
 
@@ -257,8 +241,8 @@ class NgramLanguageModel:
         unigram = self.unigram_terms
         # per order n >= 2: how far back its first word is, that word's
         # digit in the key, and the lookups of its tables
-        higher = [(n - 1, base ** (n - 1), self.context_counts[n - 1].get,
-                   self.continuation_counts[n - 1].get)
+        higher = [(n - 1, base ** (n - 1), self.context_counts[n - 2].get,
+                   self.continuation_counts[n - 2].get)
                   for n in range(2, order + 1)]
         padded = [BOS_ID] * (order - 1) + ids
         probs = []
@@ -320,7 +304,7 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
     padded[where] = ids
 
     keys = ids
-    tables = [_counts(keys, base)]
+    tables = []
     for back in range(1, order):
         keys = keys + padded[where - back] * base ** back
         tables.append(_counts(keys, base))

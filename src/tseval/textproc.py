@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "TokenizedText",
@@ -35,15 +35,13 @@ class TokenizedText:
 
     sentences holds lowercase word tokens grouped by sentence; punctuation
     lives in punct_tokens (in order of occurrence) and never appears in
-    sentences. ordered_tokens interleaves word and punctuation tokens in
-    their original order, which makes tokenization testably idempotent:
-    re-tokenizing " ".join(ordered_tokens) reproduces the same tokens.
+    sentences. char_count is the number of characters of all tokens: the
+    lowercased words plus the punctuation tokens, one character each.
     """
 
     sentences: tuple[tuple[str, ...], ...]
     punct_tokens: tuple[str, ...]
     char_count: int
-    ordered_tokens: tuple[str, ...] = field(default=(), repr=False)
 
     @functools.cached_property
     def words(self) -> list[str]:
@@ -90,7 +88,7 @@ def tokenize(text: str) -> TokenizedText:
     """
     sentences: list[tuple[str, ...]] = []
     puncts: list[str] = []
-    ordered: list[str] = []
+    chars = 0  # of the lowercased words, which can be longer than the chunk
 
     words: list[str] = []
     for chunk in text.split():
@@ -98,16 +96,14 @@ def tokenize(text: str) -> TokenizedText:
         if chunk[0].isalnum() and chunk[-1].isalnum():
             word = chunk.lower()
             words.append(word)
-            ordered.append(word)
+            chars += len(word)
             continue
         lead, word, trail = _split_chunk(chunk)
         puncts += lead
-        ordered += lead
         if word:
             words.append(word)
-            ordered.append(word)
+            chars += len(word)
         puncts += trail
-        ordered += trail
         if chunk[-1] in ".!?" and words:
             sentences.append(tuple(words))
             words = []
@@ -117,8 +113,7 @@ def tokenize(text: str) -> TokenizedText:
     return TokenizedText(
         sentences=tuple(sentences),
         punct_tokens=tuple(puncts),
-        char_count=sum(map(len, ordered)),
-        ordered_tokens=tuple(ordered),
+        char_count=chars + len(puncts),
     )
 
 

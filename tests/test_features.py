@@ -601,12 +601,13 @@ def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
     n, sents = out.word_count, out.sentence_count
     syllables = sum(count_syllables(w) for w in words)
     logprobs = token_logprobs(res.lm, out) if n else []
-    ratings = [res.concreteness.rating_of(w) for w in words]
+    ranks = res.freq_table.rank_of_map
+    ratings = [res.concreteness.ratings.get(w.lower()) for w in words]
     ratings = [r for r in ratings if r is not None]
     means = []
     for text in (src, out):
-        vecs = [res.vectors.matrix[r]
-                for r in map(res.vectors.row_of, text.words) if r is not None]
+        vecs = [res.vectors.matrix[res.vectors.rows[w.lower()]]
+                for w in text.words if w.lower() in res.vectors.rows]
         means.append(np.mean(np.array(vecs), axis=0) if vecs else None)
     a, b = means
     if a is None or b is None or not np.linalg.norm(a) * np.linalg.norm(b):
@@ -637,8 +638,9 @@ def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
         "AvgLMProbsOutput": (sum(logprobs) / len(logprobs) if logprobs
                              else features.LOGPROB_FLOOR),
         "MinLMProbsOutput": min(logprobs, default=features.LOGPROB_FLOOR),
-        "MaxPosInFreqTable": max(map(res.freq_table.rank_of, words),
-                                 default=0),
+        "MaxPosInFreqTable": max(
+            (ranks.get(w.lower(), len(ranks) + 1) for w in words),
+            default=0),
         "AvgConcreteness": sum(ratings) / len(ratings) if ratings else 0.0,
         "OutputFKGL": (0.39 * (n / sents) + 11.8 * (syllables / n) - 15.59
                        if n else 0.0),

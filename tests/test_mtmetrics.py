@@ -1088,15 +1088,35 @@ class TestTerAlign:
 
     def test_shifted_pairs_take_the_search_path(self, monkeypatch):
         # 42 of the 631 seed-1 qats-reorder pairs are above the bound, and
-        # each gets one search and one backtrace of its shifted output;
-        # the other tables are the prefix and suffix rows of the swaps
+        # each gets one search; every shifted output ends at the bound, so
+        # no backtrace runs, and the only tables are the prefix and suffix
+        # rows of the swaps
         pairs = _workload_pairs("qats-reorder", monkeypatch)
         calls = self.count_calls(monkeypatch)
         shifted = sum(ter_align(src, out).shifts > 0 for src, out in pairs)
         assert shifted == 42
-        assert calls["_plan_shifts"] == calls["_decompose"] == 42
-        assert (calls["_distance_table"]
-                == 42 + 2 * calls["_swap_distances"])
+        assert calls["_plan_shifts"] == 42
+        assert calls["_decompose"] == 0
+        assert calls["_distance_table"] == 2 * calls["_swap_distances"]
+
+    @pytest.mark.parametrize("src, out, want", [
+        # no move helps: the output is left as it is, 2 above the bound 0
+        ("a b c", "c b a", (0, 0, 2, 0, 1)),
+        # one shift gives "d b b d a", still 1 above the bound 1
+        ("a b b d c", "b d a d b", (0, 0, 2, 1, 3)),
+        # one shift, then 2 above the bound 0: the total 3 is optimal, yet
+        # above min(edit distance 5, 1 + best one-move distance 2,
+        # 2 + bound 0) = 2, so that lower bound cannot prove it
+        ("a c b e d d e", "d e b d a c e", (0, 0, 2, 1, 5)),
+    ])
+    def test_output_still_above_the_bound_is_backtraced(self, monkeypatch,
+                                                        src, out, want):
+        calls = self.count_calls(monkeypatch)
+        got = ter_align(T(src), T(out))
+        assert (got.insertions, got.deletions, got.substitutions,
+                got.shifts, got.matches) == want
+        assert got.num_errors == ter_oracle(src.split(), out.split())
+        assert calls["_plan_shifts"] == calls["_decompose"] == 1
 
     @pytest.mark.parametrize("alphabet", ["ab", "abc", "abcdef"])
     def test_matches_exhaustive_shift_oracle(self, alphabet):

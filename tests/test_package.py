@@ -1,7 +1,7 @@
 """The package's public names: every name a module lists in ``__all__``
 and every name ``tseval/__init__.py`` imports resolves, so deleting a
 function cannot leave a dangling export behind. No module splits a file
-into lines by a rule of its own."""
+into lines by a rule of its own, and none imports a name it never uses."""
 
 import ast
 import importlib
@@ -47,3 +47,43 @@ def test_every_line_split_goes_through_read_lines():
     package = Path(tseval.__file__).parent
     assert [path.name for path in sorted(package.glob("*.py"))
             if "splitlines(" in path.read_text(encoding="utf-8")] == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads: neither as a name in its
+    code nor as an entry of its __all__."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):  # "import a.b" binds "a"
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_no_module_imports_a_name_it_never_uses(module_name):
+    # MODULES leaves out __init__.py, which imports names to re-export them
+    path = Path(tseval.__file__).with_name(f"{module_name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _unused_imports(tree) == [], module_name
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import heapq\n", ["heapq"]),
+    ("from dataclasses import dataclass, field\n@dataclass\nclass A: pass\n",
+     ["field"]),
+    ("import os.path as p\nimport numpy as np\nnp.zeros(p.sep)\n", []),
+    ("from __future__ import annotations\nfrom x import y\n"
+     "__all__ = ['y']\n", []),
+])
+def test_unused_import_check_sees_the_bound_name(source, unused):
+    assert _unused_imports(ast.parse(source)) == unused

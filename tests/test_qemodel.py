@@ -438,6 +438,25 @@ class TestClassifier:
                                             pca_k=2)).model
         assert model.weights.shape == (3, 2)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0.5, 1.7, 2.9] * 4, r"^label 0\.5 at row 0 is not"),
+        ([0, 1, 2] * 3 + [0, 1, 2.5], r"^label 2\.5 at row 11 is not"),
+        ([0, 1, 2] * 3 + [0, np.nan, 2],
+         r"^y holds a non-finite value nan at \[10\]"),
+    ], ids=["all-rows", "last-row", "nan"])
+    def test_scoring_rejects_what_fitting_rejects(self, labels, message):
+        # score_pipeline truncated [0.5, 1.7, 2.9] * 4 to [0, 1, 2] * 4
+        # and scored them as those classes
+        X = matrix_from(np.random.default_rng(22).normal(size=(12, 3)))
+        pipeline = fit_pipeline(X, [0, 1, 2] * 4, "G",
+                                PipelineConfig(kind="logistic", lam=1.0,
+                                               pca_k=2))
+        with pytest.raises(ValueError, match=message):
+            score_pipeline(pipeline, X, labels)
+        # integral floats are class indices
+        assert (score_pipeline(pipeline, X, [0.0, 1.0, 2.0] * 4)
+                == score_pipeline(pipeline, X, [0, 1, 2] * 4))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_collinear_copies_share_weights_at_lambda_zero(self, seed):
         # the flat direction between the two copies is left alone only by

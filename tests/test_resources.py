@@ -27,32 +27,34 @@ class TestFrequencyTable:
         path = tmp_path / "freq.txt"
         path.write_text("the\nof\nand\n")
         table = load_frequency_table(path)
-        assert table.rank_of("the") == 1
-        assert table.rank_of("and") == 3
+        assert table.rank_of_map["the"] == 1
+        assert table.rank_of_map["and"] == 3
 
     def test_oov_ranks_one_past_end(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("the\nof\nand\n")
         table = load_frequency_table(path)
-        assert table.rank_of("zyzzyva") == len(table) + 1 == 4
+        # the features rank an unlisted word len(rank_of_map) + 1
+        assert "zyzzyva" not in table.rank_of_map
+        assert max(table.rank_of_map.values()) == len(table.rank_of_map) == 3
 
     def test_duplicates_keep_first_rank(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("the\nof\nand\nto\nthe\n")
         table = load_frequency_table(path)
-        assert table.rank_of("the") == 1
-        assert len(table) == 4
+        assert table.rank_of_map["the"] == 1
+        assert len(table.rank_of_map) == 4
 
     def test_tab_separated_counts_accepted(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("the\t1000\nof\t500\n")
         table = load_frequency_table(path)
-        assert table.rank_of("of") == 2
+        assert table.rank_of_map["of"] == 2
 
     def test_case_insensitive(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("The\n")
-        assert load_frequency_table(path).rank_of("THE") == 1
+        assert load_frequency_table(path).rank_of_map == {"the": 1}
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "freq.txt"
@@ -69,7 +71,7 @@ class TestFrequencyTable:
         path.write_text("\ufeffthe\nof\n", encoding="utf-8")
         table = load_frequency_table(path)
         assert list(table.rank_of_map) == ["the", "of"]
-        assert table.rank_of("the") == 1
+        assert table.rank_of_map["the"] == 1
 
 
 def _reference_concreteness(path):
@@ -143,9 +145,9 @@ class TestConcreteness:
         path = tmp_path / "conc.tsv"
         path.write_text("Word\tConc.M\napple\t5.0\njustice\t1.5\n")
         lex = load_concreteness(path)
-        assert lex.rating_of("apple") == 5.0
-        assert lex.rating_of("justice") == 1.5
-        assert lex.rating_of("missing") is None
+        assert lex.ratings["apple"] == 5.0
+        assert lex.ratings["justice"] == 1.5
+        assert "missing" not in lex.ratings
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "conc.tsv"
@@ -157,8 +159,7 @@ class TestConcreteness:
         path = tmp_path / "conc.tsv"
         path.write_text("\ufeffWord\tConc.M\napple\t5.0\n", encoding="utf-8")
         lex = load_concreteness(path)
-        assert list(lex.ratings) == ["apple"]
-        assert lex.rating_of("apple") == 5.0
+        assert lex.ratings == {"apple": 5.0}
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "conc.tsv"
@@ -235,7 +236,7 @@ class TestConcreteness:
     def test_comma_delimiter_sniffed(self, tmp_path):
         path = tmp_path / "conc.csv"
         path.write_text("Word,Conc.M\napple,4.2\n")
-        assert load_concreteness(path).rating_of("apple") == 4.2
+        assert load_concreteness(path).ratings["apple"] == 4.2
 
 
 # numbers that numpy's reader and float() read alike, then the rest
@@ -307,15 +308,15 @@ class TestWordVectors:
         path = tmp_path / "vec.txt"
         path.write_text("cat 1 0 0\ndog 0 1 0\n")
         vecs = load_vectors(path)
-        assert len(vecs) == 2
-        assert vecs.matrix[vecs.row_of("cat")].tolist() == [1.0, 0.0, 0.0]
+        assert len(vecs.rows) == 2
+        assert vecs.matrix[vecs.rows["cat"]].tolist() == [1.0, 0.0, 0.0]
 
     def test_header_consumed(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\ncat 1 0 0\ndog 0 1 0\n")
         vecs = load_vectors(path)
-        assert len(vecs) == 2
-        assert vecs.matrix[vecs.row_of("dog")].tolist() == [0.0, 1.0, 0.0]
+        assert len(vecs.rows) == 2
+        assert vecs.matrix[vecs.rows["dog"]].tolist() == [0.0, 1.0, 0.0]
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -370,11 +371,8 @@ class TestWordVectors:
         path = tmp_path / "vec.txt"
         path.write_text("cat 1 2\ndog 3 4\nCAT 5 6\nowl 7 8\n")
         vecs = load_vectors(path)
-        assert len(vecs) == 3
+        assert vecs.rows == {"cat": 0, "dog": 1, "owl": 2}
         assert vecs.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [7.0, 8.0]]
-        assert vecs.matrix[vecs.row_of("Cat")].tolist() == [1.0, 2.0]
-        assert vecs.matrix[vecs.row_of("owl")].tolist() == [7.0, 8.0]
-        assert vecs.row_of("emu") is None
 
     def test_matrix_holds_float_of_every_field(self, tmp_path):
         fields = ["1_0", "-0", "+.5", "1.", "2e-3", "-1E+2", "0.1"]
@@ -401,7 +399,7 @@ class TestWordVectors:
         path = tmp_path / "vec.txt"
         path.write_text(f"a 0.1 0.2\nb 0.3{space} 0.4\n", encoding="utf-8")
         vecs = load_vectors(path)
-        assert vecs.matrix[vecs.row_of("b")].tolist() == [0.3, 0.4]
+        assert vecs.matrix[vecs.rows["b"]].tolist() == [0.3, 0.4]
 
     def test_matrix_is_read_only(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -647,10 +645,14 @@ class TestLanguageModelCounts:
         lm = train_lm(path, order=order)
         vocab, contexts, continuations = reference_counts(sentences, order)
         assert set(lm.word_ids) == vocab
-        for n in range(1, order + 1):
-            assert decoded(lm, lm.continuation_counts[n - 1], n) == \
+        # the tables hold orders 2..n; test_unigram_terms_are_the_order_
+        # one_terms checks order 1
+        assert len(lm.context_counts) == len(lm.continuation_counts) \
+            == order - 1
+        for n in range(2, order + 1):
+            assert decoded(lm, lm.continuation_counts[n - 2], n) == \
                 continuations[n - 1]
-            assert decoded(lm, lm.context_counts[n - 1], n - 1) == \
+            assert decoded(lm, lm.context_counts[n - 2], n - 1) == \
                 contexts[n - 1]
         assert token_logprobs(lm, text) == reference_logprobs(
             sentences, order, text)
@@ -691,7 +693,7 @@ class TestLanguageModelCounts:
         text = tokenize(" ".join(sentences[0] + sentences[-1]) + " nope.")
         lm = self._check(tmp_path, sentences, 6, text)
         assert lm.base ** 6 > 2 ** 63
-        assert max(lm.continuation_counts[5]) >= 2 ** 63
+        assert max(lm.continuation_counts[4]) >= 2 ** 63
 
     @pytest.mark.parametrize("order,n_words", [(2, 40), (3, 40), (6, 1500)])
     def test_unseen_contexts_score_as_the_reference(self, tmp_path, order,

@@ -32,7 +32,9 @@ boundary_texts = st.text(alphabet=st.sampled_from(
 
 def regex_tokenize(text):
     """The tokenizer that splits sentences with a regular expression
-    first: after `.`, `!` or `?` followed by whitespace or the end."""
+    first: after `.`, `!` or `?` followed by whitespace or the end.
+    Returns the TokenizedText and its word and punctuation tokens in
+    their original order."""
     sentences, puncts, ordered = [], [], []
     for segment in re.split(r"(?<=[.!?])(?=\s|$)", text):
         words = []
@@ -49,8 +51,7 @@ def regex_tokenize(text):
             sentences.append(tuple(words))
     return TokenizedText(sentences=tuple(sentences),
                          punct_tokens=tuple(puncts),
-                         char_count=sum(len(t) for t in ordered),
-                         ordered_tokens=tuple(ordered))
+                         char_count=sum(len(t) for t in ordered)), ordered
 
 
 def test_split_and_regex_whitespace_agree():
@@ -112,13 +113,21 @@ class TestTokenize:
         assert t.punct_tokens == (".", ".", ".")
 
     def test_char_count_equals_token_characters(self):
-        t = tokenize('"Hello, world!" It cost $5.')
-        assert t.char_count == sum(len(tok) for tok in t.ordered_tokens)
+        text = '"Hello, world!" It cost $5.'
+        ordered = regex_tokenize(text)[1]
+        assert tokenize(text).char_count == sum(map(len, ordered)) == 23
+
+    def test_char_count_counts_the_lowercased_words(self):
+        # "İ".lower() is "i" plus a combining dot: the word is one
+        # character longer than its chunk; final sigma keeps its length
+        t = tokenize("İstanbul, ΣΑΣ.")
+        assert t.words == ["i\u0307stanbul", "σας"]
+        assert t.char_count == 9 + 1 + 3 + 1
 
     @given(boundary_texts)
     @settings(max_examples=500)
     def test_matches_regex_sentence_split(self, text):
-        assert tokenize(text) == regex_tokenize(text)
+        assert tokenize(text) == regex_tokenize(text)[0]
 
     def test_boundary_only_after_whitespace_or_end(self):
         t = tokenize("a.b c!\u2028d?\xa0e.\x85f")
@@ -137,10 +146,10 @@ class TestTokenize:
     @settings(max_examples=200)
     def test_idempotent_on_rejoined_tokens(self, text):
         first = tokenize(text)
-        second = tokenize(" ".join(first.ordered_tokens))
-        assert second.ordered_tokens == first.ordered_tokens
+        second = tokenize(" ".join(regex_tokenize(text)[1]))
         assert second.punct_tokens == first.punct_tokens
         assert second.words == first.words
+        assert second.char_count == first.char_count
 
     @given(texts)
     @settings(max_examples=200)
