@@ -82,7 +82,10 @@ def _at_least(low, convert):
 
 
 def _feature_list(text: str) -> list[str]:
-    return [name.strip() for name in text.split(",") if name.strip()]
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ValueError(f"no feature named in {text!r}")
+    return names
 
 
 def _dimension(text: str) -> str:
@@ -383,8 +386,8 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     if capped:
         fits = sum(len(r.fold_scores) for r in cv_results.values()) + 1
         lams = ", ".join(f"{x:g}" for x in sorted({w.lam for w in capped}))
-        print(f"warning: {len(capped)} of {fits} logistic fits stopped at "
-              f"the iteration cap (lambda = {lams})")
+        print(f"warning: {len(capped)} of {fits} {cfg.model} fits stopped "
+              f"at the iteration cap (lambda = {lams})")
     for message in other:
         print(f"warning: {message}")
     if cfg.model == "lasso" and not np.any(pipeline.model.weights):

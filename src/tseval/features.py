@@ -101,8 +101,7 @@ def _cosines(pairs: Sequence[SentencePair],
     its source and of its output, 0.0 when either has no vector."""
     vectors = resources.vectors
     row_of = vectors.rows.get
-    texts = [[r for r in map(row_of, map(str.lower, text.words))
-              if r is not None]
+    texts = [[r for r in map(row_of, text.words) if r is not None]
              for pair in pairs for text in (pair.source, pair.output)]
     means = _vector_sums(texts, vectors.matrix)
     lengths = np.array([len(rows) for rows in texts], float)[:, None]
@@ -121,16 +120,15 @@ def _cosines(pairs: Sequence[SentencePair],
 
 def _avg_concreteness(pair: SentencePair, resources: Resources) -> float:
     rating = resources.concreteness.ratings.get
-    covered = [r for r in map(rating, map(str.lower, pair.output.words))
-               if r is not None]
+    covered = [r for r in map(rating, pair.output.words) if r is not None]
     return sum_left(covered) / len(covered) if covered else 0.0
 
 
 def _max_freq_rank(pair: SentencePair, resources: Resources) -> float:
     ranks = resources.freq_table.rank_of_map
     words = pair.output.words
-    return max(map(ranks.get, map(str.lower, words),
-                   repeat(len(ranks) + 1, len(words))), default=0.0)
+    return max(map(ranks.get, words, repeat(len(ranks) + 1, len(words))),
+               default=0.0)
 
 
 def _fkgl(pair: SentencePair, resources: Resources, syllables: int) -> float:
@@ -308,6 +306,19 @@ class FeatureMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.feature_names.index(name)]
+
+    def rows_in(self, names: Sequence[str]) -> np.ndarray:
+        """The rows with their columns in the order of names. A different
+        set of names is a DataFormatError naming the missing and the
+        unexpected features."""
+        if self.feature_names == tuple(names):
+            return self.rows
+        if sorted(self.feature_names) == sorted(names):
+            return self.rows[:, list(map(self.feature_names.index, names))]
+        have, want = set(self.feature_names), set(names)
+        raise DataFormatError(
+            f"feature names do not match (missing {sorted(want - have)}, "
+            f"unexpected {sorted(have - want)})")
 
     def to_tsv(self, path: str | Path) -> None:
         lines = ["id\t" + "\t".join(self.feature_names)]

@@ -223,7 +223,8 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
                        intercept=np.float64(intercept), lam=lam)
 
 
-# Coordinate descent stops when no weight moved by _LASSO_TOL in a sweep.
+# Coordinate descent stops when no weight moved by _LASSO_TOL in a sweep,
+# or with an IterationCapWarning after _LASSO_MAX_ITER sweeps.
 _LASSO_TOL = 1e-7
 _LASSO_MAX_ITER = 10_000
 
@@ -246,8 +247,8 @@ def _lasso_cd(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
                 w[j] = new
         if max_change < _LASSO_TOL:
             return w
-    warnings.warn("lasso coordinate descent hit the iteration cap "
-                  "before converging", RuntimeWarning, stacklevel=2)
+    warnings.warn(IterationCapWarning(lam, "lasso coordinate descent"),
+                  stacklevel=2)
     return w
 
 
@@ -310,11 +311,12 @@ _LOSS_ROUNDING = 10 * np.finfo(float).eps
 
 
 class IterationCapWarning(RuntimeWarning):
-    """fit_classifier stopped at its iteration cap before converging."""
+    """A learner's solver (fit_classifier's Newton steps or the lasso's
+    coordinate descent) stopped at its iteration cap before converging."""
 
-    def __init__(self, lam: float):
-        super().__init__("logistic Newton solver hit the iteration cap "
-                         f"before converging (lambda = {lam:g})")
+    def __init__(self, lam: float, solver: str = "logistic Newton solver"):
+        super().__init__(f"{solver} hit the iteration cap before converging "
+                         f"(lambda = {lam:g})")
         self.lam = lam
 
 
@@ -478,20 +480,6 @@ def fit_pipeline(matrix: FeatureMatrix, y: Sequence[float] | Sequence[int],
                            feature_names=matrix.feature_names)
 
 
-def _aligned_rows(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.ndarray:
-    if matrix.feature_names == pipeline.feature_names:
-        return matrix.rows
-    if sorted(matrix.feature_names) == sorted(pipeline.feature_names):
-        order = [matrix.feature_names.index(n) for n in pipeline.feature_names]
-        return matrix.rows[:, order]
-    missing = set(pipeline.feature_names) - set(matrix.feature_names)
-    extra = set(matrix.feature_names) - set(pipeline.feature_names)
-    raise DataFormatError(
-        f"feature names do not match the trained pipeline "
-        f"(missing {sorted(missing)}, unexpected {sorted(extra)})"
-    )
-
-
 def predict(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.ndarray:
     """Apply the full pipeline; columns are realigned by name, and any
     name mismatch is an error.
@@ -499,7 +487,7 @@ def predict(pipeline: TrainedPipeline, matrix: FeatureMatrix) -> np.ndarray:
     Returns real scores for regression pipelines and integer class
     indices for classification pipelines.
     """
-    X = _aligned_rows(pipeline, matrix)
+    X = matrix.rows_in(pipeline.feature_names)
     return pipeline.model.predict(
         pipeline.pca.transform(pipeline.standardizer.transform(X)))
 

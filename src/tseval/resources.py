@@ -1,8 +1,8 @@
 """Loaders for external lexical resources and a count-based language model.
 
-The loaders lowercase every key, and the features look words up after
-lowercasing them, so lookups are case-insensitive. Loaded objects are
-immutable after construction and safe for concurrent reads.
+The loaders and train_lm lowercase every word they read, as tokenize
+does, so the features look tokenized words up as they are. Loaded
+objects are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ UNK_ID = 1
 
 
 def _ids(words: Iterable[str], word_ids: dict[str, int]) -> list[int]:
-    """Word ids after lowercasing; words outside the vocabulary are
+    """Word ids of lowercase words; words outside the vocabulary are
     <unk>."""
     get = word_ids.get
-    return [get(w.lower(), UNK_ID) for w in words]
+    return [get(w, UNK_ID) for w in words]
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,11 @@ class NgramLanguageModel:
         """Interpolated conditional probability with uniform order weights.
 
         Leading <s> in `context` stand for the sentence-start padding; a
-        context shorter than order - 1 words is padded the same way.
+        context shorter than order - 1 words is padded likewise. Each word
+        is lowercased, as tokenize lowercases it.
         """
         words = [*dropwhile(BOS.__eq__, context[-(self.order - 1):]), word]
-        return self._probs(_ids(words, self.word_ids))[-1]
+        return self._probs(_ids(map(str.lower, words), self.word_ids))[-1]
 
     def _probs(self, ids: list[int]) -> list[float]:
         """prob of every word of one sentence, given as ids, after its

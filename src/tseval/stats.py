@@ -155,6 +155,8 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
     instead of failing the whole ranking. The confidence interval is left
     empty below four rows. When a test matrix and labels are supplied each
     entry also carries its test-set correlation, empty where undefined.
+    The test matrix's columns are matched to the training matrix's by
+    name, in any order; a different set of names is a DataFormatError.
     """
     y = np.asarray(labels, dtype=float)
     if y.shape != (matrix.rows.shape[0],):
@@ -165,8 +167,7 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
     if test_matrix is not None:
         if test_labels is None:
             raise ValueError("test_matrix given without test_labels")
-        if test_matrix.feature_names != matrix.feature_names:
-            raise ValueError("train and test matrices disagree on features")
+        test_rows = test_matrix.rows_in(matrix.feature_names)
         y_test = np.asarray(test_labels, dtype=float)
         if y_test.shape != (test_matrix.rows.shape[0],):
             raise ValueError(f"{y_test.size} test labels for "
@@ -176,7 +177,7 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
     defined = ~np.isnan(r_train)
     r_test = np.full(len(r_train), np.nan)
     if y_test is not None and defined.any():
-        r_test[defined] = _pearson_rows(test_matrix.rows.T[defined], y_test)
+        r_test[defined] = _pearson_rows(test_rows.T[defined], y_test)
 
     reports = []
     for name, r, rt in zip(matrix.feature_names, r_train.tolist(),

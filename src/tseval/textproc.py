@@ -33,10 +33,10 @@ def is_punctuation(ch: str) -> bool:
 class TokenizedText:
     """Tokenized view of a text.
 
-    sentences holds lowercase word tokens grouped by sentence; punctuation
-    lives in punct_tokens (in order of occurrence) and never appears in
-    sentences. char_count is the number of characters of all tokens: the
-    lowercased words plus the punctuation tokens, one character each.
+    sentences holds lowercase word tokens by sentence, which the features
+    look up in the lowercased resources as they are; punctuation lives in
+    punct_tokens, in order, and never in sentences. char_count counts the
+    characters of the lowercased words plus one per punctuation token.
     """
 
     sentences: tuple[tuple[str, ...], ...]

@@ -131,6 +131,54 @@ class TestRankCommand:
         first = (workflow_dir / "rank_M.tsv").read_text().splitlines()[1]
         assert first.split("\t")[5] != ""
 
+    @staticmethod
+    def _rank_with_test_columns(base, workflow_dir, out, columns):
+        """Run rank in out on the workflow's feature files, the test file's
+        columns rewritten by columns(header, rows) -> (header, rows)."""
+        out.mkdir()
+        (out / "features_train.tsv").write_bytes(
+            (workflow_dir / "features_train.tsv").read_bytes())
+        lines = (workflow_dir / "features_test.tsv").read_text().splitlines()
+        header, *rows = [line.split("\t") for line in lines]
+        header, rows = columns(header, rows)
+        (out / "features_test.tsv").write_text(
+            "".join("\t".join(cells) + "\n" for cells in [header, *rows]))
+        return run("rank", "--train", str(base / "train.tsv"),
+                   "--test", str(base / "test.tsv"), "--out", str(out))
+
+    def test_permuted_test_columns_are_matched_by_name(
+            self, synthetic_dataset_dir, workflow_dir, tmp_path):
+        def reverse(header, rows):
+            return ([header[0], *header[:0:-1]],
+                    [[cells[0], *cells[:0:-1]] for cells in rows])
+
+        for name, columns in (("in_order", lambda h, r: (h, r)),
+                              ("permuted", reverse)):
+            assert self._rank_with_test_columns(
+                synthetic_dataset_dir, workflow_dir, tmp_path / name,
+                columns) == 0
+        written = sorted(p.name for p in (tmp_path / "in_order").glob("rank_*"))
+        assert len(written) == 8
+        for name in written:
+            assert (tmp_path / "permuted" / name).read_bytes() == \
+                (tmp_path / "in_order" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda h, r: (h[:-1], [cells[:-1] for cells in r]),
+         "missing ['WordsInCommon'], unexpected []"),
+        (lambda h, r: (h + ["Extra"], [cells + ["1.0"] for cells in r]),
+         "missing [], unexpected ['Extra']"),
+    ], ids=["dropped", "extra"])
+    def test_different_test_columns_are_data_error(
+            self, synthetic_dataset_dir, workflow_dir, tmp_path, capsys,
+            change, message):
+        assert self._rank_with_test_columns(
+            synthetic_dataset_dir, workflow_dir, tmp_path / "run",
+            change) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tseval: error: feature names do not match")
+        assert message in err
+
 
 class TestTrainEvaluateCommands:
     @pytest.mark.parametrize("model,dimension", [
@@ -246,6 +294,23 @@ class TestTrainEvaluateCommands:
         assert "warning: 2 of 11 logistic fits stopped at the iteration cap "\
             "(lambda = 0.1, 10)\n" in capsys.readouterr().out
 
+    def test_lasso_iteration_cap_reported_once(self, tmp_path, capsys,
+                                               monkeypatch):
+        # one coordinate-descent sweep per fit, so every fit stops at the
+        # cap
+        monkeypatch.setattr(qemodel, "_LASSO_MAX_ITER", 1)
+        self._write_probe_inputs(tmp_path)
+        code = run("train", "--train", str(tmp_path / "train.tsv"),
+                   "--dimension", "G", "--model", "lasso", "--lam", "0.001",
+                   "--pca-k", "6", "--folds", "2", "--out", str(tmp_path))
+        assert code == 0
+        captured = capsys.readouterr()
+        warned = [line for line in captured.out.splitlines()
+                  if line.startswith("warning:")]
+        assert warned == ["warning: 3 of 3 lasso fits stopped at the "
+                          "iteration cap (lambda = 0.001)"]
+        assert "RuntimeWarning" not in captured.out + captured.err
+
     def test_fixed_lambda_for_linreg_is_zero(self, synthetic_dataset_dir,
                                              workflow_dir, tmp_path, capsys):
         base = synthetic_dataset_dir
@@ -348,6 +413,18 @@ class TestConfigFileAndErrors:
         config.write_text(f"# settings\n{line}\n")
         assert run("train", "--config", str(config)) == 2
         assert f"{config}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [",", "", " , ,"])
+    def test_feature_list_naming_no_feature_rejected(self, tmp_path, capsys,
+                                                     text):
+        assert run("features", "--features", text) == 1
+        assert capsys.readouterr().err == "tseval: error: --features: " \
+            f"no feature named in {text!r}\n"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\nfeatures = {text}\n")
+        assert run("features", "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"tseval: error: {config}:2: " \
+            f"features: no feature named in {text.strip()!r}\n"
 
     @pytest.mark.parametrize("flag,value", [
         ("--folds", "1"), ("--pca-k", "0"), ("--lam", "-0.5"),

@@ -573,23 +573,45 @@ class TestCosineSums:
         self._check(pairs, vectors)
 
     def test_words_are_looked_up_lowercased(self, full_resources):
-        vectors = full_resources.vectors
-        upper = TokenizedText(sentences=(("The", "CAT", "Sat"),),
-                              punct_tokens=(), char_count=11)
+        # tokenize lowercases every word and the features look words up as
+        # they are, so a hand-built text holds lowercase words
         lower = TokenizedText(sentences=(("the", "cat", "sat"),),
-                              punct_tokens=(), char_count=11)
-        source = tokenize("the mat sat on the dog")
-        pairs = [SentencePair(source=source, output=upper),
-                 SentencePair(source=upper, output=source)]
-        self._check(pairs, vectors)
-        for names in (["AvgCosineSim"], ["MaxPosInFreqTable"],
-                      ["AvgConcreteness"]):
+                              punct_tokens=(), char_count=9)
+        assert tokenize("The CAT Sat") == lower
+        source = "the mat sat on the dog"
+        pairs = [SentencePair(source=tokenize(source), output=lower),
+                 SentencePair(source=lower, output=tokenize(source))]
+        self._check(pairs, full_resources.vectors)
+        for names, first in ((["AvgCosineSim"], None),
+                             (["MaxPosInFreqTable"], 3.0),
+                             (["AvgConcreteness"], (1.5 + 5.0 + 3.0) / 3)):
             got = compute_matrix(pairs, full_resources, which=names).rows
             want = compute_matrix(
-                [SentencePair(source=source, output=lower),
-                 SentencePair(source=lower, output=source)],
+                [SentencePair.from_text(source, "The CAT Sat"),
+                 SentencePair.from_text("The CAT Sat", source)],
                 full_resources, which=names).rows
             assert got.tobytes() == want.tobytes(), names
+            assert first is None or got[0, 0] == first, names
+
+    def test_a_key_whose_lowercase_is_longer_is_found(self, tmp_path):
+        # "İ".lower() is "i" and a combining dot above: two code points
+        for name, text in (("freq.txt", "other\nİSTANBUL\n"),
+                           ("conc.tsv", "Word\tConc.M\nİSTANBUL\t4.5\n"),
+                           ("vec.txt", "other 1 0\nİSTANBUL 0 2\n"),
+                           ("corpus.txt", "İSTANBUL\n" * 2)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        resources = Resources(
+            freq_table=load_frequency_table(tmp_path / "freq.txt"),
+            concreteness=load_concreteness(tmp_path / "conc.tsv"),
+            vectors=load_vectors(tmp_path / "vec.txt"),
+            lm=train_lm(tmp_path / "corpus.txt", order=2))
+        pair = SentencePair.from_text("İSTANBUL", "İstanbul.")
+        assert pair.output.words == ["i\u0307stanbul"]
+        assert compute_features(pair, resources, which=[
+            "AvgCosineSim", "MaxPosInFreqTable", "AvgConcreteness"]) == {
+            "AvgCosineSim": 1.0, "MaxPosInFreqTable": 2.0,
+            "AvgConcreteness": 4.5}
+        assert "i\u0307stanbul" in resources.lm.word_ids
 
 
 def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:

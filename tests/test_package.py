@@ -1,7 +1,8 @@
 """The package's public names: every name a module lists in ``__all__``
 and every name ``tseval/__init__.py`` imports resolves, so deleting a
 function cannot leave a dangling export behind. No module splits a file
-into lines by a rule of its own, and none imports a name it never uses."""
+into lines by a rule of its own, none imports a name it never uses, and
+the features do not lowercase the words they look up."""
 
 import ast
 import importlib
@@ -47,6 +48,14 @@ def test_every_line_split_goes_through_read_lines():
     package = Path(tseval.__file__).parent
     assert [path.name for path in sorted(package.glob("*.py"))
             if "splitlines(" in path.read_text(encoding="utf-8")] == []
+
+
+def test_the_features_look_words_up_as_they_are():
+    # tokenize and the resource loaders lowercase every word where text
+    # enters, so the features never lowercase a word a second time
+    text = Path(tseval.__file__).with_name("features.py").read_text(
+        encoding="utf-8")
+    assert ".lower(" not in text and "str.lower" not in text
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -550,14 +550,17 @@ class TestLanguageModel:
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_token_logprobs_score_through_prob(self, toy_corpus, order):
+        # prob lowercases the raw words it is given; a TokenizedText holds
+        # them lowercased already, as tokenize gives them
         lm = train_lm(toy_corpus, order=order)
+        raw = (("The", "Cat", "sat", "on", "the", "Zebra"),
+               ("A", "bird", "Quokka", "flew"),
+               ("THE", "mat"))
         text = TokenizedText(
-            sentences=(("The", "Cat", "sat", "on", "the", "Zebra"),
-                       ("A", "bird", "Quokka", "flew"),
-                       ("THE", "mat")),
+            sentences=tuple(tuple(w.lower() for w in sent) for sent in raw),
             punct_tokens=(), char_count=0)
         expected = []
-        for sent in text.sentences:
+        for sent in raw:
             history = ["<s>"] * (order - 1)
             for w in sent:
                 expected.append(math.log(lm.prob(w, tuple(history))))

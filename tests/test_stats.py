@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tseval import qats_io, resources
-from tseval.errors import DegenerateDataError
+from tseval.errors import DataFormatError, DegenerateDataError
 from tseval.features import FeatureMatrix, compute_matrix
 from tseval.stats import fisher_ci, pearson, rank_features, weighted_f1
 
@@ -349,6 +349,31 @@ class TestBatchedCorrelations:
     def test_each_column_as_alone(self, inputs):
         matrix, labels, test_matrix, test_labels = inputs
         self._check(matrix, labels, test_matrix, test_labels)
+
+    @given(_ranking_inputs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_test_columns_matched_by_name(self, inputs, data):
+        matrix, labels, test_matrix, test_labels = inputs
+        names = data.draw(st.permutations(test_matrix.feature_names))
+        permuted = FeatureMatrix(
+            feature_names=tuple(names), row_ids=test_matrix.row_ids,
+            rows=np.column_stack([test_matrix.column(n) for n in names])
+            .reshape(test_matrix.rows.shape))
+        want = rank_features(matrix, labels, "G", test_matrix=test_matrix,
+                             test_labels=test_labels)
+        got = rank_features(matrix, labels, "G", test_matrix=permuted,
+                            test_labels=test_labels)
+        assert got == want and got.to_tsv() == want.to_tsv()
+
+    def test_different_test_columns_rejected(self):
+        train = _matrix({"x": [1.0, 3.0, 2.0], "y": [0.0, 1.0, 5.0]})
+        for columns, message in (({"x": [1.0, 2.0]}, r"missing \['y'\]"),
+                                 ({"x": [1.0, 2.0], "y": [3.0, 1.0],
+                                   "z": [0.0, 1.0]}, r"unexpected \['z'\]")):
+            with pytest.raises(DataFormatError, match=message):
+                rank_features(train, [0.0, 1.0, 2.0], "G",
+                              test_matrix=_matrix(columns),
+                              test_labels=[0.0, 1.0])
 
     def test_workload_train_matrices(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "bench"))
