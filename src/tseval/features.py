@@ -162,11 +162,10 @@ _INTERMEDIATES = {
     "bleu": lambda pairs, r: (bleu_from_counts(
         bleu_counts(p.source, p.output), p.source.word_count,
         p.output.word_count, _BLEU_CONFIGS) for p in pairs),
-    # An output without words is not scored: its features read
-    # LOGPROB_FLOOR.
-    "logprobs": lambda pairs, r: (token_logprobs(r.lm, p.output)
-                                  if p.output.word_count else []
-                                  for p in pairs),
+    # One call scores every output; an output without words gets [] and
+    # its features read LOGPROB_FLOOR.
+    "logprobs": lambda pairs, r: token_logprobs(
+        r.lm, [p.output for p in pairs]),
     "output_syllables": lambda pairs, r: (
         sum(map(count_syllables, p.output.words)) for p in pairs),
     "cosine": _cosines,

@@ -11,9 +11,9 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import dropwhile
+from itertools import chain, dropwhile, islice, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,10 +129,10 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
     return ConcretenessLexicon(ratings=ratings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordVectors:
     """Word embedding table: a word -> row index and one read-only float64
-    matrix with a row per word."""
+    matrix with a row per word. A table compares by identity."""
 
     rows: dict[str, int] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
@@ -182,14 +182,37 @@ BOS_ID = 0
 UNK_ID = 1
 
 
-def _ids(words: Iterable[str], word_ids: dict[str, int]) -> list[int]:
+def _ids(words: Iterable[str], word_ids: dict[str, int]) -> Iterator[int]:
     """Word ids of lowercase words; words outside the vocabulary are
     <unk>."""
-    get = word_ids.get
-    return [get(w, UNK_ID) for w in words]
+    return map(word_ids.get, words, repeat(UNK_ID))
 
 
-@dataclass(frozen=True)
+def _event_keys(ids: np.ndarray, lengths: list[int], order: int,
+                base: int) -> Iterator[np.ndarray]:
+    """The event keys of every word of sentences of the given lengths,
+    for orders 2..order in turn; each sentence follows order - 1 <s>."""
+    pad = order - 1
+    where = np.arange(len(ids)) + pad * np.repeat(
+        np.arange(1, len(lengths) + 1), lengths)
+    padded = np.full(len(ids) + pad * len(lengths), BOS_ID, ids.dtype)
+    padded[where] = ids
+    keys = ids
+    for back in range(1, order):
+        keys = keys + padded[where - back] * base ** back
+        yield keys
+
+
+def _lookup(table: tuple[np.ndarray, np.ndarray],
+            keys: np.ndarray) -> np.ndarray:
+    """The counts of keys in a (sorted keys, counts) table; 0 where a key
+    is missing."""
+    known, counts = table
+    at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return np.where(known[at] == keys, counts[at], 0)
+
+
+@dataclass(frozen=True, eq=False)
 class NgramLanguageModel:
     """Interpolated add-k n-gram model over a closed vocabulary plus <unk>.
 
@@ -201,17 +224,20 @@ class NgramLanguageModel:
     Words are ids: <s> is 0, <unk> is 1 and vocabulary words 2 and up.
     The order-n event (w1, ..., wn) is the integer key whose base-`base`
     digits are the ids, w1 the highest; its context (w1, ..., wn-1) is
-    key // base. context_counts and continuation_counts hold the tables
-    of orders 2..n, order n at index n - 2. Order 1 needs no table: the
-    term (count + k) / (tokens + k * event_count) of every id is kept in
-    unigram_terms, indexed by id.
+    key // base. Keys are int64, or Python ints in object arrays where
+    base ** order reaches 2 ** 63. contexts and continuations hold the
+    tables of orders 2..n, order n at index n - 2: each the sorted keys
+    seen in training and their counts. Order 1 needs no table: the term
+    (count + k) / (tokens + k * event_count) of every id is kept in
+    unigram_terms, indexed by id. A model compares by identity.
     """
 
     order: int
     word_ids: dict[str, int] = field(repr=False)
-    context_counts: tuple[dict[int, int], ...] = field(repr=False)  # 2..n
-    continuation_counts: tuple[dict[int, int], ...] = field(repr=False)
-    unigram_terms: list[float] = field(repr=False)
+    contexts: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+    continuations: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        repr=False)
+    unigram_terms: np.ndarray = field(repr=False)  # float64
 
     @property
     def event_count(self) -> int:
@@ -231,46 +257,34 @@ class NgramLanguageModel:
         is lowercased, as tokenize lowercases it.
         """
         words = [*dropwhile(BOS.__eq__, context[-(self.order - 1):]), word]
-        return self._probs(_ids(map(str.lower, words), self.word_ids))[-1]
+        return float(self._probs([[w.lower() for w in words]])[-1])
 
-    def _probs(self, ids: list[int]) -> list[float]:
-        """prob of every word of one sentence, given as ids, after its
-        history."""
-        order, base = self.order, self.base
+    def _probs(self, sentences: Sequence[Sequence[str]]) -> np.ndarray:
+        """prob of every word of the sentences, each after its own
+        sentence's history, in order."""
+        lengths = list(map(len, sentences))
+        ids = np.fromiter(_ids(chain.from_iterable(sentences), self.word_ids),
+                          self.contexts[0][0].dtype, sum(lengths))
         smooth = ADD_K * self.event_count
-        unseen = (0 + ADD_K) / (0 + smooth)  # the term of an unseen context
-        unigram = self.unigram_terms
-        # per order n >= 2: how far back its first word is, that word's
-        # digit in the key, and the lookups of its tables
-        higher = [(n - 1, base ** (n - 1), self.context_counts[n - 2].get,
-                   self.continuation_counts[n - 2].get)
-                  for n in range(2, order + 1)]
-        padded = [BOS_ID] * (order - 1) + ids
-        probs = []
-        for end in range(order - 1, len(padded)):
-            key = padded[end]
-            total = unigram[key]  # 0.0 plus the order-1 term
-            for back, digit, context_count, count in higher:
-                key += padded[end - back] * digit
-                # an event is seen only in a seen context
-                den = context_count(key // base)
-                if den is None:
-                    total += unseen
-                else:
-                    total += (count(key, 0) + ADD_K) / (den + smooth)
-            probs.append(total / order)
-        return probs
+        # 0.0 plus the order-1 term, then the terms of orders 2..n in turn;
+        # an unseen context counts 0, and so do its continuations
+        total = self.unigram_terms[ids.astype(np.intp)]
+        for keys, contexts, continuations in zip(
+                _event_keys(ids, lengths, self.order, self.base),
+                self.contexts, self.continuations):
+            total += ((_lookup(continuations, keys) + ADD_K)
+                      / (_lookup(contexts, keys // self.base) + smooth))
+        return total / self.order
 
 
-def _counts(keys: np.ndarray, base: int) -> tuple[dict, dict]:
-    """(context counts, continuation counts) of one order's event keys.
-    A context's count is the sum of its continuations' counts."""
+def _tables(keys: np.ndarray, base: int) -> tuple[tuple, tuple]:
+    """The (context, continuation) tables of one order's event keys. A
+    context's count is the sum of its continuations' counts."""
     keys, counts = np.unique(keys, return_counts=True)
     contexts = keys // base
     starts = np.flatnonzero(np.r_[True, contexts[1:] != contexts[:-1]])
-    return (dict(zip(contexts[starts].tolist(),
-                     np.add.reduceat(counts, starts).tolist())),
-            dict(zip(keys.tolist(), counts.tolist())))
+    return ((contexts[starts], np.add.reduceat(counts, starts)),
+            (keys, counts))
 
 
 def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
@@ -297,34 +311,24 @@ def train_lm(corpus: str | Path, order: int = 3) -> NgramLanguageModel:
     ids = np.fromiter(map(id_of.__getitem__, tokens), dtype, len(tokens))
     del tokens, word_counts, id_of
 
-    # each sentence follows order - 1 <s> ids in one padded sequence
-    pad = order - 1
-    where = np.arange(len(ids)) + pad * np.repeat(
-        np.arange(1, len(lengths) + 1), lengths)
-    padded = np.zeros(len(ids) + pad * len(lengths), dtype=dtype)
-    padded[where] = ids
-
-    keys = ids
-    tables = []
-    for back in range(1, order):
-        keys = keys + padded[where - back] * base ** back
-        tables.append(_counts(keys, base))
-    context_counts, continuation_counts = zip(*tables)
-    unigram = np.bincount(ids.astype(np.int64), minlength=base)
+    contexts, continuations = zip(*map(
+        _tables, _event_keys(ids, lengths, order, base), repeat(base)))
+    unigram = np.bincount(ids.astype(np.intp), minlength=base)
     unigram_terms = ((unigram + ADD_K)
-                     / (len(ids) + ADD_K * (len(word_ids) + 1))).tolist()
+                     / (len(ids) + ADD_K * (len(word_ids) + 1)))
     return NgramLanguageModel(order=order, word_ids=word_ids,
-                              context_counts=context_counts,
-                              continuation_counts=continuation_counts,
+                              contexts=contexts, continuations=continuations,
                               unigram_terms=unigram_terms)
 
 
 def token_logprobs(model: NgramLanguageModel,
-                   text: TokenizedText) -> list[float]:
-    """Natural-log conditional probability of every word token, with
-    sentence-initial contexts padded by <s>."""
-    return [math.log(p) for sent in text.sentences
-            for p in model._probs(_ids(sent, model.word_ids))]
+                   texts: Sequence[TokenizedText]) -> list[list[float]]:
+    """Natural-log conditional probability of every word token of each
+    text, one list per text, with sentence-initial contexts padded by <s>.
+    All texts are scored in one pass."""
+    logprobs = map(math.log, model._probs(
+        [sent for text in texts for sent in text.sentences]).tolist())
+    return [list(islice(logprobs, text.word_count)) for text in texts]
 
 
 @dataclass(frozen=True)

@@ -85,10 +85,11 @@ def test_per_pair_calls_seen_through_wrapped_globals(synthetic_dataset_dir):
         assert len(calls[name]) == len(pairs), name
         assert all(args[0] is pair.source
                    for args, pair in zip(calls[name], pairs)), name
-    worded = [pair for pair in pairs if pair.output.word_count]
-    assert len(worded) == len(pairs) - 1
-    assert [args[1] for args in calls["token_logprobs"]] == [
-        pair.output for pair in worded]
+    # the LM scores every output, the one without words too, in one call
+    assert sum(not pair.output.word_count for pair in pairs) == 1
+    [(_, outputs)] = calls["token_logprobs"]
+    assert len(outputs) == len(pairs)
+    assert all(text is pair.output for text, pair in zip(outputs, pairs))
 
 
 def test_meteor_search_is_exhaustive_on_every_benchmark_pair(monkeypatch):

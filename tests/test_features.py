@@ -622,7 +622,7 @@ def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
     words = out.words
     n, sents = out.word_count, out.sentence_count
     syllables = sum(count_syllables(w) for w in words)
-    logprobs = token_logprobs(res.lm, out) if n else []
+    logprobs = token_logprobs(res.lm, [out])[0] if n else []
     ranks = res.freq_table.rank_of_map
     ratings = [res.concreteness.ratings.get(w.lower()) for w in words]
     ratings = [r for r in ratings if r is not None]

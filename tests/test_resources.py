@@ -1,10 +1,13 @@
 """Resource loaders and the n-gram language model."""
 
 import csv
+import importlib
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from tseval.errors import DataFormatError, read_lines
 from tseval.resources import (
+    Resources,
     load_concreteness,
     load_frequency_table,
     load_vectors,
@@ -21,6 +25,7 @@ from tseval.resources import (
 )
 from tseval.textproc import TokenizedText, tokenize
 
+ROOT = Path(__file__).resolve().parents[1]
 
 class TestFrequencyTable:
     def test_basic_ranks(self, tmp_path):
@@ -509,34 +514,35 @@ class TestLanguageModel:
     def test_logprobs_nonpositive_one_per_token(self, toy_corpus):
         lm = train_lm(toy_corpus)
         text = tokenize("The cat sat on the mat.")
-        lps = token_logprobs(lm, text)
+        [lps] = token_logprobs(lm, [text])
         assert len(lps) == text.word_count
         assert all(lp <= 0.0 for lp in lps)
 
     def test_single_word_text(self, toy_corpus):
         lm = train_lm(toy_corpus)
-        assert len(token_logprobs(lm, tokenize("cat"))) == 1
+        assert len(token_logprobs(lm, [tokenize("cat")])[0]) == 1
 
     def test_context_resets_at_sentence_boundaries(self, toy_corpus):
         lm = train_lm(toy_corpus, order=3)
-        lps = token_logprobs(lm, tokenize("The cat. The cat."))
+        [lps] = token_logprobs(lm, [tokenize("The cat. The cat.")])
         # both sentences start from the same padded context
         assert lps[0] == lps[2]
         assert lps[1] == lps[3]
 
     def test_empty_text(self, toy_corpus):
         lm = train_lm(toy_corpus)
-        assert token_logprobs(lm, tokenize("")) == []
+        assert token_logprobs(lm, [tokenize("")]) == [[]]
 
     def test_training_sentence_beats_shuffled_variant(self, toy_corpus):
         lm = train_lm(toy_corpus, order=3)
-        natural = token_logprobs(lm, tokenize("the cat sat on the mat"))
-        shuffled = token_logprobs(lm, tokenize("mat the on sat cat the"))
+        natural, shuffled = token_logprobs(lm, [
+            tokenize("the cat sat on the mat"),
+            tokenize("mat the on sat cat the")])
         assert np.mean(natural) > np.mean(shuffled)
 
     def test_all_unknown_words_collapse(self, toy_corpus):
         lm = train_lm(lm_corpus := toy_corpus, order=2)
-        lps = token_logprobs(lm, tokenize("xylophone quark zeppelin"))
+        [lps] = token_logprobs(lm, [tokenize("xylophone quark zeppelin")])
         # first token: <s> context; later tokens: <unk> context
         assert lps[1] == pytest.approx(lps[2], abs=1e-12)
 
@@ -565,13 +571,13 @@ class TestLanguageModel:
             for w in sent:
                 expected.append(math.log(lm.prob(w, tuple(history))))
                 history.append(w)
-        assert token_logprobs(lm, text) == expected
+        assert token_logprobs(lm, [text]) == [expected]
 
     def test_deterministic(self, toy_corpus):
         lm1 = train_lm(toy_corpus, order=3)
         lm2 = train_lm(toy_corpus, order=3)
         text = tokenize("the dog flew over a cat")
-        assert token_logprobs(lm1, text) == token_logprobs(lm2, text)
+        assert token_logprobs(lm1, [text]) == token_logprobs(lm2, [text])
 
 
 def reference_counts(sentences, order):
@@ -594,12 +600,13 @@ def reference_counts(sentences, order):
 
 
 def decoded(lm, table, width):
-    """A table of integer keys with `width` base-`lm.base` digits, keyed by
-    word tuples instead."""
+    """A (sorted keys, counts) table of integer keys with `width`
+    base-`lm.base` digits, as a dict keyed by word tuples instead."""
     word_of = {0: "<s>", 1: "<unk>"}
     word_of.update((i, w) for w, i in lm.word_ids.items())
     out = {}
-    for key, count in table.items():
+    keys, counts = table
+    for key, count in zip(keys.tolist(), counts.tolist()):
         digits = []
         for _ in range(width):
             key, digit = divmod(key, lm.base)
@@ -635,6 +642,15 @@ def _random_corpus(seed, n_words, n_sentences):
             for _ in range(n_sentences)]
 
 
+def _shuffled_sentences(rng, n_words):
+    """12-word sentences in which the words v0.. each occur twice, the
+    first 20 thrice, in an order shuffled by rng."""
+    words = [f"v{i}" for i in range(n_words)]
+    stream = words + words + words[:20]
+    rng.shuffle(stream)
+    return [stream[i:i + 12] for i in range(0, len(stream), 12)]
+
+
 class TestLanguageModelCounts:
     """The integer-keyed tables against tuple-keyed Counters."""
 
@@ -650,15 +666,14 @@ class TestLanguageModelCounts:
         assert set(lm.word_ids) == vocab
         # the tables hold orders 2..n; test_unigram_terms_are_the_order_
         # one_terms checks order 1
-        assert len(lm.context_counts) == len(lm.continuation_counts) \
-            == order - 1
+        assert len(lm.contexts) == len(lm.continuations) == order - 1
         for n in range(2, order + 1):
-            assert decoded(lm, lm.continuation_counts[n - 2], n) == \
+            assert decoded(lm, lm.continuations[n - 2], n) == \
                 continuations[n - 1]
-            assert decoded(lm, lm.context_counts[n - 2], n - 1) == \
+            assert decoded(lm, lm.contexts[n - 2], n - 1) == \
                 contexts[n - 1]
-        assert token_logprobs(lm, text) == reference_logprobs(
-            sentences, order, text)
+        assert token_logprobs(lm, [text]) == [reference_logprobs(
+            sentences, order, text)]
         return lm
 
     @pytest.mark.parametrize("order", [2, 3])
@@ -696,7 +711,8 @@ class TestLanguageModelCounts:
         text = tokenize(" ".join(sentences[0] + sentences[-1]) + " nope.")
         lm = self._check(tmp_path, sentences, 6, text)
         assert lm.base ** 6 > 2 ** 63
-        assert max(lm.continuation_counts[4]) >= 2 ** 63
+        assert lm.continuations[4][0].dtype == object
+        assert max(lm.continuations[4][0]) >= 2 ** 63
 
     @pytest.mark.parametrize("order,n_words", [(2, 40), (3, 40), (6, 1500)])
     def test_unseen_contexts_score_as_the_reference(self, tmp_path, order,
@@ -706,10 +722,8 @@ class TestLanguageModelCounts:
         # had of contexts it had. At 1 500 words and order 6 the keys are
         # Python ints.
         rng = random.Random(order)
+        sentences = _shuffled_sentences(rng, n_words)
         words = [f"v{i}" for i in range(n_words)]
-        stream = words + words + words[:20]
-        rng.shuffle(stream)
-        sentences = [stream[i:i + 12] for i in range(0, len(stream), 12)]
         said = words[:15] + ["nope", "v3", "v3", "v3"] + words[15:30]
         rng.shuffle(said)
         text = tokenize(" ".join(said) + ". V1 v2 nope v1.")
@@ -740,6 +754,100 @@ class TestLanguageModelCounts:
         word_of = {0: "<s>", 1: "<unk>"}
         word_of.update((i, w) for w, i in lm.word_ids.items())
         tokens = sum(continuations[0].values())
-        assert lm.unigram_terms == [
+        assert lm.unigram_terms.tolist() == [
             (continuations[0][(word_of[i],)] + 0.1)
             / (tokens + 0.1 * (len(vocab) + 1)) for i in range(lm.base)]
+
+
+def _shuffled_corpus_model(tmp_path, order):
+    """The _shuffled_sentences of 40 words and their model of `order`; at
+    order 6 the words are 1 500, so the keys are Python ints."""
+    sentences = _shuffled_sentences(random.Random(order),
+                                    1500 if order == 6 else 40)
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(" ".join(s) + "\n" for s in sentences),
+                    encoding="utf-8")
+    lm = train_lm(path, order=order)
+    assert (lm.contexts[0][0].dtype == object) == (order == 6)
+    return sentences, lm
+
+
+class TestBatchedScoring:
+    """token_logprobs over many texts in one call, against the reference
+    text by text."""
+
+    @pytest.mark.parametrize("order", [2, 3, 6])
+    def test_batches_equal_the_reference_per_text(self, tmp_path, order):
+        sentences, lm = _shuffled_corpus_model(tmp_path, order)
+        rng = random.Random(order + 10)
+        texts = [tokenize(""), tokenize("?! ... ,"),
+                 tokenize("Xylophone quark. Zeppelin!")]
+        for _ in range(30):  # pieces of training sentences, some words new
+            said = []
+            for _ in range(rng.randint(1, 3)):
+                sent = rng.choice(sentences)
+                start = rng.randrange(len(sent))
+                piece = sent[start:start + rng.randint(1, 8)]
+                said.append(" ".join(w.upper() if rng.random() < 0.1 else
+                                     "nope" if rng.random() < 0.1 else w
+                                     for w in piece) + ".")
+            texts.append(tokenize(" ".join(said)))
+        assert [t.word_count for t in texts[:2]] == [0, 0]
+        assert all(w not in lm.word_ids for w in texts[2].words)
+        expected = [reference_logprobs(sentences, order, t) for t in texts]
+        for size in (1, 7, len(texts)):
+            got = [lps for i in range(0, len(texts), size)
+                   for lps in token_logprobs(lm, texts[i:i + size])]
+            assert got == expected, size
+        for text, lps in zip(texts, expected):
+            assert [math.log(lm.prob(w, sent[:i]))
+                    for sent in text.sentences
+                    for i, w in enumerate(sent)] == lps
+
+    @pytest.mark.parametrize("order", [2, 3, 6])
+    def test_tables_are_sorted_positive_and_add_up(self, tmp_path, order):
+        _, lm = _shuffled_corpus_model(tmp_path, order)
+        assert len(lm.contexts) == len(lm.continuations) == order - 1
+        for contexts, continuations in zip(lm.contexts, lm.continuations):
+            for keys, counts in (contexts, continuations):
+                assert len(keys) == len(counts) > 0
+                assert (keys[1:] > keys[:-1]).all()
+                assert (counts > 0).all()
+            sums = Counter()
+            for key, count in zip(*(a.tolist() for a in continuations)):
+                sums[key // lm.base] += count
+            assert dict(sums) == dict(zip(*(a.tolist() for a in contexts)))
+
+    def test_memory_of_training_on_the_benchmark_corpus(self, tmp_path,
+                                                        monkeypatch):
+        # the qats-lexical seed-1 corpus: 249 221 table entries at order 3
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/
+        workloads = importlib.import_module("workloads")
+        corpus = workloads.write_inputs(
+            workloads.generate("qats-lexical", 1), tmp_path)["lm_corpus"]
+        tracemalloc.start()
+        try:
+            lm = train_lm(corpus)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(keys) for tables in (lm.contexts, lm.continuations)
+                   for keys, _ in tables) == 249_221
+        assert kept < 6 * 2 ** 20
+        assert peak < 15 * 2 ** 20
+
+
+def test_array_holding_resources_compare_by_identity(tmp_path, toy_corpus):
+    path = tmp_path / "vectors.txt"
+    path.write_text("a 1 0\nb 0 1\n")
+    v1, v2 = load_vectors(path), load_vectors(path)
+    lm1, lm2 = train_lm(toy_corpus), train_lm(toy_corpus)
+    for one, other in ((v1, v2), (lm1, lm2),
+                       (Resources(vectors=v1), Resources(vectors=v2)),
+                       (Resources(lm=lm1), Resources(lm=lm2))):
+        assert (one == other) is False
+        assert (one != other) is True
+        assert (one == one) is True
+    assert (Resources(vectors=v1, lm=lm1)
+            == Resources(vectors=v1, lm=lm1)) is True
