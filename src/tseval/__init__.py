@@ -22,8 +22,6 @@ from .mtmetrics import (
     ter_align,
 )
 from .resources import (
-    ConcretenessLexicon,
-    FrequencyTable,
     NgramLanguageModel,
     Resources,
     WordVectors,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataFormatError, TsevalError, read_lines
 from . import qats_io
-from .features import FeatureMatrix, compute_matrix, registry
+from .features import FeatureMatrix, compute_matrix
 from .mtmetrics import SearchBudgetWarning
 from .qemodel import (
     DEFAULT_FOLDS,
@@ -217,16 +217,6 @@ def _load_resources(cfg: argparse.Namespace) -> Resources:
     return Resources(freq_table=freq, concreteness=conc, vectors=vec, lm=lm)
 
 
-def _selected_features(cfg: argparse.Namespace,
-                       resources: Resources) -> list[str]:
-    """Explicit subset if given (missing resources then fail later with a
-    precise error), else every feature whose resources are loaded."""
-    if cfg.features:
-        return list(cfg.features)
-    return [spec.name for spec in registry()
-            if all(resources.has(kind) for kind in spec.requires)]
-
-
 def _require(cfg: argparse.Namespace, attribute: str) -> str:
     value = getattr(cfg, attribute)
     if value is None:
@@ -291,7 +281,6 @@ def cmd_features(cfg: argparse.Namespace) -> int:
         if path:
             datasets.append((split, qats_io.load_dataset(path, split)))
     resources = _load_resources(cfg)
-    names = _selected_features(cfg, resources)
     out_dir = Path(cfg.out)
 
     results = []
@@ -303,11 +292,12 @@ def cmd_features(cfg: argparse.Namespace) -> int:
         for split, dataset in datasets:
             pairs = qats_io.to_pairs(dataset)
             start = time.perf_counter()
-            matrix = compute_matrix(pairs, resources, names,
+            matrix = compute_matrix(pairs, resources, cfg.features,
                                     timings=timing_total)
             elapsed = time.perf_counter() - start
             results.append((split, matrix))
-            print(f"{split}: {len(pairs)} pairs x {len(names)} features "
+            print(f"{split}: {len(pairs)} pairs x "
+                  f"{len(matrix.feature_names)} features "
                   f"in {elapsed:.2f}s")
     stopped, other = _split_warnings(caught, SearchBudgetWarning)
     if stopped:

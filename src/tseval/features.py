@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -119,13 +119,15 @@ def _cosines(pairs: Sequence[SentencePair],
 
 
 def _avg_concreteness(pair: SentencePair, resources: Resources) -> float:
-    rating = resources.concreteness.ratings.get
+    rating = resources.concreteness.get
     covered = [r for r in map(rating, pair.output.words) if r is not None]
     return sum_left(covered) / len(covered) if covered else 0.0
 
 
 def _max_freq_rank(pair: SentencePair, resources: Resources) -> float:
-    ranks = resources.freq_table.rank_of_map
+    """The largest frequency rank of an output word; an unlisted word
+    ranks one past the end of the table."""
+    ranks = resources.freq_table
     words = pair.output.words
     return max(map(ranks.get, words, repeat(len(ranks) + 1, len(words))),
                default=0.0)
@@ -180,7 +182,7 @@ class FeatureSpec:
 
     name: str
     requires: frozenset[str]
-    compute: callable = field(repr=False)
+    compute: Callable[..., float] = field(repr=False)
     reads: tuple[str, ...] = ()
 
 
@@ -262,17 +264,18 @@ def name_defect(names: Sequence[str]) -> tuple[int, str] | None:
 
 def _select(which: Sequence[str] | None,
             resources: Resources) -> tuple[FeatureSpec, ...]:
-    """The named specs (all when which is None), each checked to have its
-    resources loaded."""
+    """The named specs, each checked to have its resources loaded. When
+    which is None, every spec whose resources are loaded, in registry
+    order: the default feature set of the library and of the CLI."""
     if which is None:
-        specs = _REGISTRY
-    else:
-        for name in which:
-            if name not in _BY_NAME:
-                raise DataFormatError(f"unknown feature {name!r}")
-        if defect := name_defect(which):
-            raise DataFormatError(defect[1])
-        specs = tuple(_BY_NAME[name] for name in which)
+        return tuple(spec for spec in _REGISTRY
+                     if all(map(resources.has, spec.requires)))
+    for name in which:
+        if name not in _BY_NAME:
+            raise DataFormatError(f"unknown feature {name!r}")
+    if defect := name_defect(which):
+        raise DataFormatError(defect[1])
+    specs = tuple(_BY_NAME[name] for name in which)
     for spec in specs:
         for kind in spec.requires:
             if not resources.has(kind):
@@ -374,6 +377,8 @@ def compute_matrix(pairs: Sequence[SentencePair],
                    which: Sequence[str] | None = None,
                    timings: dict[str, float] | None = None) -> FeatureMatrix:
     """Feature matrix over pairs; row order always matches input order.
+    Its columns are the features named in which, or by default every
+    feature whose resources are loaded, in registry order.
 
     The matrix is filled column by column. An intermediate that several
     features read (the TER alignment "ter", the five BLEU scores "bleu"

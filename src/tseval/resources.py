@@ -1,8 +1,9 @@
 """Loaders for external lexical resources and a count-based language model.
 
 The loaders and train_lm lowercase every word they read, as tokenize
-does, so the features look tokenized words up as they are. Loaded
-objects are immutable after construction and safe for concurrent reads.
+does, so the features look tokenized words up as they are. The frequency
+table and the concreteness lexicon load as plain dicts; the features
+only read them, as they read the word vectors and the language model.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .errors import (DataFormatError, parse_rows, read_input, read_lines,
 from .textproc import TokenizedText
 
 __all__ = [
-    "FrequencyTable",
-    "ConcretenessLexicon",
     "WordVectors",
     "NgramLanguageModel",
     "load_frequency_table",
@@ -39,20 +38,10 @@ UNK = "<unk>"
 ADD_K = 0.1  # add-k count of every LM event
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Words ranked by descending corpus frequency; rank is 1-based.
-
-    Unlisted words rank one past the end of the table.
-    """
-
-    rank_of_map: dict[str, int] = field(repr=False)  # in rank order
-
-
-def load_frequency_table(path: str | Path) -> FrequencyTable:
-    """Load a frequency table: one word per line, most frequent first,
-    optionally followed by a tab and a count. Duplicates keep their first
-    (highest) rank."""
+def load_frequency_table(path: str | Path) -> dict[str, int]:
+    """Load a frequency table as word -> 1-based rank, in rank order: one
+    word per line, most frequent first, optionally followed by a tab and a
+    count. Duplicates keep their first (highest) rank."""
     path = Path(path)
     rank_of: dict[str, int] = {}
     for line in read_lines(path, "frequency table"):
@@ -61,23 +50,17 @@ def load_frequency_table(path: str | Path) -> FrequencyTable:
             rank_of[word] = len(rank_of) + 1
     if not rank_of:
         raise DataFormatError(f"frequency table {path} contains no words")
-    return FrequencyTable(rank_of_map=rank_of)
-
-
-@dataclass(frozen=True)
-class ConcretenessLexicon:
-    """Word -> concreteness rating on the published 1-5 scale."""
-
-    ratings: dict[str, float] = field(repr=False)
+    return rank_of
 
 
 _WORD_COLUMN = "Word"
 _RATING_COLUMN = "Conc.M"
 
 
-def load_concreteness(path: str | Path) -> ConcretenessLexicon:
-    """Load a concreteness lexicon from a delimited file whose header has
-    the columns Word and Conc.M.
+def load_concreteness(path: str | Path) -> dict[str, float]:
+    """Load a concreteness lexicon as word -> rating on the published 1-5
+    scale, from a delimited file whose header has the columns Word and
+    Conc.M.
 
     The delimiter is sniffed from the header line (tab, comma or
     semicolon). A column name given twice is read from its last column,
@@ -126,7 +109,7 @@ def load_concreteness(path: str | Path) -> ConcretenessLexicon:
         raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not ratings:
         raise DataFormatError(f"concreteness file {path} contains no ratings")
-    return ConcretenessLexicon(ratings=ratings)
+    return ratings
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,8 +318,9 @@ def token_logprobs(model: NgramLanguageModel,
 class Resources:
     """Bundle of optional resources consumed by feature computation."""
 
-    freq_table: FrequencyTable | None = None
-    concreteness: ConcretenessLexicon | None = None
+    # word -> 1-based rank, and word -> 1-5 rating
+    freq_table: dict[str, int] | None = field(default=None, repr=False)
+    concreteness: dict[str, float] | None = field(default=None, repr=False)
     vectors: WordVectors | None = None
     lm: NgramLanguageModel | None = None
 

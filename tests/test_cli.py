@@ -10,6 +10,8 @@ import pytest
 
 from tseval import cli, mtmetrics, qemodel
 from tseval.cli import main
+from tseval.features import compute_matrix
+from tseval.resources import Resources, load_frequency_table, train_lm
 
 
 def run(*argv):
@@ -60,6 +62,22 @@ class TestFeaturesCommand:
         assert code == 0
         header = (tmp_path / "features_train.tsv").read_text().splitlines()[0]
         assert header == "id\tNBOutputWords\tROUGE"
+
+    def test_default_features_are_the_library_default(
+            self, synthetic_dataset_dir, tmp_path):
+        base = synthetic_dataset_dir
+        code = run("features", "--train", str(base / "train.tsv"),
+                   "--freq-table", str(base / "freq.txt"),
+                   "--lm-corpus", str(base / "lm_corpus.txt"),
+                   "--out", str(tmp_path))
+        assert code == 0
+        resources = Resources(
+            freq_table=load_frequency_table(base / "freq.txt"),
+            lm=train_lm(base / "lm_corpus.txt"))
+        names = compute_matrix([], resources).feature_names
+        assert len(names) == 24 + 3  # MaxPosInFreqTable and the 2 LM ones
+        header = (tmp_path / "features_train.tsv").read_text().splitlines()[0]
+        assert header.split("\t") == ["id", *names]
 
     def test_missing_resource_for_explicit_feature(self, synthetic_dataset_dir,
                                                    tmp_path):

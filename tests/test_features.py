@@ -1,5 +1,6 @@
 """Feature registry contracts, per-feature formulas, matrix computation."""
 
+import itertools
 import math
 import random
 import time
@@ -22,7 +23,6 @@ from tseval.features import (
 )
 from tseval.mtmetrics import BleuConfig, bleu, meteor, rouge, ter_align
 from tseval.resources import (
-    ConcretenessLexicon,
     Resources,
     WordVectors,
     load_concreteness,
@@ -43,6 +43,13 @@ TABLE_FEATURES = [
     "MaxPosInFreqTable", "AvgConcreteness", "OutputFKGL", "OutputFRE",
     "WordsInCommon",
 ]
+# the features that read each resource
+RESOURCE_FEATURES = {
+    "freq_table": ("MaxPosInFreqTable",),
+    "concreteness": ("AvgConcreteness",),
+    "vectors": ("AvgCosineSim",),
+    "lm": ("AvgLMProbsOutput", "MinLMProbsOutput"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -190,10 +197,9 @@ class TestComputeFeatures:
     ])
     def test_bad_value_is_degenerate_data_naming_pair(self, rating, message):
         # the same checks as a row of compute_matrix
-        lexicon = ConcretenessLexicon(ratings={"cat": rating})
         pair = SentencePair.from_text("the cat", "the cat", id="p7")
         with pytest.raises(DegenerateDataError, match=message):
-            compute_features(pair, Resources(concreteness=lexicon),
+            compute_features(pair, Resources(concreteness={"cat": rating}),
                              which=["AvgConcreteness"])
 
     def test_deterministic(self, full_resources):
@@ -305,6 +311,29 @@ class TestComputeMatrix:
     def test_missing_resource_rejected_without_pairs(self):
         with pytest.raises(ResourceMissingError, match="AvgCosineSim"):
             compute_matrix([], which=["ROUGE", "AvgCosineSim"])
+
+    @pytest.mark.parametrize("loaded", [
+        kinds for n in range(len(RESOURCE_FEATURES) + 1)
+        for kinds in itertools.combinations(RESOURCE_FEATURES, n)])
+    def test_default_is_every_feature_whose_resources_are_loaded(
+            self, full_resources, loaded):
+        resources = Resources(**{kind: getattr(full_resources, kind)
+                                 for kind in loaded})
+        unloaded = {name for kind, names in RESOURCE_FEATURES.items()
+                    if kind not in loaded for name in names}
+        expected = tuple(n for n in TABLE_FEATURES if n not in unloaded)
+        pairs = self._pairs()
+        matrix = compute_matrix(pairs, resources)
+        assert matrix.feature_names == expected
+        full = compute_matrix(pairs, full_resources)
+        columns = [full.feature_names.index(name) for name in expected]
+        assert matrix.rows.tobytes() == full.rows[:, columns].tobytes()
+        if unloaded:  # an explicit list is checked, not filtered
+            with pytest.raises(ResourceMissingError):
+                compute_matrix(pairs, resources, which=TABLE_FEATURES)
+        if not loaded:  # the 24 features that read no resource
+            assert len(expected) == 24
+            assert compute_matrix(pairs).feature_names == expected
 
     def test_bitwise_deterministic(self, full_resources):
         m1 = compute_matrix(self._pairs(), full_resources)
@@ -623,8 +652,8 @@ def _reference_row(pair: SentencePair, res: Resources) -> dict[str, float]:
     n, sents = out.word_count, out.sentence_count
     syllables = sum(count_syllables(w) for w in words)
     logprobs = token_logprobs(res.lm, [out])[0] if n else []
-    ranks = res.freq_table.rank_of_map
-    ratings = [res.concreteness.ratings.get(w.lower()) for w in words]
+    ranks = res.freq_table
+    ratings = [res.concreteness.get(w.lower()) for w in words]
     ratings = [r for r in ratings if r is not None]
     means = []
     for text in (src, out):

@@ -32,34 +32,34 @@ class TestFrequencyTable:
         path = tmp_path / "freq.txt"
         path.write_text("the\nof\nand\n")
         table = load_frequency_table(path)
-        assert table.rank_of_map["the"] == 1
-        assert table.rank_of_map["and"] == 3
+        assert table["the"] == 1
+        assert table["and"] == 3
 
     def test_oov_ranks_one_past_end(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("the\nof\nand\n")
         table = load_frequency_table(path)
-        # the features rank an unlisted word len(rank_of_map) + 1
-        assert "zyzzyva" not in table.rank_of_map
-        assert max(table.rank_of_map.values()) == len(table.rank_of_map) == 3
+        # the features rank an unlisted word len(table) + 1
+        assert "zyzzyva" not in table
+        assert max(table.values()) == len(table) == 3
 
     def test_duplicates_keep_first_rank(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("the\nof\nand\nto\nthe\n")
         table = load_frequency_table(path)
-        assert table.rank_of_map["the"] == 1
-        assert len(table.rank_of_map) == 4
+        assert table["the"] == 1
+        assert len(table) == 4
 
     def test_tab_separated_counts_accepted(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("the\t1000\nof\t500\n")
         table = load_frequency_table(path)
-        assert table.rank_of_map["of"] == 2
+        assert table["of"] == 2
 
     def test_case_insensitive(self, tmp_path):
         path = tmp_path / "freq.txt"
         path.write_text("The\n")
-        assert load_frequency_table(path).rank_of_map == {"the": 1}
+        assert load_frequency_table(path) == {"the": 1}
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "freq.txt"
@@ -75,8 +75,8 @@ class TestFrequencyTable:
         path = tmp_path / "freq.txt"
         path.write_text("\ufeffthe\nof\n", encoding="utf-8")
         table = load_frequency_table(path)
-        assert list(table.rank_of_map) == ["the", "of"]
-        assert table.rank_of_map["the"] == 1
+        assert list(table) == ["the", "of"]
+        assert table["the"] == 1
 
 
 def _reference_concreteness(path):
@@ -150,9 +150,9 @@ class TestConcreteness:
         path = tmp_path / "conc.tsv"
         path.write_text("Word\tConc.M\napple\t5.0\njustice\t1.5\n")
         lex = load_concreteness(path)
-        assert lex.ratings["apple"] == 5.0
-        assert lex.ratings["justice"] == 1.5
-        assert "missing" not in lex.ratings
+        assert lex["apple"] == 5.0
+        assert lex["justice"] == 1.5
+        assert "missing" not in lex
 
     def test_out_of_range_rejected(self, tmp_path):
         path = tmp_path / "conc.tsv"
@@ -164,7 +164,7 @@ class TestConcreteness:
         path = tmp_path / "conc.tsv"
         path.write_text("\ufeffWord\tConc.M\napple\t5.0\n", encoding="utf-8")
         lex = load_concreteness(path)
-        assert lex.ratings == {"apple": 5.0}
+        assert lex == {"apple": 5.0}
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "conc.tsv"
@@ -226,7 +226,7 @@ class TestConcreteness:
                 load_concreteness(path)
             assert str(info.value) == expected
         else:
-            assert list(load_concreteness(path).ratings.items()) == list(
+            assert list(load_concreteness(path).items()) == list(
                 expected.items())
 
     def test_quoted_line_break_stays_in_the_word(self, tmp_path):
@@ -236,12 +236,12 @@ class TestConcreteness:
             expected = {row["Word"]: float(row["Conc.M"])
                         for row in csv.DictReader(f)}
         assert expected == {"ice\ncream": 4.0, "cat": 5.0}
-        assert load_concreteness(path).ratings == expected
+        assert load_concreteness(path) == expected
 
     def test_comma_delimiter_sniffed(self, tmp_path):
         path = tmp_path / "conc.csv"
         path.write_text("Word,Conc.M\napple,4.2\n")
-        assert load_concreteness(path).ratings["apple"] == 4.2
+        assert load_concreteness(path)["apple"] == 4.2
 
 
 # numbers that numpy's reader and float() read alike, then the rest

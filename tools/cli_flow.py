@@ -20,11 +20,16 @@ differ between runs; a failing command's log is printed. The inputs come
 from this script's own bench/ directory, so both checkouts read the same
 files.
 
-Then `features` (no resources) and `rank` run on a fixed labeled set of
-short reordered outputs, written by `write_short_set`, into
-OUT/short-reorder/ (10 files). The workloads' outputs are too long for
-TER's exhaustive shift search; these reach it. Exits 1 if any command
-exits non-zero.
+Then `features` and `rank` run twice more, 10 files each:
+
+* on the inputs of qats-lexical seed 1 with only the frequency table and
+  the LM corpus, into OUT/qats-lexical-1-partial/, so the default
+  feature set of a partial set of resources is compared too;
+* with no resources on a fixed labeled set of short reordered outputs,
+  written by `write_short_set`, into OUT/short-reorder/. The workloads'
+  outputs are too long for TER's exhaustive shift search; these reach it.
+
+That is 155 files in all. Exits 1 if any command exits non-zero.
 """
 
 from __future__ import annotations
@@ -88,6 +93,13 @@ def _runs(tmp: Path):
                 ("evaluate", model),
                 ("report", []),
             ]
+    partial = "qats-lexical-1-partial"
+    paths = write_inputs(generate("qats-lexical", 1), tmp / partial)
+    yield partial, paths, [
+        ("features", ["--freq-table", str(paths["freq"]),
+                      "--lm-corpus", str(paths["lm_corpus"])]),
+        ("rank", []),
+    ]
     yield SHORT, write_short_set(tmp / SHORT), [("features", []),
                                                 ("rank", [])]
 
