@@ -595,23 +595,6 @@ class EditBreakdown:
     normalized_score: float
 
 
-def _step_rows(rows: np.ndarray, mismatch: np.ndarray,
-               idx: np.ndarray) -> np.ndarray:
-    """One edit-distance DP step for a batch of rows.
-
-    rows[r][q] is the distance between src[:q] and some sequence; the
-    result extends row r's sequence by one token, where mismatch[r][q] is
-    1 if src[q] differs from that token and 0 if it equals it.
-    """
-    new = np.empty_like(rows)
-    new[:, 0] = rows[:, 0] + 1
-    np.minimum(rows[:, :-1] + mismatch, rows[:, 1:] + 1, out=new[:, 1:])
-    new -= idx
-    np.minimum.accumulate(new, axis=1, out=new)
-    new += idx
-    return new
-
-
 def _distance_table(src: Sequence[int],
                     out: Sequence[int]) -> list[list[int]]:
     """t[i][j] = edit distance between src[:i] and out[:j], so t[-1][-1]
@@ -685,7 +668,7 @@ def _multiset_lower_bound(src: Sequence, out: Sequence) -> int:
 # for an output whose edit distance is above the multiset lower bound; at
 # the bound no shift can help.
 EXACT_LIMIT = 7  # longest output whose greedy plan is refined exactly
-CHUNK_CELLS = 1 << 22  # backward-row cells _swap_distances keeps at once
+CHUNK_CELLS = 1 << 22  # forward and backward row cells a chunk stores
 
 
 def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
@@ -783,73 +766,115 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edit distances of every adjacent-segment swap of `out`.
 
-    Returns flat arrays (a, b, c, d), one entry per swap 0 <= a < b < c
-    <= n, where d is the edit distance between the source and
-    out[:a] + out[b:c] + out[a:b] + out[c:]. The swap splits into a
-    forward part, the prefix row of out[:a] extended through out[b:c],
-    and a backward part, the suffix row of out[c:] (reversed-source
-    orientation) extended leftwards through out[a:b]; the distance
-    is the minimum over source split points of their sum.
+    Returns flat int arrays (a, b, c, d), one entry per swap 0 <= a < b <
+    c <= n (all four empty when n < 2), where d is the edit distance
+    between the source and out[:a] + out[b:c] + out[a:b] + out[c:]. The
+    swap splits into a forward part, the prefix row of out[:a] extended
+    through out[b:c], and a backward part, the suffix row of out[c:]
+    (reversed-source orientation) extended leftwards through out[a:b];
+    the distance is the minimum over source split points of their sum.
 
     Each greedy step (`_best_move`) scores every block move of an
     n-token output against an m-token source, and every move is one of
-    these ~n^3/6 swaps, so all of them are scored in one batched DP.
+    these ~n^3/6 swaps, so all of them are scored in one lockstep DP.
     The prefix and suffix rows of `out` are the rows of the
-    `_distance_table` of `out` and of its reversal, built once. The
-    forward parts of all (a, b) pairs advance together, one vectorised
-    DP step per value of c - b, each row with its own token from a
-    precomputed src != out[t] mismatch table; the backward parts of
-    all (b, c) pairs advance together, one step per value of b - a.
-    That is about 2n array steps per call, over O(n^3 m) cells in
-    total. Cells held at once are capped by splitting the b values
-    into chunks of about CHUNK_CELLS stored cells, each chunk doing its
-    own 2n steps.
+    `_distance_table` of `out` and of its reversal, built once. A
+    forward lane (a, b) starts from the prefix row of out[:a] and steps
+    through out[b], out[b + 1], ...; a backward lane (b, c) starts from
+    the suffix row of out[c:] and steps through out[b - 1], out[b - 2],
+    .... Both kinds are ordered by b descending and stacked as
+    [forward; backward], so the lanes still live at step k (forward b <=
+    n - k, backward b >= k) are one contiguous slice, and each of the at
+    most n - 1 steps is one gather of mismatch rows, one DP step and one
+    write into a preallocated row array. Rows hold D[q] - q for the
+    distance D[q] to the first (or, backward, last) q source tokens, so
+    every value lies in [-2 max(n, m), 2 max(n, m)]: they are int8 when
+    max(n, m) <= 63, int16 up to 16 383 and int32 above. The b values are
+    split into chunks of about CHUNK_CELLS stored cells (`_b_chunks`),
+    and each chunk combines its swaps once: the forward row of lane (a,
+    b) at step c - b plus the reversed backward row of lane (b, c) at
+    step b - a, minimised over the row, plus m.
     """
     n, m = len(out), len(src)
-    idx = np.arange(m + 1, dtype=np.int32)
-    mis = np.not_equal.outer(np.asarray(out), np.asarray(src)).astype(np.int32)
-    mis_rev = np.ascontiguousarray(mis[:, ::-1])
-    prefix = np.array(_distance_table(out, src), dtype=np.int32)
-    suffix = np.array(_distance_table(out[::-1], src[::-1]),
-                      dtype=np.int32)[::-1]
-    swaps = []
+    if n < 2:
+        return tuple(np.zeros(0, dtype=np.intp) for _ in range(4))
+    top = max(n, m)
+    dtype = np.int8 if top <= 63 else np.int16 if top <= 16383 else np.int32
+    # table[t] is (src != out[t]) - 1, table[n + t] the same against the
+    # reversed source
+    mis = np.not_equal.outer(np.asarray(out), np.asarray(src))
+    table = np.concatenate((mis, mis[:, ::-1])).astype(dtype) - dtype(1)
+    # ends[a] is the prefix row of out[:a], ends[n + 1 + c] the suffix row
+    # of out[c:]
+    ends = (np.concatenate((
+        np.array(_distance_table(out, src)),
+        np.array(_distance_table(out[::-1], src[::-1]))[::-1]))
+            - np.arange(m + 1)).astype(dtype)
     fb, fa = np.tril_indices(n, -1)        # (b, a), a < b, b ascending
-    gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c
-    gb, gc = gb[::-1], gc[::-1]            # b descending
+    gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c, b ascending
+    swaps = []
     for lo, hi in _b_chunks(n, m):
-        # backward parts: the pairs with b >= t are a prefix of
-        # (cb, cc); steps[t - 1][r] is pair r extended to a = b - t
-        keep = (gb >= lo) & (gb < hi)
-        cb, cc = gb[keep], gc[keep]
-        pos = np.zeros((n + 1, n + 1), dtype=np.intp)
-        pos[cb, cc] = np.arange(len(cb))
-        rows = suffix[cc]
-        steps = []
-        for t in range(1, hi):
-            live = np.count_nonzero(cb >= t)
-            rows = _step_rows(rows[:live], mis_rev[cb[:live] - t], idx)
-            steps.append(rows)
-        offset = np.cumsum([0] + [len(r) for r in steps])
-        backward = np.concatenate(steps)
-        # forward parts: the pairs with b + s <= n are a prefix
-        keep = (fb >= lo) & (fb < hi)
-        cb, ca = fb[keep], fa[keep]
-        rows = prefix[ca]
-        for s in range(1, n - lo + 1):
-            live = np.count_nonzero(cb <= n - s)
-            a, b = ca[:live], cb[:live]
-            rows = _step_rows(rows[:live], mis[b + s - 1], idx)
-            back = backward[offset[b - a - 1] + pos[b, b + s]]
-            swaps.append((a, b, b + s, (rows + back[:, ::-1]).min(axis=1)))
+        f0, f1 = lo * (lo - 1) // 2, hi * (hi - 1) // 2
+        g0, g1 = lo * n - f0, hi * n - f1
+        cfb, cfa, cgb, cgc = fb[f0:f1], fa[f0:f1], gb[g0:g1], gc[g0:g1]
+        nf = f1 - f0
+        # step k's live lanes are start[k] .. start[k] + size[k] - 1, and
+        # lane l's row at step k is rows[off[k] + l - start[k]]
+        steps = max(n - lo, hi - 1)
+        ks = np.arange(steps + 1)
+        live_f = np.searchsorted(cfb, n - ks, "right")
+        start = nf - live_f
+        size = live_f + len(cgb) - np.searchsorted(cgb, ks)
+        size[0] = 0
+        off = np.concatenate(([0], np.cumsum(size)))
+        # the table row of each stored row's token: out[b + k - 1] for a
+        # forward lane, out[b - k] for a backward one
+        base = np.concatenate((cfb[::-1] - 1, n + cgb[::-1]))
+        sign = np.repeat([1, -1], [nf, len(cgb)])
+        lane = np.arange(off[-1]) - np.repeat(off[:-1] - start, size)
+        token = base[lane] + sign[lane] * np.repeat(ks, size)
+        del lane  # keep the index arrays out of the rows' peak
+        rows = np.empty((off[-1], m + 1), dtype)
+        prev = ends[np.concatenate((cfa[::-1], n + 1 + cgc[::-1]))]
+        first = 0  # the lane of prev's first row
+        starts, offs = start.tolist(), off.tolist()
+        for k in range(1, steps + 1):
+            lo_row, hi_row = offs[k], offs[k + 1]
+            u = prev[starts[k] - first:][:hi_row - lo_row]
+            new = rows[lo_row:hi_row]
+            diag = table.take(token[lo_row:hi_row], axis=0)
+            np.add(diag, u[:, :-1], out=diag)
+            np.add(u, 1, out=new)
+            np.minimum(new[:, 1:], diag, out=new[:, 1:])
+            np.minimum.accumulate(new, axis=1, out=new)
+            prev, first = new, starts[k]
+        del token
+        # the swaps in order of c - b, then b, then a; r is the rank of
+        # (a, b) in (cfb, cfa)
+        counts = live_f[1:n - lo + 1]  # forward lanes live at c - b = s
+        s = np.repeat(np.arange(1, n - lo + 1), counts)
+        r = np.arange(len(s)) - np.repeat(np.cumsum(counts) - counts, counts)
+        a, b = cfa[r], cfb[r]
+        c = b + s
+        t = b - a
+        forward = nf - 1 - r  # the lanes of (a, b) and of (b, c)
+        backward = nf + g1 - 1 - (b * n - b * (b - 1) // 2 + c - b - 1)
+        both = rows.take(off[s] + forward - start[s], axis=0)
+        both += rows.take(off[t] + backward - start[t], axis=0)[:, ::-1]
+        d = both.min(axis=1).astype(np.intp)
+        d += m
+        swaps.append((a, b, c, d))
     return tuple(map(np.concatenate, zip(*swaps)))
 
 
 def _b_chunks(n: int, m: int):
-    """Split b = 1..n-1 into ranges [lo, hi) whose stored backward rows
-    (b * (n - b) rows of m + 1 cells per b) stay near CHUNK_CELLS."""
+    """Split b = 1..n-1 into ranges [lo, hi) whose stored rows stay near
+    CHUNK_CELLS: per b, the b forward lanes (a, b) store n - b rows each
+    and the n - b backward lanes (b, c) store b rows each, all of m + 1
+    cells."""
     lo, cells = 1, 0
     for b in range(1, n):
-        cells += b * (n - b) * (m + 1)
+        cells += 2 * b * (n - b) * (m + 1)
         if cells >= CHUNK_CELLS or b == n - 1:
             yield lo, b + 1
             lo, cells = b + 1, 0

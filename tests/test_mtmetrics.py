@@ -9,6 +9,7 @@ import math
 import random
 import string
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -991,6 +992,58 @@ class TestTerAlign:
             assert d == [lev_oracle(src, out[:a] + out[b:c] + out[a:b]
                                     + out[c:])
                          for a, b, c in swaps], (src, out)
+
+    @pytest.mark.parametrize("out", [(), (1,)])
+    def test_swap_distances_of_a_short_output_are_empty(self, out):
+        got = mtmetrics._swap_distances((0, 1), out)
+        assert len(got) == 4
+        for x in got:
+            assert x.shape == (0,) and x.dtype.kind == "i"
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1])
+    @pytest.mark.parametrize("n, m, known", [
+        (63, 50, True), (64, 50, True), (50, 64, True),
+        (63, 63, False), (64, 20, False)])
+    def test_swap_distances_equal_the_oracle_at_the_row_dtype_switch(
+            self, n, m, known, chunk_cells, monkeypatch):
+        # max(n, m) <= 63 gives int8 rows and 64 int16 ones. An output of
+        # unknown words is max(n, m) from the source after every swap, the
+        # largest distance the rows hold. A sample of swaps is checked.
+        if chunk_cells is not None:  # one b value per chunk
+            monkeypatch.setattr(mtmetrics, "CHUNK_CELLS", chunk_cells)
+        rng = random.Random(100 * n + m)
+        src = tuple(rng.randrange(4) for _ in range(m))
+        out = tuple(rng.randrange(4) if known else 4 + i for i in range(n))
+        a, b, c, d = (x.tolist() for x in mtmetrics._swap_distances(src, out))
+        swaps = list(zip(a, b, c))
+        assert sorted(swaps) == list(itertools.combinations(range(n + 1), 3))
+        if not known:
+            assert set(d) == {max(n, m)}
+        for i in rng.sample(range(len(swaps)), 40):
+            a, b, c = swaps[i]
+            assert d[i] == lev_oracle(src, out[:a] + out[b:c] + out[a:b]
+                                      + out[c:]), swaps[i]
+
+    def test_swap_distances_memory_on_44_words(self):
+        # the first greedy step of test_two_block_moves_in_44_distinct_words,
+        # as word ids
+        words = list(range(44))
+
+        def move(seq, at):  # three words from `at`, five places right
+            rest = seq[:at] + seq[at + 3:]
+            return rest[:at + 5] + seq[at:at + 3] + rest[at + 5:]
+
+        src = tuple(words)
+        out = tuple(move(words[:22], 4) + move(words[22:], 8))
+        mtmetrics._swap_distances(src, out)  # numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            d = mtmetrics._swap_distances(src, out)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d) == math.comb(45, 3)
+        assert peak <= 4 * 2 ** 20
 
     @pytest.mark.parametrize("seed_with", ["no-move", "greedy"])
     def test_exact_refine_matches_move_by_move_search(self, seed_with,
