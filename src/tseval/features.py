@@ -270,6 +270,8 @@ def _select(which: Sequence[str] | None,
     if which is None:
         return tuple(spec for spec in _REGISTRY
                      if all(map(resources.has, spec.requires)))
+    if not which:
+        raise DataFormatError("no feature selected")
     for name in which:
         if name not in _BY_NAME:
             raise DataFormatError(f"unknown feature {name!r}")

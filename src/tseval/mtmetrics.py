@@ -595,35 +595,15 @@ class EditBreakdown:
     normalized_score: float
 
 
-def _distance_table(src: Sequence[int],
-                    out: Sequence[int]) -> list[list[int]]:
-    """t[i][j] = edit distance between src[:i] and out[:j], so t[-1][-1]
-    is the distance between the two sequences."""
-    row = list(range(len(out) + 1))
-    table = [row]
-    for i, s in enumerate(src, start=1):
-        prev, row, left = row, [i], i
-        for diag, up, o in zip(prev, prev[1:], out):
-            cell = diag if s == o else diag + 1
-            if up + 1 < cell:
-                cell = up + 1
-            if left + 1 < cell:
-                cell = left + 1
-            row.append(cell)
-            left = cell
-        table.append(row)
-    return table
-
-
 def _levenshtein(a: Sequence, b: Sequence) -> int:
     """Edit distance between a and b, bit-parallel (Myers 1999, in
-    Hyyrö's 2001 form for the global distance). Column j of the
-    `_distance_table` of (a, b) is held as two bit vectors of its
-    vertical differences t[i][j] - t[i - 1][j]: bit i - 1 of pv is set
-    where that is +1 and of mv where it is -1. Each item of b updates
-    both with a fixed dozen int operations on len(a)-bit ints, and the
-    bottom cell t[-1][j] follows from the horizontal difference at the
-    last bit."""
+    Hyyrö's 2001 form for the global distance). Column j of the table
+    t[i][j], the distance between a[:i] and b[:j], is held as two bit
+    vectors of its vertical differences t[i][j] - t[i - 1][j]: bit i - 1
+    of pv is set where that is +1 and of mv where it is -1. Each item of
+    b updates both with a fixed dozen int operations on len(a)-bit ints,
+    and the bottom cell t[-1][j] follows from the horizontal difference
+    at the last bit."""
     if not a:
         return len(b)
     peq: dict = {}  # bit i set where a[i] is the key
@@ -677,17 +657,18 @@ def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
     the edit distance `ed` of `out` itself and its
     `_multiset_lower_bound` `lb`.
 
-    Outputs of more than EXACT_LIMIT tokens get the greedy search of
-    TERCOM: repeatedly apply the first block move (any contiguous block to
-    any position) that most reduces the word edit distance to the source,
-    while some move strictly reduces it and the distance is above the
-    multiset lower bound (no rearrangement can ever do better). The total
-    error count therefore never exceeds the plain edit distance. Edit
-    distance with block moves is NP-complete, so this is an upper bound.
+    Every output gets the greedy search of TERCOM: repeatedly apply the
+    first block move (any contiguous block to any position) that most
+    reduces the word edit distance to the source, while some move
+    strictly reduces it and the distance is above the multiset lower
+    bound (no rearrangement can ever do better). The total error count
+    therefore never exceeds the plain edit distance. Edit distance with
+    block moves is NP-complete, so this is an upper bound.
 
     Greedy can miss optima that need a tied or non-improving intermediate
-    move, so for outputs of at most EXACT_LIMIT tokens whose greedy total
-    still exceeds the lower bound, `_exact_refine` finds the exact
+    move, so an output of at most EXACT_LIMIT tokens whose greedy total
+    still exceeds the lower bound is then refined by `_exact_refine`,
+    seeded and bounded by the greedy result, which finds the exact
     optimum.
     """
     shifts, final = 0, out
@@ -776,40 +757,31 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
 
     Each greedy step (`_best_move`) scores every block move of an
     n-token output against an m-token source, and every move is one of
-    these ~n^3/6 swaps, so all of them are scored in one lockstep DP.
-    The prefix and suffix rows of `out` are the rows of the
-    `_distance_table` of `out` and of its reversal, built once. A
-    forward lane (a, b) starts from the prefix row of out[:a] and steps
-    through out[b], out[b + 1], ...; a backward lane (b, c) starts from
-    the suffix row of out[c:] and steps through out[b - 1], out[b - 2],
-    .... Both kinds are ordered by b descending and stacked as
-    [forward; backward], so the lanes still live at step k (forward b <=
-    n - k, backward b >= k) are one contiguous slice, and each of the at
-    most n - 1 steps is one gather of mismatch rows, one DP step and one
-    write into a preallocated row array. Rows hold D[q] - q for the
-    distance D[q] to the first (or, backward, last) q source tokens, so
-    every value lies in [-2 max(n, m), 2 max(n, m)]: they are int8 when
-    max(n, m) <= 63, int16 up to 16 383 and int32 above. The b values are
-    split into chunks of about CHUNK_CELLS stored cells (`_b_chunks`),
-    and each chunk combines its swaps once: the forward row of lane (a,
-    b) at step c - b plus the reversed backward row of lane (b, c) at
-    step b - a, minimised over the row, plus m.
+    these ~n^3/6 swaps, so all of them are scored in one lockstep DP of
+    `_dp_step` rows. The prefix and suffix rows of `out` are two lanes of
+    `_prefix_rows`, through `out` and through its reversal. A forward
+    lane (a, b) starts from the prefix row of out[:a] and steps through
+    out[b], out[b + 1], ...; a backward lane (b, c) starts from the
+    suffix row of out[c:] and steps through out[b - 1], out[b - 2], ....
+    Both kinds are ordered by b descending and stacked as [forward;
+    backward], so the lanes still live at step k (forward b <= n - k,
+    backward b >= k) are one contiguous slice, and each of the at most
+    n - 1 steps is one gather of `_step_table` rows and one `_dp_step`
+    into a preallocated row array. The b values are split into chunks of
+    about CHUNK_CELLS stored cells (`_b_chunks`), and each chunk combines
+    its swaps once: the forward row of lane (a, b) at step c - b plus the
+    reversed backward row of lane (b, c) at step b - a, minimised over
+    the row, plus m.
     """
     n, m = len(out), len(src)
     if n < 2:
         return tuple(np.zeros(0, dtype=np.intp) for _ in range(4))
-    top = max(n, m)
-    dtype = np.int8 if top <= 63 else np.int16 if top <= 16383 else np.int32
-    # table[t] is (src != out[t]) - 1, table[n + t] the same against the
-    # reversed source
-    mis = np.not_equal.outer(np.asarray(out), np.asarray(src))
-    table = np.concatenate((mis, mis[:, ::-1])).astype(dtype) - dtype(1)
-    # ends[a] is the prefix row of out[:a], ends[n + 1 + c] the suffix row
-    # of out[c:]
-    ends = (np.concatenate((
-        np.array(_distance_table(out, src)),
-        np.array(_distance_table(out[::-1], src[::-1]))[::-1]))
-            - np.arange(m + 1)).astype(dtype)
+    table = _step_table(src, out)
+    # a lane through out and one through its reversal (table rows 2n - 1
+    # down to n): ends[a] is the prefix row of out[:a], ends[n + 1 + c]
+    # the suffix row of out[c:]
+    ends = _prefix_rows(table, np.c_[:n, 2 * n - 1:n - 1:-1])
+    ends = np.concatenate((ends[:, 0], ends[::-1, 1]))
     fb, fa = np.tril_indices(n, -1)        # (b, a), a < b, b ascending
     gb, gc = np.triu_indices(n + 1, 1)     # (b, c), b < c, b ascending
     swaps = []
@@ -834,7 +806,7 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
         lane = np.arange(off[-1]) - np.repeat(off[:-1] - start, size)
         token = base[lane] + sign[lane] * np.repeat(ks, size)
         del lane  # keep the index arrays out of the rows' peak
-        rows = np.empty((off[-1], m + 1), dtype)
+        rows = np.empty((off[-1], m + 1), table.dtype)
         prev = ends[np.concatenate((cfa[::-1], n + 1 + cgc[::-1]))]
         first = 0  # the lane of prev's first row
         starts, offs = start.tolist(), off.tolist()
@@ -842,11 +814,7 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
             lo_row, hi_row = offs[k], offs[k + 1]
             u = prev[starts[k] - first:][:hi_row - lo_row]
             new = rows[lo_row:hi_row]
-            diag = table.take(token[lo_row:hi_row], axis=0)
-            np.add(diag, u[:, :-1], out=diag)
-            np.add(u, 1, out=new)
-            np.minimum(new[:, 1:], diag, out=new[:, 1:])
-            np.minimum.accumulate(new, axis=1, out=new)
+            _dp_step(u, table.take(token[lo_row:hi_row], axis=0), new)
             prev, first = new, starts[k]
         del token
         # the swaps in order of c - b, then b, then a; r is the rank of
@@ -867,6 +835,39 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
     return tuple(map(np.concatenate, zip(*swaps)))
 
 
+def _step_table(src: tuple[int, ...], out: tuple[int, ...]) -> np.ndarray:
+    """`_dp_step`'s diagonal costs: row t is (src != out[t]) - 1, row n +
+    t the same against the reversed source. Row values D[q] - q and their
+    sums lie in [-2 max(n, m), 2 max(n, m)], so the dtype is int8 when
+    max(n, m) <= 63, int16 up to 16 383 and int32 above."""
+    top = max(len(out), len(src))
+    dtype = np.int8 if top <= 63 else np.int16 if top <= 16383 else np.int32
+    mis = np.not_equal.outer(np.asarray(out), np.asarray(src))
+    return np.concatenate((mis, mis[:, ::-1])).astype(dtype) - dtype(1)
+
+
+def _dp_step(u: np.ndarray, diag: np.ndarray, new: np.ndarray) -> None:
+    """One token of the unit-cost edit-distance DP in every lane. Rows of
+    u hold D[q] - q, D[q] the distance from the lane's tokens so far to
+    the first q source tokens; diag (overwritten) holds each lane's next
+    `_step_table` row. new gets D'[q] - q = min(D[q] - q + 1, D[q - 1] -
+    (q - 1) + diag[q - 1], D'[q - 1] - (q - 1))."""
+    np.add(diag, u[:, :-1], out=diag)
+    np.add(u, 1, out=new)
+    np.minimum(new[:, 1:], diag, out=new[:, 1:])
+    np.minimum.accumulate(new, axis=1, out=new)
+
+
+def _prefix_rows(table: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """rows[k, l]: lane l's `_dp_step` row after k steps from the empty
+    row (all zero), through the `table` rows tokens[:k, l]."""
+    rows = np.zeros((len(tokens) + 1, tokens.shape[1], table.shape[1] + 1),
+                    table.dtype)
+    for k, diag in enumerate(table[tokens]):
+        _dp_step(rows[k], diag, rows[k + 1])
+    return rows
+
+
 def _b_chunks(n: int, m: int):
     """Split b = 1..n-1 into ranges [lo, hi) whose stored rows stay near
     CHUNK_CELLS: per b, the b forward lanes (a, b) store n - b rows each
@@ -880,41 +881,39 @@ def _b_chunks(n: int, m: int):
             lo, cells = b + 1, 0
 
 
-def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...],
-               dp: list[list[int]]) -> tuple[int, int, int, int]:
+def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...]
+               ) -> tuple[int, int, int, int]:
     """Optimal unit-cost alignment counts (insertions, deletions,
     substitutions, matches) transforming source into output, backtraced
-    through their source-major `_distance_table` dp, where dp[i][j] is
-    the distance between src_ids[:i] and out_ids[:j].
-
-    Backtrace prefers diagonal steps, then deletions, then insertions,
-    which fixes one canonical decomposition among cost-equal alignments.
-    """
-    ins = dels = subs = matches = 0
+    through the `_prefix_rows` of one lane through out_ids, with q added
+    back: dp[j][i] is the distance between out_ids[:j] and src_ids[:i].
+    The backtrace prefers diagonal steps, then deletions, then
+    insertions, which fixes one canonical decomposition among cost-equal
+    alignments."""
     i, j = len(src_ids), len(out_ids)
+    rows = _prefix_rows(_step_table(src_ids, out_ids), np.arange(j)[:, None])
+    dp = (rows[:, 0] + np.arange(i + 1)).tolist()
+    ins = dels = subs = matches = 0
     while i > 0 or j > 0:
         if i > 0 and j > 0:
             step = 0 if src_ids[i - 1] == out_ids[j - 1] else 1
-            if dp[i][j] == dp[i - 1][j - 1] + step:
-                matches += 1 - step
-                subs += step
-                i -= 1
-                j -= 1
+            if dp[j][i] == dp[j - 1][i - 1] + step:
+                matches, subs = matches + 1 - step, subs + step
+                i, j = i - 1, j - 1
                 continue
-        if i > 0 and dp[i][j] == dp[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-            continue
-        ins += 1
-        j -= 1
+        if i > 0 and dp[j][i] == dp[j][i - 1] + 1:
+            dels, i = dels + 1, i - 1
+        else:
+            ins, j = ins + 1, j - 1
     return ins, dels, subs, matches
 
 
 def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
-    """TER-style breakdown: block shifts over the output (exhaustive for
-    outputs of at most EXACT_LIMIT tokens, first-best-move greedy above;
-    see `_plan_shifts`), then a word-level unit-cost alignment of the source
-    against the shifted output, normalized by the source length.
+    """TER-style breakdown: block shifts over the output (first-best-move
+    greedy, refined exhaustively for outputs of at most EXACT_LIMIT
+    tokens; see `_plan_shifts`), then a word-level unit-cost alignment of
+    the source against the shifted output, normalized by the source
+    length.
 
     The edit distance comes from the bit-parallel `_levenshtein`. When it
     is above the `_multiset_lower_bound`, `_plan_shifts` plans the shifts
@@ -922,9 +921,9 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
     the bound and both lengths stay the same. At the bound, every
     optimal alignment matches the whole multiset overlap, substitutes the
     rest of the shorter side and inserts or deletes the length
-    difference; those counts are returned as they are, with no distance
-    table. Only a (shifted) output still above the bound gets the
-    `_decompose` backtrace of its `_distance_table`.
+    difference; those counts are returned as they are, with no DP rows.
+    Only a (shifted) output still above the bound gets the `_decompose`
+    backtrace.
     """
     src_words = source.words
     out_words = output.words
@@ -945,8 +944,7 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
         matches = max(n_src, n_out) - lb
         ins, dels, subs = n_out - aligned, n_src - aligned, aligned - matches
     else:
-        ins, dels, subs, matches = _decompose(
-            src_ids, final, _distance_table(src_ids, final))
+        ins, dels, subs, matches = _decompose(src_ids, final)
     num_errors = ins + dels + subs + shifts
     return EditBreakdown(
         insertions=ins,

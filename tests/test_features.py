@@ -191,6 +191,12 @@ class TestComputeFeatures:
         with pytest.raises(DataFormatError, match="unknown feature"):
             compute_features(pair, which=["NotAFeature"])
 
+    def test_empty_feature_list_rejected(self):
+        # a matrix of no columns would write a header its reader rejects
+        pair = SentencePair.from_text("a", "b", id="1")
+        with pytest.raises(DataFormatError, match="no feature selected"):
+            compute_matrix([pair], which=[])
+
     @pytest.mark.parametrize("rating,message", [
         (float("nan"), r"non-finite feature values for pairs \['p7'\]"),
         ("high", r"^pair 'p7': "),

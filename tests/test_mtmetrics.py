@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -827,16 +828,25 @@ class TestDistanceTable:
     @given(st.lists(st.integers(0, 3), max_size=8),
            st.lists(st.integers(0, 3), max_size=8))
     @example([0, 1, 2], [])
+    @example([], [0, 1])
     @example([0], [0])
     @example([0], [1])
     @example([1], [0, 1, 1])
     @settings(max_examples=150, deadline=None)
     def test_every_cell_is_the_prefix_edit_distance(self, a, b):
-        table = mtmetrics._distance_table(a, b)
-        assert len(table) == len(a) + 1
-        for i, row in enumerate(table):
-            assert row == [lev_oracle(a[:i], b[:j])
-                           for j in range(len(b) + 1)], (a, b, i)
+        # a is the output and b the source: lane 0 steps through a, lane 1
+        # through reversed a against reversed b; a row holds D[q] - q
+        n, m = len(a), len(b)
+        table = mtmetrics._step_table(tuple(b), tuple(a))
+        tokens = np.array([(k, 2 * n - 1 - k) for k in range(n)],
+                          dtype=np.intp).reshape(n, 2)
+        rows = mtmetrics._prefix_rows(table, tokens) + np.arange(m + 1)
+        assert rows.shape == (n + 1, 2, m + 1)
+        for k in range(n + 1):
+            assert rows[k, 0].tolist() == [lev_oracle(a[:k], b[:q])
+                                           for q in range(m + 1)], (a, b, k)
+            assert rows[k, 1].tolist() == [lev_oracle(a[n - k:], b[m - q:])
+                                           for q in range(m + 1)], (a, b, k)
 
 
 # Short sides and sides of 60-130 items, so that the masks span several
@@ -859,12 +869,67 @@ class TestLevenshtein:
         a, b = sides
         got = mtmetrics._levenshtein(a, b)
         assert got == lev_oracle(a, b), (a, b)
-        assert got == mtmetrics._distance_table(a, b)[-1][-1]
         assert mtmetrics._levenshtein(b, a) == got
 
     def test_words_as_items(self):
         assert mtmetrics._levenshtein("the cat sat".split(),
                                       "a cat sat down".split()) == 2
+
+
+def decompose_oracle(src, out):
+    """(insertions, deletions, substitutions, matches) of the backtrace of
+    a plain source-major list DP, diagonal first, then deletion, then
+    insertion."""
+    dp = [list(range(len(out) + 1))]
+    for i, x in enumerate(src, 1):
+        row = [i]
+        for j, y in enumerate(out, 1):
+            row.append(min(dp[-1][j] + 1, row[-1] + 1,
+                           dp[-1][j - 1] + (x != y)))
+        dp.append(row)
+    ins = dels = subs = matches = 0
+    i, j = len(src), len(out)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            step = int(src[i - 1] != out[j - 1])
+            if dp[i][j] == dp[i - 1][j - 1] + step:
+                matches += 1 - step
+                subs += step
+                i -= 1
+                j -= 1
+                continue
+        if i > 0 and dp[i][j] == dp[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+            continue
+        ins += 1
+        j -= 1
+    return ins, dels, subs, matches
+
+
+class TestDecompose:
+    # at least one side of 60-130 items: int16 rows, against the int8
+    # rows of the short sides of the other TER tests
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.tuples(_symbol_lists(k), _symbol_lists(k))).filter(
+            lambda sides: max(map(len, sides)) >= 60))
+    @example(([0] * 130, [0] * 60))
+    @example(([0] * 60, []))
+    @example(([0, 1] * 65, [1, 0] * 65))
+    @example(([0, 1, 2, 3] * 16, [3, 2, 1, 0] * 30))
+    # at the last cell no diagonal fits, but deletion and insertion both
+    # do, so the tie order decides the counts
+    @example(([0, 1, 2, 3] * 15 + [3, 3, 1, 3, 2, 0],
+              [0, 1, 2, 3] * 15 + [2, 0, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_long_sides_equal_the_list_backtrace(self, sides):
+        src, out = map(tuple, sides)
+        got = mtmetrics._decompose(src, out)
+        assert got == decompose_oracle(src, out), (src, out)
+        ins, dels, subs, matches = got
+        assert ins + dels + subs == lev_oracle(src, out)
+        assert ins - dels == len(out) - len(src)
+        assert matches + subs + dels == len(src)
 
 
 def multiset_lower_bound_oracle(src, out):
@@ -1115,16 +1180,18 @@ class TestTerAlign:
                 continue
             at_bound += 1
             got = ter_align(T(" ".join(src)), T(" ".join(out)))
-            table = mtmetrics._distance_table(src, out)
+            vocab = {}
+            ids = [tuple(vocab.setdefault(w, len(vocab)) for w in side)
+                   for side in (src, out)]
             assert ((got.insertions, got.deletions, got.substitutions,
                      got.matches, got.shifts)
-                    == (*mtmetrics._decompose(src, out, table), 0)), (src, out)
+                    == (*mtmetrics._decompose(*ids), 0)), (src, out)
         assert at_bound >= 1000
 
     @staticmethod
     def count_calls(monkeypatch):
         calls = Counter()
-        for name in ("_distance_table", "_plan_shifts", "_decompose",
+        for name in ("_prefix_rows", "_plan_shifts", "_decompose",
                      "_swap_distances"):
             def counted(*args, _name=name, _f=getattr(mtmetrics, name)):
                 calls[_name] += 1
@@ -1142,15 +1209,15 @@ class TestTerAlign:
     def test_shifted_pairs_take_the_search_path(self, monkeypatch):
         # 42 of the 631 seed-1 qats-reorder pairs are above the bound, and
         # each gets one search; every shifted output ends at the bound, so
-        # no backtrace runs, and the only tables are the prefix and suffix
-        # rows of the swaps
+        # no backtrace runs, and the only rows built from the empty row are
+        # the prefix and suffix rows of each swap scoring
         pairs = _workload_pairs("qats-reorder", monkeypatch)
         calls = self.count_calls(monkeypatch)
         shifted = sum(ter_align(src, out).shifts > 0 for src, out in pairs)
         assert shifted == 42
         assert calls["_plan_shifts"] == 42
         assert calls["_decompose"] == 0
-        assert calls["_distance_table"] == 2 * calls["_swap_distances"]
+        assert calls["_prefix_rows"] == calls["_swap_distances"] > 0
 
     @pytest.mark.parametrize("src, out, want", [
         # no move helps: the output is left as it is, 2 above the bound 0
