@@ -190,11 +190,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                               **(_DEFAULTS | config | flags))
 
 
-def _resolve_resource(path: str | None) -> Path | None:
+def _resolve_resource(path: str) -> Path:
     """Resolve a resource path, falling back to $TSEVAL_RESOURCES for
     relative names that do not exist from the working directory."""
-    if path is None:
-        return None
     p = Path(path)
     if p.exists() or p.is_absolute():
         return p

@@ -595,38 +595,40 @@ class EditBreakdown:
     normalized_score: float
 
 
-def _levenshtein(a: Sequence, b: Sequence) -> int:
-    """Edit distance between a and b, bit-parallel (Myers 1999, in
-    Hyyrö's 2001 form for the global distance). Column j of the table
-    t[i][j], the distance between a[:i] and b[:j], is held as two bit
-    vectors of its vertical differences t[i][j] - t[i - 1][j]: bit i - 1
-    of pv is set where that is +1 and of mv where it is -1. Each item of
-    b updates both with a fixed dozen int operations on len(a)-bit ints,
-    and the bottom cell t[-1][j] follows from the horizontal difference
-    at the last bit."""
-    if not a:
-        return len(b)
+def _columns(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
+    """The columns j = 0..len(b) of the edit-distance table t[i][j], the
+    distance between a[:i] and b[:j], bit-parallel (Myers 1999, in
+    Hyyrö's 2001 form for the global distance). Column j is the pair
+    (pv, mv) of bit vectors of its vertical differences t[i][j] - t[i -
+    1][j]: bit i - 1 of pv is set where that is +1 and of mv where it is
+    -1, so t[i][j] = j + popcount(pv & low) - popcount(mv & low) with low
+    the i lowest bits. Each item of b updates both with a fixed dozen int
+    operations on len(a)-bit ints."""
     peq: dict = {}  # bit i set where a[i] is the key
     for i, x in enumerate(a):
         peq[x] = peq.get(x, 0) | 1 << i
     full = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, dist = full, 0, len(a)
+    pv, mv = full, 0
+    columns = [(pv, mv)]
     for y in b:
         eq = peq.get(y, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
         ph = ph << 1 | 1  # row 0 grows by one per item of b
         mh <<= 1
         pv = (mh | ~(xv | ph)) & full
         mv = ph & xv
-    return dist
+        columns.append((pv, mv))
+    return columns
+
+
+def _levenshtein(a: Sequence, b: Sequence) -> int:
+    """Edit distance between a and b: the bottom cell of `_columns`'
+    last column."""
+    pv, mv = _columns(a, b)[-1]
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def _multiset_lower_bound(src: Sequence, out: Sequence) -> int:
@@ -885,26 +887,31 @@ def _decompose(src_ids: tuple[int, ...], out_ids: tuple[int, ...]
                ) -> tuple[int, int, int, int]:
     """Optimal unit-cost alignment counts (insertions, deletions,
     substitutions, matches) transforming source into output, backtraced
-    through the `_prefix_rows` of one lane through out_ids, with q added
-    back: dp[j][i] is the distance between out_ids[:j] and src_ids[:i].
-    The backtrace prefers diagonal steps, then deletions, then
-    insertions, which fixes one canonical decomposition among cost-equal
-    alignments."""
+    through the `_columns` of the table t[i][j], the distance between
+    src_ids[:i] and out_ids[:j]. The backtrace prefers diagonal steps,
+    then deletions (bit i - 1 of column j's pv: t[i][j] = t[i - 1][j] +
+    1), then insertions, which fixes one canonical decomposition among
+    cost-equal alignments."""
     i, j = len(src_ids), len(out_ids)
-    rows = _prefix_rows(_step_table(src_ids, out_ids), np.arange(j)[:, None])
-    dp = (rows[:, 0] + np.arange(i + 1)).tolist()
+    columns = _columns(src_ids, out_ids)
+    pv, mv = columns[j]
+    d = j + pv.bit_count() - mv.bit_count()  # t[i][j], kept along the path
     ins = dels = subs = matches = 0
     while i > 0 or j > 0:
         if i > 0 and j > 0:
             step = 0 if src_ids[i - 1] == out_ids[j - 1] else 1
-            if dp[j][i] == dp[j - 1][i - 1] + step:
+            pv, mv = columns[j - 1]
+            low = (1 << (i - 1)) - 1
+            diag = j - 1 + (pv & low).bit_count() - (mv & low).bit_count()
+            if d == diag + step:
                 matches, subs = matches + 1 - step, subs + step
-                i, j = i - 1, j - 1
+                i, j, d = i - 1, j - 1, diag
                 continue
-        if i > 0 and dp[j][i] == dp[j][i - 1] + 1:
+        if i > 0 and columns[j][0] >> (i - 1) & 1:
             dels, i = dels + 1, i - 1
         else:
             ins, j = ins + 1, j - 1
+        d -= 1
     return ins, dels, subs, matches
 
 
@@ -921,7 +928,7 @@ def ter_align(source: TokenizedText, output: TokenizedText) -> EditBreakdown:
     the bound and both lengths stay the same. At the bound, every
     optimal alignment matches the whole multiset overlap, substitutes the
     rest of the shorter side and inserts or deletes the length
-    difference; those counts are returned as they are, with no DP rows.
+    difference; those counts are returned as they are, with no backtrace.
     Only a (shifted) output still above the bound gets the `_decompose`
     backtrace.
     """

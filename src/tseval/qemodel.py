@@ -153,14 +153,6 @@ class LinearModel:
         return (X @ self.weights.T + self.intercept).argmax(axis=1)
 
 
-def _center(X: np.ndarray, y: np.ndarray, fit_intercept: bool):
-    if fit_intercept:
-        x_mean = X.mean(axis=0)
-        y_mean = y.mean()
-        return X - x_mean, y - y_mean, x_mean, y_mean
-    return X, y, np.zeros(X.shape[1]), 0.0
-
-
 def _check_finite(name: str, values: np.ndarray) -> None:
     """Raise ValueError naming the first non-finite entry of values."""
     bad = np.argwhere(~np.isfinite(values))
@@ -183,7 +175,7 @@ def _class_labels(y) -> np.ndarray:
 
 
 def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
-                  lam: float = 1.0, fit_intercept: bool = True) -> LinearModel:
+                  lam: float = 1.0) -> LinearModel:
     """Fit a linear regressor.
 
     linreg solves the unpenalized normal equations and refuses singular
@@ -205,7 +197,8 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
     _check_finite("X", X)
     _check_finite("y", y)
 
-    Xc, yc, x_mean, y_mean = _center(X, y, fit_intercept)
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc, yc = X - x_mean, y - y_mean
 
     if kind in ("linreg", "ridge"):
         effective_lam = 0.0 if kind == "linreg" else lam

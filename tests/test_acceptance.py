@@ -130,9 +130,11 @@ def test_criterion_04_regression_oracles():
     ols = fit_regressor(X, y, kind="linreg")
     assert np.abs(ridge0.weights - ols.weights).max() <= 1e-8
 
+    # centered x = y = (-0.5, 0.5): w = 0.5 / (0.5 + 1), b = 1.5 - 1.5 w
     model = fit_regressor(np.array([[1.0], [2.0]]), [1.0, 2.0],
-                          kind="ridge", lam=1.0, fit_intercept=False)
-    assert model.weights[0] == pytest.approx(5 / 6, abs=1e-12)
+                          kind="ridge", lam=1.0)
+    assert model.weights[0] == pytest.approx(1 / 3, abs=1e-12)
+    assert float(model.intercept) == pytest.approx(1.0, abs=1e-12)
 
     Xc = rng.normal(size=(25, 4))
     Xc -= Xc.mean(axis=0)

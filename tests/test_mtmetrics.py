@@ -169,15 +169,24 @@ def bleu_recount_oracle(source, output, cfg):
     return math.exp(min(0.0, 1.0 - src_len / out_len)) * math.exp(log_mean)
 
 
-def lev_oracle(a, b):
-    """Plain quadratic edit distance, no vectorization."""
+def lev_oracle_rows(a, b):
+    """The rows of lev_oracle's table, each from the one before: row i is
+    [lev_oracle(a[:i], b[:j]) for j in 0..len(b)]."""
     prev = list(range(len(b) + 1))
+    yield prev
     for i, x in enumerate(a, 1):
         cur = [i]
         for j, y in enumerate(b, 1):
             cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (x != y)))
+        yield cur
         prev = cur
-    return prev[-1]
+
+
+def lev_oracle(a, b):
+    """Plain quadratic edit distance, no vectorization."""
+    for row in lev_oracle_rows(a, b):
+        pass
+    return row[-1]
 
 
 def block_moves(seq):
@@ -871,6 +880,26 @@ class TestLevenshtein:
         assert got == lev_oracle(a, b), (a, b)
         assert mtmetrics._levenshtein(b, a) == got
 
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.tuples(_symbol_lists(k), _symbol_lists(k))))
+    @example(([], []))
+    @example(([0, 1, 2], []))
+    @example(([], [0, 0]))
+    @example(([0, 1] * 65, [1, 0] * 65))
+    @settings(max_examples=100, deadline=None)
+    def test_every_cell_of_the_columns_is_the_prefix_distance(self, sides):
+        # cell (i, j) read by popcount from the i low bits of column j;
+        # _levenshtein reads the whole column, so no bit may lie above
+        a, b = sides
+        columns = mtmetrics._columns(a, b)
+        assert len(columns) == len(b) + 1
+        assert all(pv & mv == 0 and (pv | mv) >> len(a) == 0
+                   for pv, mv in columns), (a, b)
+        for i, row in enumerate(lev_oracle_rows(a, b)):
+            low = (1 << i) - 1
+            assert [j + (pv & low).bit_count() - (mv & low).bit_count()
+                    for j, (pv, mv) in enumerate(columns)] == row, (a, b, i)
+
     def test_words_as_items(self):
         assert mtmetrics._levenshtein("the cat sat".split(),
                                       "a cat sat down".split()) == 2
@@ -908,8 +937,8 @@ def decompose_oracle(src, out):
 
 
 class TestDecompose:
-    # at least one side of 60-130 items: int16 rows, against the int8
-    # rows of the short sides of the other TER tests
+    # at least one side of 60-130 items: columns whose bit vectors span
+    # several 30-bit digits of a Python int, or many columns
     @given(st.integers(1, 4).flatmap(
         lambda k: st.tuples(_symbol_lists(k), _symbol_lists(k))).filter(
             lambda sides: max(map(len, sides)) >= 60))

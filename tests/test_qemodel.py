@@ -156,9 +156,11 @@ class TestRegressors:
         assert abs(float(ridge.intercept) - float(ols.intercept)) <= 1e-8
 
     def test_one_dimensional_ridge_closed_form(self):
+        # centered x = y = (-0.5, 0.5): w = 0.5 / (0.5 + 1), b = 1.5 - 1.5 w
         model = fit_regressor(np.array([[1.0], [2.0]]), [1.0, 2.0],
-                              kind="ridge", lam=1.0, fit_intercept=False)
-        assert model.weights[0] == pytest.approx(5 / 6, abs=1e-12)
+                              kind="ridge", lam=1.0)
+        assert model.weights[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert float(model.intercept) == pytest.approx(1.0, abs=1e-12)
 
     def test_linreg_rejects_collinear(self):
         X = np.column_stack([np.arange(10.0), 2 * np.arange(10.0)])
@@ -166,14 +168,12 @@ class TestRegressors:
             fit_regressor(X, np.arange(10.0), kind="linreg")
 
     @pytest.mark.parametrize("kind", ["linreg", "ridge", "lasso"])
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_no_rows_rejected(self, kind, fit_intercept):
+    def test_no_rows_rejected(self, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no "Mean of empty slice"
             with pytest.raises(DegenerateDataError,
                                match="^regression needs at least one row$"):
-                fit_regressor(np.zeros((0, 3)), [], kind=kind,
-                              fit_intercept=fit_intercept)
+                fit_regressor(np.zeros((0, 3)), [], kind=kind)
 
     def test_ridge_handles_collinear(self):
         X = np.column_stack([np.arange(10.0), 2 * np.arange(10.0)])
@@ -217,6 +217,22 @@ class TestRegressors:
         y = X @ w_true
         model = fit_regressor(X, y, kind="lasso", lam=1e-10)
         assert np.abs(model.weights - w_true).max() <= 1e-5
+
+    def test_lasso_skips_a_constant_column(self):
+        # centering makes the column all zero, which coordinate descent
+        # must skip rather than divide by its zero squared norm
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(30, 3))
+        y = X @ np.array([1.0, -0.5, 2.0]) + 0.1 * rng.normal(size=30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_regressor(np.insert(X, 1, 4.0, axis=1), y,
+                                  kind="lasso", lam=0.5)
+        plain = fit_regressor(X, y, kind="lasso", lam=0.5)
+        assert model.weights[1] == 0.0
+        assert np.array_equal(np.delete(model.weights, 1), plain.weights)
+        assert float(model.intercept) == pytest.approx(float(plain.intercept),
+                                                       abs=1e-12)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -291,6 +307,20 @@ class TestClassifier:
         monkeypatch.setattr(qemodel, "_NEWTON_MAX_ITER", 1)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
             fit_classifier(X, y, lam=lam)
+
+    def test_line_search_halves_an_overshooting_step(self):
+        # on these badly scaled rows the tenth Newton step raises the loss
+        # at full length; only the halved step converges within the cap
+        X = np.array([[-39.227, -55.563, -11.475], [26.783, -23.905, -4.669],
+                      [85.639, 90.523, 31.354], [-2.952, -65.826, -18.377],
+                      [3.283, 60.468, 17.613], [-216.145, 15.164, -38.848],
+                      [145.392, 27.414, 148.663],
+                      [-333.582, 147.376, 26.629]])
+        y = np.array([2, 0, 1, 0, 1, 1, 0, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_classifier(X, y, lam=0.001)
+        assert _gradient_norm(model, X, y) < 1e-6
 
     def test_probe_fit_is_stationary(self):
         X, y, lam = _probe_inputs()

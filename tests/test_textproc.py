@@ -235,6 +235,7 @@ class TestPorterStemmer:
         "activate": "activ", "effective": "effect", "probate": "probat",
         "rate": "rate", "cease": "ceas", "controll": "control",
         "roll": "roll", "running": "run", "runs": "run", "easily": "easili",
+        "opinion": "opinion",
     }
 
     @pytest.mark.parametrize("word,expected", sorted(CASES.items()))
