@@ -167,8 +167,11 @@ def _parse_config_file(path: str) -> dict:
         if key not in _SETTINGS:
             raise TsevalError(f"{path}:{lineno}: unknown setting {key!r}")
         convert, _ = _SETTINGS[key]
+        value = value.strip()
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+            value = value[1:-1]  # one matching pair of quotes, no more
         try:
-            settings[key] = convert(value.strip().strip("\"'"))
+            settings[key] = convert(value)
         except ValueError as exc:
             raise TsevalError(f"{path}:{lineno}: {key}: {exc}") from None
     return settings

@@ -668,10 +668,9 @@ def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
     block moves is NP-complete, so this is an upper bound.
 
     Greedy can miss optima that need a tied or non-improving intermediate
-    move, so an output of at most EXACT_LIMIT tokens whose greedy total
-    still exceeds the lower bound is then refined by `_exact_refine`,
-    seeded and bounded by the greedy result, which finds the exact
-    optimum.
+    move, so an output of at most EXACT_LIMIT tokens is then refined by
+    `_exact_refine`, seeded and bounded by the greedy result, which finds
+    the exact optimum.
     """
     shifts, final = 0, out
     while ed > lb:
@@ -679,19 +678,22 @@ def _plan_shifts(src: tuple[int, ...], out: tuple[int, ...], ed: int,
         if moved is None:
             break
         shifts, ed, final = shifts + 1, ed - delta, moved
-    if shifts + ed > lb and len(out) <= EXACT_LIMIT:
-        return _exact_refine(src, out, (shifts, ed, final))
+    if len(out) <= EXACT_LIMIT:
+        return _exact_refine(src, out, lb, (shifts, ed, final))
     return shifts, ed, final
 
 
-def _exact_refine(src, out, greedy):
+def _exact_refine(src, out, lb, greedy):
     """Level-order search over move sequences, seeded and bounded by the
     greedy solution, scoring each permutation with the bit-parallel
     `_levenshtein`. A block move is a swap (a, b, c) of two adjacent
     segments, each enumerated once per state. Every move costs one, so
     level k holds the permutations of `out` first reached in k moves;
     each level is scored in sorted order, and each of the at most
-    EXACT_LIMIT! permutations once."""
+    EXACT_LIMIT! permutations once. Every permutation of `out` is at
+    least the multiset lower bound `lb` from `src`, so a child of a
+    level-k state totals at least k + 1 + lb: once that cannot beat the
+    best total, the state is not expanded."""
     best_total = greedy[0] + greedy[1]
     best = greedy
     moves, level, seen = 0, [out], {out}
@@ -702,7 +704,7 @@ def _exact_refine(src, out, greedy):
             if moves + ed < best_total:
                 best_total = moves + ed
                 best = (moves, ed, state)
-            if moves + 1 >= best_total:
+            if moves + 1 + lb >= best_total:
                 continue
             for a, b, c in combinations(range(len(state) + 1), 3):
                 cand = state[:a] + state[b:c] + state[a:b] + state[c:]

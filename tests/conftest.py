@@ -1,13 +1,21 @@
-"""Shared fixtures: synthetic QATS-style datasets and the optional real
-QATS data discovered through the TSEVAL_QATS_DIR environment variable."""
+"""Shared fixtures: synthetic QATS-style datasets, the benchmark
+workloads' feature matrices, and the optional real QATS data discovered
+through the TSEVAL_QATS_DIR environment variable."""
 
+import importlib
 import os
 import random
+import sys
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
-from tseval import load_dataset
+from tseval import load_dataset, qats_io, resources
+from tseval.features import FeatureMatrix, compute_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 VOCAB = [
     "the", "cat", "sat", "on", "mat", "dog", "ran", "fast", "big", "house",
@@ -93,3 +101,43 @@ def qats_data():
         )
     return (load_dataset(path / "train.tsv", "train"),
             load_dataset(path / "test.tsv", "test"))
+
+
+class Split(NamedTuple):
+    """One split's feature matrix and its encoded labels by dimension."""
+
+    matrix: FeatureMatrix
+    labels: dict[str, np.ndarray]
+
+
+@pytest.fixture(scope="session")
+def workload_splits(tmp_path_factory):
+    """{(workload, seed): (train Split, test Split)} for every benchmark
+    workload at seeds 1-3, each built once from the input files that
+    `bench/workloads.py` writes, with all features and the workload's own
+    resources."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "bench"))
+        mp.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
+        workloads = importlib.import_module("workloads")
+    base = tmp_path_factory.mktemp("workloads")
+    splits = {}
+    for name in workloads.SPECS:
+        for seed in (1, 2, 3):
+            paths = workloads.write_inputs(workloads.generate(name, seed),
+                                           base / f"{name}{seed}")
+            loaded = resources.Resources(
+                freq_table=resources.load_frequency_table(paths["freq"]),
+                concreteness=resources.load_concreteness(
+                    paths["concreteness"]),
+                vectors=resources.load_vectors(paths["vectors"]),
+                lm=resources.train_lm(paths["lm_corpus"]))
+            pair = []
+            for split in ("train", "test"):
+                data = qats_io.load_dataset(paths[split], split)
+                pair.append(Split(
+                    compute_matrix(qats_io.to_pairs(data), loaded),
+                    {dim: qats_io.encode_labels(data, dim)
+                     for dim in qats_io.DIMENSIONS}))
+            splits[name, seed] = tuple(pair)
+    return splits

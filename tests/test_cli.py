@@ -432,6 +432,21 @@ class TestConfigFileAndErrors:
         assert run("train", "--config", str(config)) == 2
         assert f"{config}:2: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,want", [
+        ("'my run'", "my run"),
+        ('"my run"', "my run"),
+        ("\"run'", "\"run'"),
+        ('""run""', '"run"'),
+        ("'", "'"),
+        ("''", ""),
+        ("run", "run"),
+    ])
+    def test_config_value_loses_one_matching_pair_of_quotes(self, tmp_path,
+                                                            text, want):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out = {text}\n")
+        assert cli._parse_config_file(str(config)) == {"out": want}
+
     @pytest.mark.parametrize("text", [",", "", " , ,"])
     def test_feature_list_naming_no_feature_rejected(self, tmp_path, capsys,
                                                      text):

@@ -1150,12 +1150,27 @@ class TestTerAlign:
             src = tuple(rng.randrange(k) for _ in range(rng.randint(1, 7)))
             out = tuple(rng.randrange(k) for _ in range(rng.randint(0, 7)))
             ed = lev_oracle(src, out)
+            lb = mtmetrics._multiset_lower_bound(src, out)
             greedy = (0, ed, out)
             if seed_with == "greedy":
-                greedy = mtmetrics._plan_shifts(
-                    src, out, ed, mtmetrics._multiset_lower_bound(src, out))
-            assert (mtmetrics._exact_refine(src, out, greedy)
+                greedy = mtmetrics._plan_shifts(src, out, ed, lb)
+            assert (mtmetrics._exact_refine(src, out, lb, greedy)
                     == exact_refine_oracle(src, out, greedy)), (src, out)
+
+    def test_exact_refine_stops_at_the_root_when_greedy_is_one_above_the_bound(
+            self, monkeypatch):
+        # "b a c d e f x": one shift and the insertion of x, a greedy
+        # total of lb + 1 = 2. No child of the root can total less, so
+        # the refinement scores only the root; without the bound it
+        # scored the root's 56 children too.
+        calls = []
+        levenshtein = mtmetrics._levenshtein
+        monkeypatch.setattr(mtmetrics, "_levenshtein",
+                            lambda a, b: calls.append(1) or levenshtein(a, b))
+        got = ter_align(T("a b c d e f"), T("b a c d e f x"))
+        assert (got.insertions, got.deletions, got.substitutions,
+                got.shifts, got.matches) == (1, 0, 0, 1, 6)
+        assert len(calls) == 2
 
     def test_repetitive_reordered_pair_takes_one_scoring_per_shift(
             self, monkeypatch):

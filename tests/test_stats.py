@@ -1,22 +1,16 @@
 """Correlation, Fisher intervals, ranking and weighted F1."""
 
-import importlib
 import math
 import random
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tseval import qats_io, resources
 from tseval.errors import DataFormatError, DegenerateDataError
-from tseval.features import FeatureMatrix, compute_matrix
+from tseval.features import FeatureMatrix
 from tseval.stats import fisher_ci, pearson, rank_features, weighted_f1
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def weighted_f1_oracle(predicted, gold):
@@ -375,24 +369,10 @@ class TestBatchedCorrelations:
                               test_matrix=_matrix(columns),
                               test_labels=[0.0, 1.0])
 
-    def test_workload_train_matrices(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(ROOT / "bench"))
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        workloads = importlib.import_module("workloads")
-        for name in workloads.SPECS:
-            for seed in (1, 2, 3):
-                paths = workloads.write_inputs(
-                    workloads.generate(name, seed), tmp_path / f"{name}{seed}")
-                train = qats_io.load_dataset(paths["train"], "train")
-                matrix = compute_matrix(qats_io.to_pairs(train),
-                                        resources.Resources(
-                    freq_table=resources.load_frequency_table(paths["freq"]),
-                    concreteness=resources.load_concreteness(
-                        paths["concreteness"]),
-                    vectors=resources.load_vectors(paths["vectors"]),
-                    lm=resources.train_lm(paths["lm_corpus"])))
-                for dim in qats_io.DIMENSIONS:
-                    self._check(matrix, qats_io.encode_labels(train, dim))
+    def test_workload_train_matrices(self, workload_splits):
+        for train, _ in workload_splits.values():
+            for labels in train.labels.values():
+                self._check(train.matrix, labels)
 
 
 class TestWeightedF1:

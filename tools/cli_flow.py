@@ -29,7 +29,13 @@ Then `features` and `rank` run twice more, 10 files each:
   written by `write_short_set`, into OUT/short-reorder/. The workloads'
   outputs are too long for TER's exhaustive shift search; these reach it.
 
-That is 155 files in all. Exits 1 if any command exits non-zero.
+They run once more, 10 files, on a second short set whose outputs also
+insert words, into OUT/short-insert/. The workloads' outputs never
+insert a word, so their edit distance never exceeds the multiset bound
+for that reason; these reach TER's shift search and exhaustive search
+through insertions.
+
+That is 165 files in all. Exits 1 if any command exits non-zero.
 """
 
 from __future__ import annotations
@@ -48,25 +54,33 @@ from workloads import LABELS, SPECS, generate, write_inputs  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SHORT = "short-reorder"
+SHORT_INSERT = "short-insert"
 SHORT_WORDS = ("the", "a", "cat", "dog", "sat", "ran", "on", "mat")
 
 
-def write_short_set(directory: Path) -> dict[str, Path]:
+def write_short_set(directory: Path, insert: bool = False
+                    ) -> dict[str, Path]:
     """Write train.tsv (40 rows) and test.tsv (12 rows) of short pairs and
     return their paths by split. Each source has 2-8 words drawn from
     SHORT_WORDS, so words repeat; its output is its first 7 words or
-    fewer, shuffled, with one of them sometimes substituted. Labels are
-    drawn at random."""
-    rng = random.Random(SHORT)
+    fewer, shuffled, with one of them sometimes substituted. With
+    `insert`, the output is its first 6 words or fewer, shuffled, with 1-2
+    words inserted at random places instead, each a source word or the
+    word "big", which is not in SHORT_WORDS. Labels are drawn at random."""
+    rng = random.Random(SHORT_INSERT if insert else SHORT)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
     for split, count in (("train", 40), ("test", 12)):
         lines = ["id\toriginal\tsimplified\tG\tM\tS\tOverall"]
         for i in range(count):
             src = [rng.choice(SHORT_WORDS) for _ in range(rng.randint(2, 8))]
-            out = src[:7]
+            out = src[:6 if insert else 7]
             rng.shuffle(out)
-            if rng.random() < 0.3:
+            if insert:
+                for _ in range(rng.randint(1, 2)):
+                    word = rng.choice(src) if rng.random() < 0.5 else "big"
+                    out.insert(rng.randint(0, len(out)), word)
+            elif rng.random() < 0.3:
                 out[rng.randrange(len(out))] = rng.choice(SHORT_WORDS)
             lines.append("\t".join(
                 [f"{split}-{i}", " ".join(src).capitalize() + ".",
@@ -100,8 +114,9 @@ def _runs(tmp: Path):
                       "--lm-corpus", str(paths["lm_corpus"])]),
         ("rank", []),
     ]
-    yield SHORT, write_short_set(tmp / SHORT), [("features", []),
-                                                ("rank", [])]
+    short = [("features", []), ("rank", [])]
+    yield SHORT, write_short_set(tmp / SHORT), short
+    yield SHORT_INSERT, write_short_set(tmp / SHORT_INSERT, True), short
 
 
 def run_flow(src: Path, out: Path) -> bool:
