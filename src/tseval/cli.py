@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -162,14 +163,18 @@ def _parse_config_file(path: str) -> dict:
             continue
         if "=" not in stripped:
             raise TsevalError(f"{path}:{lineno}: expected key = value")
-        key, _, value = stripped.partition("=")
+        key, _, raw = stripped.partition("=")
         key = key.strip().replace("-", "_")
         if key not in _SETTINGS:
             raise TsevalError(f"{path}:{lineno}: unknown setting {key!r}")
         convert, _ = _SETTINGS[key]
-        value = value.strip()
+        value = raw.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]  # one matching pair of quotes, no more
+        elif re.search(r"\s#", raw):
+            raise TsevalError(
+                f"{path}:{lineno}: {key}: comment after the value (put it "
+                "on its own line, or quote a value that holds ' #')")
         try:
             settings[key] = convert(value)
         except ValueError as exc:

@@ -182,14 +182,22 @@ def bleu_from_counts(counts: Sequence[tuple[int, int]], src_len: int,
 # ROUGE-L
 # ---------------------------------------------------------------------------
 
+def _position_masks(a: Sequence) -> dict:
+    """{item: int with bit i set where a[i] is the item}: the match masks
+    of the bit-parallel kernels, `_lcs_length` (ROUGE-L) and `_columns`
+    (TER)."""
+    masks: dict = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    return masks
+
+
 def _lcs_length(a: list[str], b: list[str]) -> int:
     """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004). After
     each word of b, bit i of v is 0 exactly when a[:i + 1] has a longer
     LCS with the words read so far than a[:i] has, so the LCS length is
     the number of zero bits among the low len(a)."""
-    masks: dict[str, int] = {}
-    for i, x in enumerate(a):
-        masks[x] = masks.get(x, 0) | 1 << i
+    masks = _position_masks(a)
     full = (1 << len(a)) - 1
     v = full
     for y in b:
@@ -604,9 +612,7 @@ def _columns(a: Sequence, b: Sequence) -> list[tuple[int, int]]:
     -1, so t[i][j] = j + popcount(pv & low) - popcount(mv & low) with low
     the i lowest bits. Each item of b updates both with a fixed dozen int
     operations on len(a)-bit ints."""
-    peq: dict = {}  # bit i set where a[i] is the key
-    for i, x in enumerate(a):
-        peq[x] = peq.get(x, 0) | 1 << i
+    peq = _position_masks(a)
     full = (1 << len(a)) - 1
     pv, mv = full, 0
     columns = [(pv, mv)]

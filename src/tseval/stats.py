@@ -4,6 +4,7 @@ weighted F1 evaluation."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -208,16 +209,19 @@ def weighted_f1(predicted: Sequence[str], gold: Sequence[str]) -> float:
     if len(gold) == 0:
         raise ValueError("cannot score empty label vectors")
     total = len(gold)
+    pairs = Counter(zip(predicted, gold))  # (predicted, gold) label counts
+    pred_n, gold_n = Counter(), Counter()
+    for (p, g), n in pairs.items():
+        pred_n[p] += n
+        gold_n[g] += n
     score = 0.0
-    for cls in sorted(set(gold)):
-        tp = sum(1 for p, g in zip(predicted, gold) if p == cls and g == cls)
-        pred_n = sum(1 for p in predicted if p == cls)
-        gold_n = sum(1 for g in gold if g == cls)
+    for cls in sorted(gold_n):
+        tp = pairs[cls, cls]
         if tp == 0:
             f1 = 0.0
         else:
-            precision = tp / pred_n
-            recall = tp / gold_n
+            precision = tp / pred_n[cls]
+            recall = tp / gold_n[cls]
             f1 = 2 * precision * recall / (precision + recall)
-        score += (gold_n / total) * f1
+        score += (gold_n[cls] / total) * f1
     return score

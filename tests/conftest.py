@@ -1,7 +1,8 @@
 """Shared fixtures: synthetic QATS-style datasets, the benchmark
-workloads' feature matrices, and the optional real QATS data discovered
-through the TSEVAL_QATS_DIR environment variable."""
+workloads and their feature matrices, and the optional real QATS data
+discovered through the TSEVAL_QATS_DIR environment variable."""
 
+import functools
 import importlib
 import os
 import random
@@ -103,6 +104,56 @@ def qats_data():
             load_dataset(path / "test.tsv", "test"))
 
 
+class BenchRoute:
+    """The tests' one route into the benchmark: bench/workloads.py,
+    bench/spans.py and tools/cli_flow.py, and for each (workload, seed)
+    its generated work, its input files and its four loaded resources,
+    each built once per session and shared, so callers must not change
+    them."""
+
+    def __init__(self, base: Path):
+        self._base = base
+        with pytest.MonkeyPatch.context() as mp:
+            mp.syspath_prepend(str(ROOT / "tools"))
+            mp.syspath_prepend(str(ROOT / "bench"))
+            # write no bytecode next to bench/ and tools/; the context
+            # restores sys.path and this flag, which cli_flow also sets
+            mp.setattr(sys, "dont_write_bytecode", True)
+            self.workloads, self.spans, self.cli_flow = (
+                importlib.import_module(name)
+                for name in ("workloads", "spans", "cli_flow"))
+
+    @staticmethod
+    def load_resources(directory: Path) -> resources.Resources:
+        """The four resources from the files that `write_inputs` writes,
+        under the same names as in `synthetic_dataset_dir`."""
+        return resources.Resources(
+            freq_table=resources.load_frequency_table(directory / "freq.txt"),
+            concreteness=resources.load_concreteness(
+                directory / "concreteness.tsv"),
+            vectors=resources.load_vectors(directory / "vectors.txt"),
+            lm=resources.train_lm(directory / "lm_corpus.txt"))
+
+    @functools.cache
+    def work(self, name: str, seed: int):
+        return self.workloads.generate(name, seed)
+
+    @functools.cache
+    def inputs(self, name: str, seed: int) -> dict[str, Path]:
+        """The input paths by kind, as `write_inputs` returns them."""
+        return self.workloads.write_inputs(self.work(name, seed),
+                                           self._base / f"{name}-{seed}")
+
+    @functools.cache
+    def resources_of(self, name: str, seed: int) -> resources.Resources:
+        return self.load_resources(self.inputs(name, seed)["train"].parent)
+
+
+@pytest.fixture(scope="session")
+def bench(tmp_path_factory) -> BenchRoute:
+    return BenchRoute(tmp_path_factory.mktemp("workloads"))
+
+
 class Split(NamedTuple):
     """One split's feature matrix and its encoded labels by dimension."""
 
@@ -111,32 +162,21 @@ class Split(NamedTuple):
 
 
 @pytest.fixture(scope="session")
-def workload_splits(tmp_path_factory):
+def workload_splits(bench):
     """{(workload, seed): (train Split, test Split)} for every benchmark
     workload at seeds 1-3, each built once from the input files that
     `bench/workloads.py` writes, with all features and the workload's own
     resources."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(ROOT / "bench"))
-        mp.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
-        workloads = importlib.import_module("workloads")
-    base = tmp_path_factory.mktemp("workloads")
     splits = {}
-    for name in workloads.SPECS:
+    for name in bench.workloads.SPECS:
         for seed in (1, 2, 3):
-            paths = workloads.write_inputs(workloads.generate(name, seed),
-                                           base / f"{name}{seed}")
-            loaded = resources.Resources(
-                freq_table=resources.load_frequency_table(paths["freq"]),
-                concreteness=resources.load_concreteness(
-                    paths["concreteness"]),
-                vectors=resources.load_vectors(paths["vectors"]),
-                lm=resources.train_lm(paths["lm_corpus"]))
+            paths = bench.inputs(name, seed)
             pair = []
             for split in ("train", "test"):
                 data = qats_io.load_dataset(paths[split], split)
                 pair.append(Split(
-                    compute_matrix(qats_io.to_pairs(data), loaded),
+                    compute_matrix(qats_io.to_pairs(data),
+                                   bench.resources_of(name, seed)),
                     {dim: qats_io.encode_labels(data, dim)
                      for dim in qats_io.DIMENSIONS}))
             splits[name, seed] = tuple(pair)

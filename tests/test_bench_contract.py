@@ -7,25 +7,12 @@ search that stops at its budget on a benchmark pair.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-from tseval import features, mtmetrics, qats_io, resources
-
-ROOT = Path(__file__).resolve().parents[1]
+from tseval import features, mtmetrics, qats_io
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location(
-        "bench_spans", ROOT / "bench" / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_traced_layer_resolves_to_a_callable():
-    layers = _spans().LAYERS
+def test_every_traced_layer_resolves_to_a_callable(bench):
+    layers = bench.spans.LAYERS
     assert layers
     for module_name, attribute, _ in layers:
         target = importlib.import_module(module_name)
@@ -34,29 +21,21 @@ def test_every_traced_layer_resolves_to_a_callable():
         assert callable(target), (module_name, attribute)
 
 
-def _resources(base: Path) -> resources.Resources:
-    return resources.Resources(
-        freq_table=resources.load_frequency_table(base / "freq.txt"),
-        concreteness=resources.load_concreteness(base / "concreteness.tsv"),
-        vectors=resources.load_vectors(base / "vectors.txt"),
-        lm=resources.train_lm(base / "lm_corpus.txt"),
-    )
-
-
-def test_setup_calls_of_the_benchmark(synthetic_dataset_dir):
+def test_setup_calls_of_the_benchmark(synthetic_dataset_dir, bench):
     base = synthetic_dataset_dir
     train = qats_io.load_dataset(base / "train.tsv", "train")
     assert train.split_tag == "train" and train.is_labeled
-    bundle = _resources(base)
+    bundle = bench.load_resources(base)
     assert all(bundle.has(kind)
                for kind in ("freq_table", "concreteness", "vectors", "lm"))
 
 
-def test_per_pair_calls_seen_through_wrapped_globals(synthetic_dataset_dir):
+def test_per_pair_calls_seen_through_wrapped_globals(synthetic_dataset_dir,
+                                                    bench):
     # bench/run.py keeps each pair's TER alignment by the identity of its
     # source text, and the per-pair spans tag calls the same way; both
     # wrap the function in every tseval namespace that holds it.
-    spans = _spans()
+    spans = bench.spans
     base = synthetic_dataset_dir
     pairs = qats_io.to_pairs(qats_io.load_dataset(base / "test.tsv", "test"))
     pairs.append(features.SentencePair.from_text("The cat sat.", "", id="e"))
@@ -78,7 +57,7 @@ def test_per_pair_calls_seen_through_wrapped_globals(synthetic_dataset_dir):
                              ("tseval.mtmetrics", "bleu_counts"),
                              ("tseval.resources", "token_logprobs")):
             undo += spans.install(module, name, recording(name))
-        features.compute_matrix(pairs, _resources(base))
+        features.compute_matrix(pairs, bench.load_resources(base))
     finally:
         spans.restore(undo)
     for name in ("ter_align", "meteor", "rouge", "bleu_counts"):
@@ -92,13 +71,10 @@ def test_per_pair_calls_seen_through_wrapped_globals(synthetic_dataset_dir):
     assert all(text is pair.output for text, pair in zip(outputs, pairs))
 
 
-def test_meteor_search_is_exhaustive_on_every_benchmark_pair(monkeypatch):
+def test_meteor_search_is_exhaustive_on_every_benchmark_pair(bench):
     # Features computed by two versions of the chunk search can only be
     # compared byte for byte where both searches are exact.
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
-    workloads = importlib.import_module("workloads")
-    for name in workloads.SPECS:
-        work = workloads.generate(name, 1)
+    for name in bench.workloads.SPECS:
+        work = bench.work(name, 1)
         for pair in work.train + work.test:
             assert mtmetrics._align(pair.out, pair.src)[2], (name, pair.id)

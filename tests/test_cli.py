@@ -440,12 +440,33 @@ class TestConfigFileAndErrors:
         ("'", "'"),
         ("''", ""),
         ("run", "run"),
+        ('"run # 1"', "run # 1"),
+        ("'run\t# 1'", "run\t# 1"),
+        ("run#1", "run#1"),
     ])
     def test_config_value_loses_one_matching_pair_of_quotes(self, tmp_path,
                                                             text, want):
         config = tmp_path / "run.cfg"
         config.write_text(f"out = {text}\n")
         assert cli._parse_config_file(str(config)) == {"out": want}
+
+    @pytest.mark.parametrize("line", [
+        "out = run # where",
+        "folds = 3 # cv",
+        "model = ridge\t# m",
+        "features = ROUGE #",
+        'out = "run" # where',
+        "seed = # none",
+    ])
+    def test_comment_after_a_value_is_data_error(self, tmp_path, capsys,
+                                                 line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\n{line}\n")
+        assert run("train", "--config", str(config)) == 2
+        key = line.partition(" ")[0]
+        assert capsys.readouterr().err == (
+            f"tseval: error: {config}:2: {key}: comment after the value "
+            "(put it on its own line, or quote a value that holds ' #')\n")
 
     @pytest.mark.parametrize("text", [",", "", " , ,"])
     def test_feature_list_naming_no_feature_rejected(self, tmp_path, capsys,

@@ -3,18 +3,13 @@ Python's sum() rounds: CPython 3.10 and 3.11 add floats left to right,
 3.12 and later compensate the rounding (Neumaier's method)."""
 
 import builtins
-import importlib
 import math
-import sys
-from pathlib import Path
 from unittest import mock
 
-from tseval import qats_io, resources
+from tseval import qats_io
 from tseval.errors import sum_left
 from tseval.features import compute_matrix
 from tseval.qemodel import PipelineConfig, select_lambda
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def left_to_right_sum(iterable, /, start=0):
@@ -48,22 +43,14 @@ def test_sum_left_adds_left_to_right():
     assert sum_left([]) == 0.0 and sum_left([-0.0]) == 0.0
 
 
-def test_features_and_cv_means_do_not_depend_on_sum(tmp_path, monkeypatch):
+def test_features_and_cv_means_do_not_depend_on_sum(bench):
     # qats-lexical seed 1 of the benchmark: its lexicon and LM give
     # AvgConcreteness and AvgLMProbsOutput sums of many ratings and log
     # probabilities, and its pairs give BLEU up to four log precisions
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
-    workloads = importlib.import_module("workloads")
-    paths = workloads.write_inputs(workloads.generate("qats-lexical", 1),
-                                   tmp_path)
-    train = qats_io.load_dataset(paths["train"], "train")
+    train = qats_io.load_dataset(bench.inputs("qats-lexical", 1)["train"],
+                                 "train")
     pairs = qats_io.to_pairs(train)
-    res = resources.Resources(
-        freq_table=resources.load_frequency_table(paths["freq"]),
-        concreteness=resources.load_concreteness(paths["concreteness"]),
-        vectors=resources.load_vectors(paths["vectors"]),
-        lm=resources.train_lm(paths["lm_corpus"]))
+    res = bench.resources_of("qats-lexical", 1)
     y = qats_io.encode_labels(train, "M")
     runs = []
     for fake in (compensated_sum, left_to_right_sum):

@@ -2,7 +2,6 @@
 oracles. The oracles are implemented here, independently of the package."""
 
 import heapq
-import importlib
 import inspect
 import itertools
 import math
@@ -12,7 +11,6 @@ import sys
 import tracemalloc
 import warnings
 from collections import Counter
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -35,11 +33,8 @@ from tseval.mtmetrics import (
     rouge,
     ter_align,
 )
-from tseval import mtmetrics
+from tseval import mtmetrics, qats_io
 from tseval.textproc import porter_stem, tokenize
-
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def T(s):
@@ -986,14 +981,12 @@ def test_multiset_lower_bound_equals_the_counter_formula(sides):
             == multiset_lower_bound_oracle(*words))
 
 
-def _workload_pairs(name, monkeypatch):
+def _workload_pairs(name, bench):
     """(source, output) TokenizedTexts of a benchmark workload's seed-1
     pairs, tokenized from the text its input files hold."""
-    monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as is
-    workloads = importlib.import_module("workloads")
-    work = workloads.generate(name, 1)
-    return [(T(workloads._text([p.src])), T(workloads._text(p.out_sents)))
+    text = bench.workloads._text
+    work = bench.work(name, 1)
+    return [(T(text([p.src])), T(text(p.out_sents)))
             for p in work.train + work.test]
 
 
@@ -1235,33 +1228,48 @@ class TestTerAlign:
     @staticmethod
     def count_calls(monkeypatch):
         calls = Counter()
-        for name in ("_prefix_rows", "_plan_shifts", "_decompose",
-                     "_swap_distances"):
+        for name in ("_prefix_rows", "_plan_shifts", "_exact_refine",
+                     "_decompose", "_swap_distances"):
             def counted(*args, _name=name, _f=getattr(mtmetrics, name)):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(mtmetrics, name, counted)
         return calls
 
-    def test_no_table_and_no_search_at_the_lower_bound(self, monkeypatch):
-        pairs = _workload_pairs("qats-lexical", monkeypatch)
+    def test_no_table_and_no_search_at_the_lower_bound(self, monkeypatch,
+                                                       bench):
+        pairs = _workload_pairs("qats-lexical", bench)
         calls = self.count_calls(monkeypatch)
         for src, out in pairs:
             assert ter_align(src, out).shifts == 0
         assert len(pairs) == 631 and not calls
 
-    def test_shifted_pairs_take_the_search_path(self, monkeypatch):
+    def test_shifted_pairs_take_the_search_path(self, monkeypatch, bench):
         # 42 of the 631 seed-1 qats-reorder pairs are above the bound, and
         # each gets one search; every shifted output ends at the bound, so
         # no backtrace runs, and the only rows built from the empty row are
         # the prefix and suffix rows of each swap scoring
-        pairs = _workload_pairs("qats-reorder", monkeypatch)
+        pairs = _workload_pairs("qats-reorder", bench)
         calls = self.count_calls(monkeypatch)
         shifted = sum(ter_align(src, out).shifts > 0 for src, out in pairs)
         assert shifted == 42
         assert calls["_plan_shifts"] == 42
         assert calls["_decompose"] == 0
         assert calls["_prefix_rows"] == calls["_swap_distances"] > 0
+
+    @pytest.mark.parametrize("insert", [False, True])
+    def test_short_sets_of_the_cli_flow_reach_the_exact_search(
+            self, insert, tmp_path, monkeypatch, bench):
+        # No workload pair at seeds 1-3 reaches _exact_refine or
+        # _decompose, so in tools/cli_flow.py's artifact comparison only
+        # its two short sets, reordered and inserting, cover them
+        paths = bench.cli_flow.write_short_set(tmp_path, insert)
+        calls = self.count_calls(monkeypatch)
+        for split in ("train", "test"):
+            data = qats_io.load_dataset(paths[split], split)
+            for pair in qats_io.to_pairs(data):
+                ter_align(pair.source, pair.output)
+        assert calls["_exact_refine"] and calls["_decompose"]
 
     @pytest.mark.parametrize("src, out, want", [
         # no move helps: the output is left as it is, 2 above the bound 0

@@ -1,13 +1,10 @@
 """Resource loaders and the n-gram language model."""
 
 import csv
-import importlib
 import math
 import random
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +22,6 @@ from tseval.resources import (
 )
 from tseval.textproc import TokenizedText, tokenize
 
-ROOT = Path(__file__).resolve().parents[1]
 
 class TestFrequencyTable:
     def test_basic_ranks(self, tmp_path):
@@ -818,14 +814,9 @@ class TestBatchedScoring:
                 sums[key // lm.base] += count
             assert dict(sums) == dict(zip(*(a.tolist() for a in contexts)))
 
-    def test_memory_of_training_on_the_benchmark_corpus(self, tmp_path,
-                                                        monkeypatch):
+    def test_memory_of_training_on_the_benchmark_corpus(self, bench):
         # the qats-lexical seed-1 corpus: 249 221 table entries at order 3
-        monkeypatch.syspath_prepend(str(ROOT / "bench"))
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/
-        workloads = importlib.import_module("workloads")
-        corpus = workloads.write_inputs(
-            workloads.generate("qats-lexical", 1), tmp_path)["lm_corpus"]
+        corpus = bench.inputs("qats-lexical", 1)["lm_corpus"]
         tracemalloc.start()
         try:
             lm = train_lm(corpus)
