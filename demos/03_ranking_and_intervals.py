@@ -60,7 +60,7 @@ def main() -> None:
 
     for dim, story in (("S", "simplicity tracks output length"),
                        ("M", "meaning preservation tracks overlap")):
-        table = rank_features(matrix, encode_labels(dataset, dim), dim)
+        table = rank_features(matrix, encode_labels(dataset, dim))
         print(f"=== dimension {dim}: {story} ===")
         for rank, entry in enumerate(table.entries[:5], start=1):
             print(f"  {rank}. {entry.feature_name:22s} "

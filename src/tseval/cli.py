@@ -72,6 +72,12 @@ class UsageError(Exception):
     """Bad flag combination discovered after argument parsing."""
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("empty value")
+    return text
+
+
 def _at_least(low, convert):
     """A converter that also rejects a value below `low` or not finite."""
     def check(text: str):
@@ -106,12 +112,12 @@ def _model_kind(text: str) -> str:
 # Every setting a flag or a config-file line may give: the converter of
 # its text, which raises ValueError with the reason, and its help.
 _SETTINGS = {
-    "train": (str, "training dataset TSV"),
-    "test": (str, "test dataset TSV"),
-    "freq_table": (str, "word frequency table (one word per line)"),
-    "concreteness": (str, "concreteness lexicon file"),
-    "vectors": (str, "word vectors in text format"),
-    "lm_corpus": (str, "language-model training corpus (one sentence/line)"),
+    "train": (_path, "training dataset TSV"),
+    "test": (_path, "test dataset TSV"),
+    "freq_table": (_path, "word frequency table (one word per line)"),
+    "concreteness": (_path, "concreteness lexicon file"),
+    "vectors": (_path, "word vectors in text format"),
+    "lm_corpus": (_path, "language-model training corpus (one sentence/line)"),
     "features": (_feature_list, "comma-separated feature subset (default: "
                                 "all whose resources are available)"),
     "dimension": (_dimension, "quality dimension: G, M, S or overall"),
@@ -121,7 +127,7 @@ _SETTINGS = {
     "pca_k": (_at_least(1, int), "number of PCA components"),
     "folds": (_at_least(2, int), "number of cross-validation folds"),
     "seed": (_at_least(0, int), "seed of the cross-validation folds"),
-    "out": (str, "output directory"),
+    "out": (_path, "output directory"),
 }
 # The value of each setting that neither a flag nor the config file gives.
 _DEFAULTS = dict.fromkeys(_SETTINGS) | {
@@ -193,6 +199,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 flags[key] = convert(text)
             except ValueError as exc:
                 raise UsageError(f"--{key.replace('_', '-')}: {exc}") from None
+    if args.config == "":
+        raise UsageError("--config: empty value")
     config = _parse_config_file(args.config) if args.config else {}
     return argparse.Namespace(command=args.command,
                               **(_DEFAULTS | config | flags))
@@ -335,7 +343,7 @@ def cmd_rank(cfg: argparse.Namespace) -> int:
     outputs = []
     for dim in _dimensions(cfg):
         table = rank_features(
-            train_matrix, qats_io.encode_labels(train_ds, dim), dim,
+            train_matrix, qats_io.encode_labels(train_ds, dim),
             test_matrix=test_matrix,
             test_labels=(qats_io.encode_labels(test_ds, dim)
                          if test_matrix is not None else None),
@@ -422,11 +430,12 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: argparse.Namespace) -> int:
+    if cfg.train is None and cfg.test is None:
+        raise UsageError("report requires --train and/or --test")
     out_dir = Path(cfg.out)
     blocks_tsv = ["split\tdimension\tBad\tOK\tGood"]
     blocks_md = ["| split | dimension | Bad | OK | Good |",
                  "|:--|:--|--:|--:|--:|"]
-    shown = False
     for split, path in (("train", cfg.train), ("test", cfg.test)):
         if not path:
             continue
@@ -441,9 +450,6 @@ def cmd_report(cfg: argparse.Namespace) -> int:
             blocks_md.append(
                 f"| {split} | {dim} | {counts['Bad']} | {counts['OK']} "
                 f"| {counts['Good']} |")
-        shown = True
-    if not shown:
-        raise UsageError("report requires --train and/or --test")
 
     tsv = "\n".join(blocks_tsv) + "\n"
     print(tsv, end="")

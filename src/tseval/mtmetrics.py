@@ -210,9 +210,7 @@ def rouge(source: TokenizedText, output: TokenizedText) -> float:
     """Sentence-level ROUGE-L F1 between output and source word tokens."""
     ref = source.words
     cand = output.words
-    if not ref or not cand:
-        return 0.0
-    lcs = _lcs_length(ref, cand)
+    lcs = _lcs_length(ref, cand)  # 0 when either side is empty
     if lcs == 0:
         return 0.0
     precision = lcs / len(cand)
@@ -730,8 +728,6 @@ def _best_move(src: tuple[int, ...], out: tuple[int, ...], ed: int):
     out[a:b] + out[c:], and `_swap_distances` scores them all. Among the
     tied best swaps, the first in TERCOM's move order wins (`_tercom_key`).
     """
-    if len(out) < 2:
-        return 0, None
     a, b, c, d = _swap_distances(src, out)
     low = int(d.min())
     if low >= ed:

@@ -109,7 +109,6 @@ class RankingTable:
     """Correlation reports sorted by descending |r_train|, ties broken by
     feature name."""
 
-    dimension: str
     entries: tuple[CorrelationReport, ...]
 
     def to_tsv(self) -> str:
@@ -146,7 +145,6 @@ def _opt(v: float | None) -> str:
 
 
 def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
-                  dimension: str,
                   test_matrix: FeatureMatrix | None = None,
                   test_labels: Sequence[float] | None = None) -> RankingTable:
     """Rank features by the absolute Pearson correlation between each
@@ -195,7 +193,7 @@ def rank_features(matrix: FeatureMatrix, labels: Sequence[float],
         ))
 
     reports.sort(key=lambda e: (-abs(e.r_train), e.feature_name))
-    return RankingTable(dimension=dimension, entries=tuple(reports))
+    return RankingTable(entries=tuple(reports))
 
 
 def weighted_f1(predicted: Sequence[str], gold: Sequence[str]) -> float:

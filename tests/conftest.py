@@ -117,7 +117,7 @@ class BenchRoute:
             mp.syspath_prepend(str(ROOT / "tools"))
             mp.syspath_prepend(str(ROOT / "bench"))
             # write no bytecode next to bench/ and tools/; the context
-            # restores sys.path and this flag, which cli_flow also sets
+            # restores sys.path and this flag
             mp.setattr(sys, "dont_write_bytecode", True)
             self.workloads, self.spans, self.cli_flow = (
                 importlib.import_module(name)

@@ -245,11 +245,11 @@ def test_criterion_07_correlation_bands(qats_features):
 
 def test_criterion_08_ranking_structure(qats_features):
     train, _, matrix, _ = qats_features
-    simplicity = rank_features(matrix, encode_labels(train, "S"), "S")
+    simplicity = rank_features(matrix, encode_labels(train, "S"))
     top5 = simplicity.top(5)
     assert all(name in OUTPUT_LENGTH_FEATURES for name in top5), top5
 
-    meaning = rank_features(matrix, encode_labels(train, "M"), "M")
+    meaning = rank_features(matrix, encode_labels(train, "M"))
     top1 = meaning.top(1)[0]
     assert top1 in NGRAM_MT_FEATURES, top1
     ok(8, f"simplicity top-5 are output-length counts {top5}; "

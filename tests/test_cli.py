@@ -438,7 +438,6 @@ class TestConfigFileAndErrors:
         ("\"run'", "\"run'"),
         ('""run""', '"run"'),
         ("'", "'"),
-        ("''", ""),
         ("run", "run"),
         ('"run # 1"', "run # 1"),
         ("'run\t# 1'", "run\t# 1"),
@@ -479,6 +478,44 @@ class TestConfigFileAndErrors:
         assert run("features", "--config", str(config)) == 2
         assert capsys.readouterr().err == f"tseval: error: {config}:2: " \
             f"features: no feature named in {text.strip()!r}\n"
+
+    @pytest.mark.parametrize("key", list(cli._SETTINGS))
+    def test_empty_setting_is_refused(self, synthetic_dataset_dir, tmp_path,
+                                      capsys, monkeypatch, key):
+        # a path or directory setting refuses "" itself; every other
+        # setting keeps its converter's own reason
+        reason = {
+            "features": "no feature named in ''",
+            "dimension": "unknown dimension ''",
+            "model": "unknown model kind ''",
+            "lam": "could not convert string to float: ''",
+            "pca_k": "invalid literal for int() with base 10: ''",
+            "folds": "invalid literal for int() with base 10: ''",
+            "seed": "invalid literal for int() with base 10: ''",
+        }.get(key, "empty value\n")
+        monkeypatch.chdir(tmp_path)  # where an empty --out would write
+        train = synthetic_dataset_dir / "train.tsv"
+        flag = "--" + key.replace("_", "-")
+        assert run("features", "--train", str(train), "--out", "run",
+                   flag, "") == 1
+        assert capsys.readouterr().err.startswith(
+            f"tseval: error: {flag}: {reason}")
+        config = tmp_path / "run.cfg"
+        for value in ("", " ''"):
+            config.write_text(f"train = {train}\nout = run\n{key} ={value}\n")
+            assert run("features", "--config", str(config)) == 2
+            assert capsys.readouterr().err.startswith(
+                f"tseval: error: {config}:3: {key}: {reason}")
+        assert sorted(tmp_path.iterdir()) == [config]
+
+    def test_empty_config_path_is_usage_error(self, synthetic_dataset_dir,
+                                              tmp_path, capsys):
+        assert run("features", "--train",
+                   str(synthetic_dataset_dir / "train.tsv"),
+                   "--out", str(tmp_path), "--config", "") == 1
+        assert not any(tmp_path.iterdir())
+        assert capsys.readouterr().err == \
+            "tseval: error: --config: empty value\n"
 
     @pytest.mark.parametrize("flag,value", [
         ("--folds", "1"), ("--pca-k", "0"), ("--lam", "-0.5"),

@@ -25,7 +25,7 @@ RIDGE_M_FLOOR = 0.8  # M is a deterministic function of word overlap
 
 
 def _ranking(train, test, dim):
-    return rank_features(train.matrix, train.labels[dim], dim,
+    return rank_features(train.matrix, train.labels[dim],
                          test_matrix=test.matrix,
                          test_labels=test.labels[dim])
 

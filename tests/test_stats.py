@@ -178,7 +178,7 @@ class TestRankFeatures:
             "noise": [0.3, 0.1, 0.4, 0.1, 0.5, 0.9],
             "copy": labels,
         })
-        table = rank_features(matrix, labels, "G")
+        table = rank_features(matrix, labels)
         assert table.entries[0].feature_name == "copy"
         assert table.entries[0].r_train == 1.0
 
@@ -188,7 +188,7 @@ class TestRankFeatures:
             "noise": [0.3, 0.1, 0.4, 0.1, 0.5, 0.9],
             "anti": [-v for v in labels],
         })
-        table = rank_features(matrix, labels, "G")
+        table = rank_features(matrix, labels)
         assert table.entries[0].feature_name == "anti"
         assert table.entries[0].r_train == -1.0
 
@@ -198,7 +198,7 @@ class TestRankFeatures:
             "const": [7.0] * 5,
             "ok": [1.0, 2.0, 3.0, 1.0, 2.5],
         })
-        table = rank_features(matrix, labels, "M")
+        table = rank_features(matrix, labels)
         by_name = {e.feature_name: e for e in table.entries}
         assert by_name["const"].degenerate
         assert by_name["const"].r_train == 0.0
@@ -210,14 +210,14 @@ class TestRankFeatures:
             "bad": [1.0, math.nan, 3.0, 1.0, 2.5],
         })
         with pytest.raises(ValueError, match="finite"):
-            rank_features(matrix, [0.0, 1.0, 2.0, 0.0, 1.0], "M")
+            rank_features(matrix, [0.0, 1.0, 2.0, 0.0, 1.0])
 
     def test_output_is_permutation_of_features(self):
         rng = np.random.default_rng(5)
         matrix = _matrix({f"f{i}": rng.normal(size=30).tolist()
                           for i in range(8)})
         labels = rng.normal(size=30)
-        table = rank_features(matrix, labels, "S")
+        table = rank_features(matrix, labels)
         assert sorted(e.feature_name for e in table.entries) == sorted(
             matrix.feature_names)
 
@@ -227,7 +227,7 @@ class TestRankFeatures:
             "b_up": [0.0, 1.0, 2.0, 3.0],
             "a_down": [3.0, 2.0, 1.0, 0.0],
         })
-        table = rank_features(matrix, labels, "S")
+        table = rank_features(matrix, labels)
         assert [e.feature_name for e in table.entries] == ["a_down", "b_up"]
 
     def test_ci_bounds_bracket_r(self):
@@ -235,7 +235,7 @@ class TestRankFeatures:
         x = rng.normal(size=40)
         labels = x + rng.normal(scale=0.7, size=40)
         matrix = _matrix({"x": x.tolist()})
-        entry = rank_features(matrix, labels, "G").entries[0]
+        entry = rank_features(matrix, labels).entries[0]
         assert entry.ci_low <= entry.r_train <= entry.ci_high
 
     def test_test_split_correlations_attached(self):
@@ -244,20 +244,20 @@ class TestRankFeatures:
         y = x + rng.normal(scale=0.4, size=30)
         train = _matrix({"x": x.tolist()})
         test = _matrix({"x": x[:10].tolist()})
-        table = rank_features(train, y, "G", test_matrix=test,
+        table = rank_features(train, y, test_matrix=test,
                               test_labels=y[:10])
         assert table.entries[0].r_test is not None
 
     def test_interval_empty_below_four_rows(self):
         table = rank_features(_matrix({"x": [1.0, 3.0, 2.0]}),
-                              [0.0, 2.0, 2.0], "G")
+                              [0.0, 2.0, 2.0])
         entry = table.entries[0]
         assert entry.r_train == pytest.approx(0.866, abs=1e-3)
         assert entry.ci_low is None and entry.ci_high is None
 
     def test_one_row_test_split_leaves_r_test_empty(self):
         train = _matrix({"x": [1.0, 3.0, 2.0, 5.0]})
-        table = rank_features(train, [0.0, 2.0, 2.0, 1.0], "G",
+        table = rank_features(train, [0.0, 2.0, 2.0, 1.0],
                               test_matrix=_matrix({"x": [4.0]}),
                               test_labels=[1.0])
         assert table.entries[0].r_test is None
@@ -266,16 +266,16 @@ class TestRankFeatures:
     def test_length_mismatch(self):
         matrix = _matrix({"x": [1.0, 2.0]})
         with pytest.raises(ValueError):
-            rank_features(matrix, [1.0, 2.0, 3.0], "G")
+            rank_features(matrix, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="2 test labels for 3 test"):
-            rank_features(matrix, [1.0, 2.0], "G",
+            rank_features(matrix, [1.0, 2.0],
                           test_matrix=_matrix({"x": [1.0, 2.0, 3.0]}),
                           test_labels=[1.0, 2.0])
 
     def test_serializations(self):
         labels = [0.0, 1.0, 2.0, 0.0]
         matrix = _matrix({"x": [1.0, 2.0, 2.5, 0.5]})
-        table = rank_features(matrix, labels, "G")
+        table = rank_features(matrix, labels)
         tsv = table.to_tsv()
         assert tsv.splitlines()[0] == "rank\tfeature\tr_train\tci_low\tci_high\tr_test"
         md = table.to_markdown()
@@ -323,7 +323,7 @@ class TestBatchedCorrelations:
     equal the one-column computation bit for bit."""
 
     def _check(self, matrix, labels, test_matrix=None, test_labels=None):
-        table = rank_features(matrix, labels, "G", test_matrix=test_matrix,
+        table = rank_features(matrix, labels, test_matrix=test_matrix,
                               test_labels=test_labels)
         for e in table.entries:
             r = pearson_reference(matrix.column(e.feature_name), labels)
@@ -353,9 +353,9 @@ class TestBatchedCorrelations:
             feature_names=tuple(names), row_ids=test_matrix.row_ids,
             rows=np.column_stack([test_matrix.column(n) for n in names])
             .reshape(test_matrix.rows.shape))
-        want = rank_features(matrix, labels, "G", test_matrix=test_matrix,
+        want = rank_features(matrix, labels, test_matrix=test_matrix,
                              test_labels=test_labels)
-        got = rank_features(matrix, labels, "G", test_matrix=permuted,
+        got = rank_features(matrix, labels, test_matrix=permuted,
                             test_labels=test_labels)
         assert got == want and got.to_tsv() == want.to_tsv()
 
@@ -365,7 +365,7 @@ class TestBatchedCorrelations:
                                  ({"x": [1.0, 2.0], "y": [3.0, 1.0],
                                    "z": [0.0, 1.0]}, r"unexpected \['z'\]")):
             with pytest.raises(DataFormatError, match=message):
-                rank_features(train, [0.0, 1.0, 2.0], "G",
+                rank_features(train, [0.0, 1.0, 2.0],
                               test_matrix=_matrix(columns),
                               test_labels=[0.0, 1.0])
 

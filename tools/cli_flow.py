@@ -2,40 +2,18 @@
 
     python tools/cli_flow.py SRC OUT
 
-For each workload of bench/workloads.py and seeds 1-3, write the
-workload's inputs to a temporary directory, then run the `tseval` of
-SRC/src (SRC is a checkout of this repository) on them:
+Writes the inputs of every run of `_runs` to a temporary directory, then
+runs the `tseval` of SRC/src (SRC is a checkout of this repository) on
+them, with the artifacts of each run in OUT/<run>/, so two checkouts can
+be compared with `diff -r OUT1 OUT2`. One of them is `train.log`, the
+stdout of `train` (the cross-validation table, its warnings and the
+model path) with OUT replaced by the token `<OUT>`. The other command
+logs stay out of OUT, because their timing lines differ between runs; a
+failing command's log is printed. The inputs come from this script's own
+bench/ directory, so both checkouts read the same files.
 
-* `features` with all four resources,
-* `rank`,
-* `train` and `evaluate` with the workload's dimension and model,
-* `report`, whose label counts show what `load_dataset` read.
-
-The artifacts go to OUT/<workload>-<seed>/ (15 files per run), so two
-checkouts can be compared with `diff -r OUT1 OUT2`. One of them is
-`train.log`, the stdout of `train` (the cross-validation table, its
-warnings and the model path) with OUT replaced by the token `<OUT>`.
-The other command logs stay out of OUT, because their timing lines
-differ between runs; a failing command's log is printed. The inputs come
-from this script's own bench/ directory, so both checkouts read the same
-files.
-
-Then `features` and `rank` run twice more, 10 files each:
-
-* on the inputs of qats-lexical seed 1 with only the frequency table and
-  the LM corpus, into OUT/qats-lexical-1-partial/, so the default
-  feature set of a partial set of resources is compared too;
-* with no resources on a fixed labeled set of short reordered outputs,
-  written by `write_short_set`, into OUT/short-reorder/. The workloads'
-  outputs are too long for TER's exhaustive shift search; these reach it.
-
-They run once more, 10 files, on a second short set whose outputs also
-insert words, into OUT/short-insert/. The workloads' outputs never
-insert a word, so their edit distance never exceeds the multiset bound
-for that reason; these reach TER's shift search and exhaustive search
-through insertions.
-
-That is 165 files in all. Exits 1 if any command exits non-zero.
+Prints the number of files in OUT, so two runs can also be compared by
+their counts. Exits 1 if any command exits non-zero.
 """
 
 from __future__ import annotations
@@ -46,11 +24,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-sys.dont_write_bytecode = True  # leave bench/ as it is
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-
-from workloads import LABELS, SPECS, generate, write_inputs  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SHORT = "short-reorder"
@@ -67,6 +40,8 @@ def write_short_set(directory: Path, insert: bool = False
     `insert`, the output is its first 6 words or fewer, shuffled, with 1-2
     words inserted at random places instead, each a source word or the
     word "big", which is not in SHORT_WORDS. Labels are drawn at random."""
+    from workloads import LABELS
+
     rng = random.Random(SHORT_INSERT if insert else SHORT)
     directory.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -93,6 +68,10 @@ def write_short_set(directory: Path, insert: bool = False
 
 def _runs(tmp: Path):
     """(name, input paths, [(command, extra arguments)]) of every run."""
+    from workloads import SPECS, generate, write_inputs
+
+    # every workload and seed through all five commands; `report`'s label
+    # counts show what `load_dataset` read
     for name, spec in SPECS.items():
         for seed in SEEDS:
             paths = write_inputs(generate(name, seed), tmp / f"{name}-{seed}")
@@ -107,6 +86,7 @@ def _runs(tmp: Path):
                 ("evaluate", model),
                 ("report", []),
             ]
+    # the default feature set of a partial set of resources
     partial = "qats-lexical-1-partial"
     paths = write_inputs(generate("qats-lexical", 1), tmp / partial)
     yield partial, paths, [
@@ -114,13 +94,18 @@ def _runs(tmp: Path):
                       "--lm-corpus", str(paths["lm_corpus"])]),
         ("rank", []),
     ]
+    # The workloads' outputs are too long for TER's exhaustive shift
+    # search, and never insert a word, so their edit distance never
+    # exceeds the multiset bound for that reason; these short outputs
+    # reach the search, the second set also through insertions.
     short = [("features", []), ("rank", [])]
     yield SHORT, write_short_set(tmp / SHORT), short
     yield SHORT_INSERT, write_short_set(tmp / SHORT_INSERT, True), short
 
 
-def run_flow(src: Path, out: Path) -> bool:
-    """Run the flow of every run; False if a command failed."""
+def run_flow(src: Path, out: Path) -> int | None:
+    """Run the flow of every run; the number of files in `out`, or None
+    if a command failed."""
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -144,7 +129,7 @@ def run_flow(src: Path, out: Path) -> bool:
                     (out / name / "train.log").write_text(
                         done.stdout.replace(str(out), "<OUT>"),
                         encoding="utf-8")
-    return ok
+    return sum(path.is_file() for path in out.rglob("*")) if ok else None
 
 
 def main(argv: list[str]) -> int:
@@ -155,7 +140,13 @@ def main(argv: list[str]) -> int:
     if not (src / "src" / "tseval").is_dir():
         print(f"cli_flow: {src} has no src/tseval", file=sys.stderr)
         return 1
-    return 0 if run_flow(src, out) else 1
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    files = run_flow(src, out)
+    if files is None:
+        return 1
+    print(f"{files} files in {out}")
+    return 0
 
 
 if __name__ == "__main__":
