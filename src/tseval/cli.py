@@ -149,13 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help_text += f" (default: {_DEFAULTS[key]})"
         group.add_argument("--" + key.replace("_", "-"), help=help_text)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("features", "compute the elementary-metric matrix for each split"),
-        ("rank", "rank features by correlation with human labels"),
-        ("train", "fit a scale->PCA->linear pipeline on the training split"),
-        ("evaluate", "score a trained pipeline on the test split"),
-        ("report", "tabulate the label distribution of each split"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
@@ -218,17 +212,20 @@ def _resolve_resource(path: str) -> Path:
     return p
 
 
+# Each resource setting, the Resources field it fills and its loader, in
+# load order: when several files are bad, the first one here is reported.
+_RESOURCES = (
+    ("freq_table", "freq_table", load_frequency_table),
+    ("concreteness", "concreteness", load_concreteness),
+    ("vectors", "vectors", load_vectors),
+    ("lm_corpus", "lm", train_lm),
+)
+
+
 def _load_resources(cfg: argparse.Namespace) -> Resources:
-    freq = conc = vec = lm = None
-    if cfg.freq_table:
-        freq = load_frequency_table(_resolve_resource(cfg.freq_table))
-    if cfg.concreteness:
-        conc = load_concreteness(_resolve_resource(cfg.concreteness))
-    if cfg.vectors:
-        vec = load_vectors(_resolve_resource(cfg.vectors))
-    if cfg.lm_corpus:
-        lm = train_lm(_resolve_resource(cfg.lm_corpus))
-    return Resources(freq_table=freq, concreteness=conc, vectors=vec, lm=lm)
+    return Resources(**{field: loader(_resolve_resource(getattr(cfg, key)))
+                        for key, field, loader in _RESOURCES
+                        if getattr(cfg, key)})
 
 
 def _require(cfg: argparse.Namespace, attribute: str) -> str:
@@ -433,9 +430,8 @@ def cmd_report(cfg: argparse.Namespace) -> int:
     if cfg.train is None and cfg.test is None:
         raise UsageError("report requires --train and/or --test")
     out_dir = Path(cfg.out)
-    blocks_tsv = ["split\tdimension\tBad\tOK\tGood"]
-    blocks_md = ["| split | dimension | Bad | OK | Good |",
-                 "|:--|:--|--:|--:|--:|"]
+    # a header, then one row per split and dimension with a count per label
+    rows = [["split", "dimension", *qats_io.LABELS]]
     for split, path in (("train", cfg.train), ("test", cfg.test)):
         if not path:
             continue
@@ -444,29 +440,30 @@ def cmd_report(cfg: argparse.Namespace) -> int:
             raise TsevalError(f"{split} dataset carries no labels")
         for dim in _dimensions(cfg):
             counts = qats_io.label_distribution(dataset, dim)
-            blocks_tsv.append(
-                f"{split}\t{dim}\t{counts['Bad']}\t{counts['OK']}"
-                f"\t{counts['Good']}")
-            blocks_md.append(
-                f"| {split} | {dim} | {counts['Bad']} | {counts['OK']} "
-                f"| {counts['Good']} |")
+            rows.append([split, dim, *(str(counts[x])
+                                       for x in qats_io.LABELS)])
+    md = [f"| {' | '.join(row)} |\n" for row in rows]
+    md.insert(1, "|:--|:--" + "|--:" * len(qats_io.LABELS) + "|\n")
 
-    tsv = "\n".join(blocks_tsv) + "\n"
+    tsv = "".join("\t".join(row) + "\n" for row in rows)
     print(tsv, end="")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "label_distribution.tsv").write_text(tsv, encoding="utf-8")
-    (out_dir / "label_distribution.md").write_text(
-        "\n".join(blocks_md) + "\n", encoding="utf-8")
+    (out_dir / "label_distribution.md").write_text("".join(md),
+                                                   encoding="utf-8")
     print(f"wrote {out_dir / 'label_distribution.tsv'}")
     return 0
 
 
+# Every command: its function and its help line, in `--help` order.
 _COMMANDS = {
-    "features": cmd_features,
-    "rank": cmd_rank,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
+    "features": (cmd_features,
+                 "compute the elementary-metric matrix for each split"),
+    "rank": (cmd_rank, "rank features by correlation with human labels"),
+    "train": (cmd_train,
+              "fit a scale->PCA->linear pipeline on the training split"),
+    "evaluate": (cmd_evaluate, "score a trained pipeline on the test split"),
+    "report": (cmd_report, "tabulate the label distribution of each split"),
 }
 
 
@@ -480,7 +477,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        command, _ = _COMMANDS[args.command]
+        return command(cfg)
     except UsageError as exc:
         print(f"tseval: error: {exc}", file=sys.stderr)
         return 1

@@ -754,9 +754,11 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
     """Edit distances of every adjacent-segment swap of `out`.
 
     Returns flat int arrays (a, b, c, d), one entry per swap 0 <= a < b <
-    c <= n (all four empty when n < 2), where d is the edit distance
-    between the source and out[:a] + out[b:c] + out[a:b] + out[c:]. The
-    swap splits into a forward part, the prefix row of out[:a] extended
+    c <= n, where d is the edit distance between the source and out[:a] +
+    out[b:c] + out[a:b] + out[c:]. `out` has n >= 2 tokens: the one
+    caller, `_best_move`, runs only while the edit distance exceeds the
+    multiset lower bound, which it never does under 2 tokens. The swap
+    splits into a forward part, the prefix row of out[:a] extended
     through out[b:c], and a backward part, the suffix row of out[c:]
     (reversed-source orientation) extended leftwards through out[a:b];
     the distance is the minimum over source split points of their sum.
@@ -780,8 +782,6 @@ def _swap_distances(src: tuple[int, ...], out: tuple[int, ...]
     the row, plus m.
     """
     n, m = len(out), len(src)
-    if n < 2:
-        return tuple(np.zeros(0, dtype=np.intp) for _ in range(4))
     table = _step_table(src, out)
     # a lane through out and one through its reversal (table rows 2n - 1
     # down to n): ends[a] is the prefix row of out[:a], ends[n + 1 + c]

@@ -79,6 +79,22 @@ class TestFeaturesCommand:
         header = (tmp_path / "features_train.tsv").read_text().splitlines()[0]
         assert header.split("\t") == ["id", *names]
 
+    def test_first_bad_resource_in_load_order_is_reported(
+            self, synthetic_dataset_dir, tmp_path, capsys):
+        # the frequency table loads before the vectors
+        base = synthetic_dataset_dir
+        (tmp_path / "freq.txt").write_text("")
+        (tmp_path / "vectors.txt").write_text("the 0.1 x\n")
+        code = run("features", "--train", str(base / "train.tsv"),
+                   "--freq-table", str(tmp_path / "freq.txt"),
+                   "--vectors", str(tmp_path / "vectors.txt"),
+                   "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"tseval: error: frequency table {tmp_path / 'freq.txt'} "
+            "contains no words\n")
+        assert not (tmp_path / "features_train.tsv").exists()
+
     def test_missing_resource_for_explicit_feature(self, synthetic_dataset_dir,
                                                    tmp_path):
         base = synthetic_dataset_dir
@@ -380,6 +396,23 @@ class TestReportCommand:
             counts = [int(v) for v in line.split("\t")[2:]]
             expected = 52 if line.startswith("train") else 18
             assert sum(counts) == expected
+        assert capsys.readouterr().out == \
+            table + f"wrote {tmp_path / 'label_distribution.tsv'}\n"
+
+    def test_markdown_table_holds_the_tsv_rows(self, synthetic_dataset_dir,
+                                               tmp_path):
+        base = synthetic_dataset_dir
+        assert run("report", "--train", str(base / "train.tsv"),
+                   "--test", str(base / "test.tsv"),
+                   "--out", str(tmp_path)) == 0
+        tsv = (tmp_path / "label_distribution.tsv").read_text().splitlines()
+        md = (tmp_path / "label_distribution.md").read_text().splitlines()
+        assert md[:2] == ["| split | dimension | Bad | OK | Good |",
+                          "|:--|:--|--:|--:|--:|"]
+        assert len(md) == len(tsv) + 1
+        for md_line, tsv_line in zip(md[:1] + md[2:], tsv):
+            assert md_line.startswith("| ") and md_line.endswith(" |")
+            assert md_line[2:-2].split(" | ") == tsv_line.split("\t")
 
 
 class TestConfigFileAndErrors:
@@ -547,6 +580,18 @@ class TestConfigFileAndErrors:
         assert capsys.readouterr().err == \
             f"tseval: error: {config}:2: {key}: {full_reason}"
 
+    def test_help_lists_the_command_table_in_order(self, capsys):
+        assert run("--help") == 0
+        shown = capsys.readouterr().out
+        names = "{" + ",".join(cli._COMMANDS) + "}"
+        assert shown.startswith(f"usage: tseval [-h] {names} ...\n")
+        # argparse wraps a long help line; compare with spaces collapsed
+        words = " ".join(shown.split())
+        listed = words.split(f" positional arguments: {names} ", 1)[1]
+        expected = " ".join(f"{name} {help_text}" for name, (_, help_text)
+                            in cli._COMMANDS.items())
+        assert listed.startswith(expected + " options:")
+
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     def test_help_lists_every_setting(self, capsys, command):
         assert run(command, "--help") == 0
@@ -600,13 +645,17 @@ class TestConfigFileAndErrors:
     def test_only_features_loads_resources(self, synthetic_dataset_dir,
                                            workflow_dir, tmp_path,
                                            monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("train_lm called")
-        monkeypatch.setattr(cli, "train_lm", refuse)
+        def refuse(path):
+            raise AssertionError(f"{path} loaded")
+        monkeypatch.setattr(cli, "_RESOURCES", tuple(
+            (key, field, refuse) for key, field, _ in cli._RESOURCES))
         base = synthetic_dataset_dir
         (tmp_path / "features_train.tsv").write_bytes(
             (workflow_dir / "features_train.tsv").read_bytes())
         assert run("rank", "--train", str(base / "train.tsv"),
+                   "--freq-table", str(base / "freq.txt"),
+                   "--concreteness", str(base / "concreteness.tsv"),
+                   "--vectors", str(base / "vectors.txt"),
                    "--lm-corpus", str(base / "lm_corpus.txt"),
                    "--out", str(tmp_path)) == 0
 

@@ -750,8 +750,10 @@ class TestModelFile:
                 edits[f"cut after line {i + 1}"] = lines[:i + 1]
             edits[f"line {i + 1} deleted"] = lines[:i] + lines[i + 1:]
             edits[f"line {i + 1} blank"] = lines[:i] + [""] + lines[i + 1:]
-        path = tmp_path / "edited.txt"
-        for edit, edited in edits.items():
+        # one file per edit: truncating and rewriting one file is slow on
+        # some file systems
+        for k, (edit, edited) in enumerate(edits.items()):
+            path = tmp_path / f"edited{k}.txt"
             path.write_text("".join(line + "\n" for line in edited))
             with pytest.raises(DataFormatError):
                 load_pipeline(path)
