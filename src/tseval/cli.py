@@ -8,7 +8,6 @@ invariant failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, TsevalError, read_lines
+from .errors import DataFormatError, TsevalError, at_least, read_lines
 from . import qats_io
 from .features import FeatureMatrix, compute_matrix
 from .mtmetrics import SearchBudgetWarning
@@ -78,16 +77,6 @@ def _path(text: str) -> str:
     return text
 
 
-def _at_least(low, convert):
-    """A converter that also rejects a value below `low` or not finite."""
-    def check(text: str):
-        value = convert(text)
-        if not low <= value < math.inf:
-            raise ValueError(f"must be a finite value >= {low:g}, got {value}")
-        return value
-    return check
-
-
 def _feature_list(text: str) -> list[str]:
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
@@ -122,11 +111,11 @@ _SETTINGS = {
                                 "all whose resources are available)"),
     "dimension": (_dimension, "quality dimension: G, M, S or overall"),
     "model": (_model_kind, "model kind: " + ", ".join(MODEL_KINDS)),
-    "lam": (_at_least(0.0, float), "fixed regularization strength (default: "
-                                   "pick from the grid by cross-validation)"),
-    "pca_k": (_at_least(1, int), "number of PCA components"),
-    "folds": (_at_least(2, int), "number of cross-validation folds"),
-    "seed": (_at_least(0, int), "seed of the cross-validation folds"),
+    "lam": (at_least(0.0, float), "fixed regularization strength (default: "
+                                  "pick from the grid by cross-validation)"),
+    "pca_k": (at_least(1, int), "number of PCA components"),
+    "folds": (at_least(2, int), "number of cross-validation folds"),
+    "seed": (at_least(0, int), "seed of the cross-validation folds"),
     "out": (_path, "output directory"),
 }
 # The value of each setting that neither a flag nor the config file gives.
@@ -228,15 +217,6 @@ def _load_resources(cfg: argparse.Namespace) -> Resources:
                         if getattr(cfg, key)})
 
 
-def _require(cfg: argparse.Namespace, attribute: str) -> str:
-    value = getattr(cfg, attribute)
-    if value is None:
-        raise UsageError(
-            f"the {cfg.command} command requires --{attribute.replace('_', '-')}"
-        )
-    return value
-
-
 def _features_path(out: Path, split: str) -> Path:
     return out / f"features_{split}.tsv"
 
@@ -249,11 +229,23 @@ def _dimensions(cfg: argparse.Namespace) -> list[str]:
     return [cfg.dimension] if cfg.dimension else list(qats_io.DIMENSIONS)
 
 
+def _splits(cfg: argparse.Namespace):
+    """(split, dataset) for each of --train and --test that is given,
+    each loaded when the caller reaches it; at least one must be."""
+    if cfg.train is None and cfg.test is None:
+        raise UsageError(f"{cfg.command} requires --train and/or --test")
+    for split, path in (("train", cfg.train), ("test", cfg.test)):
+        if path is not None:
+            yield split, qats_io.load_dataset(path, split)
+
+
 def _labeled_split(cfg: argparse.Namespace,
                    split: str) -> tuple[qats_io.Dataset, FeatureMatrix]:
     """The labeled dataset of `split` and the features_<split>.tsv written
     for it, checked to hold the same ids in the same order."""
-    path = _require(cfg, split)
+    path = getattr(cfg, split)
+    if path is None:
+        raise UsageError(f"the {cfg.command} command requires --{split}")
     dataset = qats_io.load_dataset(path, split)
     if not dataset.is_labeled:
         raise TsevalError(f"{cfg.command} requires a labeled {split} dataset")
@@ -287,10 +279,7 @@ def _split_warnings(caught, kind) -> tuple[list, dict[str, None]]:
 
 
 def cmd_features(cfg: argparse.Namespace) -> int:
-    datasets = []
-    for split, path in (("train", _require(cfg, "train")), ("test", cfg.test)):
-        if path:
-            datasets.append((split, qats_io.load_dataset(path, split)))
+    datasets = list(_splits(cfg))
     resources = _load_resources(cfg)
     out_dir = Path(cfg.out)
 
@@ -427,15 +416,10 @@ def cmd_evaluate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_report(cfg: argparse.Namespace) -> int:
-    if cfg.train is None and cfg.test is None:
-        raise UsageError("report requires --train and/or --test")
     out_dir = Path(cfg.out)
     # a header, then one row per split and dimension with a count per label
     rows = [["split", "dimension", *qats_io.LABELS]]
-    for split, path in (("train", cfg.train), ("test", cfg.test)):
-        if not path:
-            continue
-        dataset = qats_io.load_dataset(path, split)
+    for split, dataset in _splits(cfg):
         if not dataset.is_labeled:
             raise TsevalError(f"{split} dataset carries no labels")
         for dim in _dimensions(cfg):

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one reader of input
-files and its line rule, the one check of the numbers read from them, and
-the one rule for adding floats that reach an artifact."""
+files and its line rule, the checks of the numbers read from them and
+from settings, and the one rule for adding floats that reach an
+artifact."""
 
 from __future__ import annotations
 
@@ -80,6 +81,25 @@ def sum_left(values: Iterable[float]) -> float:
     rounding, so a float sum that reaches an artifact goes through here
     to write the same bytes on every Python."""
     return reduce(operator.add, values, 0.0)
+
+
+def finite_at_least(value, low) -> bool:
+    """Whether the number `value` is finite and >= `low`. An int beyond
+    the float range counts as finite: it compares exactly, where
+    math.isfinite would raise OverflowError."""
+    return -math.inf < value < math.inf and value >= low
+
+
+def at_least(low, convert):
+    """A converter of text: `convert`, which raises ValueError on text it
+    cannot read, then a ValueError for a value that fails
+    finite_at_least(value, low)."""
+    def check(text: str):
+        value = convert(text)
+        if not finite_at_least(value, low):
+            raise ValueError(f"must be a finite value >= {low:g}, got {value}")
+        return value
+    return check
 
 
 def parse_row(fields: Sequence[str], width: int, path: str | Path,

@@ -149,24 +149,24 @@ def load_dataset(path: str | Path, split_tag: str = "unlabeled") -> Dataset:
     return Dataset(records=tuple(records), split_tag=split_tag)
 
 
-def label_distribution(dataset: Dataset, dimension: str) -> dict[str, int]:
-    """Counts of Good/OK/Bad for one dimension; always includes all three."""
+def _labels(dataset: Dataset, dimension: str) -> list[str]:
+    """The labels of one dimension, in record order."""
     if not dataset.is_labeled:
         raise DataFormatError("dataset carries no labels")
     dim = normalize_dimension(dimension)
-    counts = Counter(r.labels[dim] for r in dataset.records)
-    return {label: counts.get(label, 0) for label in LABELS}
+    return [r.labels[dim] for r in dataset.records]
+
+
+def label_distribution(dataset: Dataset, dimension: str) -> dict[str, int]:
+    """Counts of Good/OK/Bad for one dimension; always includes all three."""
+    counts = Counter(_labels(dataset, dimension))
+    return {label: counts[label] for label in LABELS}
 
 
 def encode_labels(dataset: Dataset, dimension: str) -> np.ndarray:
     """Labels as ordinal reals: Bad -> 0, OK -> 1, Good -> 2."""
-    if not dataset.is_labeled:
-        raise DataFormatError("dataset carries no labels")
-    dim = normalize_dimension(dimension)
-    return np.array(
-        [_LABEL_VALUE[r.labels[dim].lower()] for r in dataset.records],
-        dtype=float,
-    )
+    return np.array([_LABEL_VALUE[label.lower()]
+                     for label in _labels(dataset, dimension)], dtype=float)
 
 
 def decode_labels(values: Sequence[int]) -> list[str]:

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DataFormatError, DegenerateDataError, parse_row,
-                     read_lines, sum_left)
+from .errors import (DataFormatError, DegenerateDataError, at_least,
+                     finite_at_least, parse_row, read_lines, sum_left)
 from .features import FeatureMatrix, name_defect
 from .qats_io import LABELS
 from .stats import pearson, weighted_f1
@@ -181,15 +181,17 @@ def fit_regressor(X: np.ndarray, y: Sequence[float], kind: str = "ridge",
     linreg solves the unpenalized normal equations and refuses singular
     systems; ridge solves the L2-penalized ones in closed form; lasso runs
     coordinate descent with soft thresholding until the largest weight
-    change drops below 1e-7. A non-finite value in X or y is a ValueError,
-    and an X without rows a DegenerateDataError.
+    change drops below 1e-7. A non-finite value in X or y, or a lam that
+    is not finite or below 0, is a ValueError, and an X without rows a
+    DegenerateDataError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError("X rows and y length must agree")
-    if lam < 0:
-        raise ValueError("regularization strength must be >= 0")
+    if not finite_at_least(lam, 0):
+        raise ValueError(f"regularization strength must be a finite value "
+                         f">= 0, got {lam}")
     if kind not in ("linreg", "ridge", "lasso"):
         raise ValueError(f"unknown regressor kind {kind!r}")
     if not X.shape[0]:
@@ -344,14 +346,15 @@ def fit_classifier(X: np.ndarray, y: Sequence[int], lam: float = 1.0,
     lam > 0, and by lstsq's minimum-norm solution at lam = 0 or when the
     factorization fails (_newton_step). y holds class indices 0..C-1, C
     being n_classes or else the largest label + 1; a label that is not an
-    integer or lies outside that range, or a non-finite value in X or y,
-    is a ValueError."""
+    integer or lies outside that range, a non-finite value in X or y, or a
+    lam that is not finite or below 0, is a ValueError."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X rows and y length must agree")
-    if lam < 0:
-        raise ValueError("regularization strength must be >= 0")
+    if not finite_at_least(lam, 0):
+        raise ValueError(f"regularization strength must be a finite value "
+                         f">= 0, got {lam}")
     _check_finite("X", X)
     y = _class_labels(y)
     present = np.unique(y)
@@ -568,12 +571,15 @@ def select_lambda(matrix: FeatureMatrix, y: Sequence, config: PipelineConfig,
     """Pick the regularization strength with the best mean CV score, the
     first in grid order on a tie.
 
-    linreg has no penalty, so the grid collapses to {0}.
+    linreg has no penalty, so the grid collapses to {0}. An empty grid is
+    a ValueError.
     """
+    if not len(grid):
+        raise ValueError("the lambda grid is empty")
     if config.kind == "linreg":
         grid = (0.0,)
     results = _cross_validate_grid(matrix, y, config, grid, folds, seed)
-    best = max(results, key=lambda lam: results[lam].mean, default=None)
+    best = max(results, key=lambda lam: results[lam].mean)
     return best, results
 
 
@@ -666,20 +672,6 @@ class _Reader:
             ) from None
 
 
-def _count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError(f"count {n} is not positive")
-    return n
-
-
-def _finite(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{x} is not finite")
-    return x
-
-
 def load_pipeline(path: str | Path) -> TrainedPipeline:
     """Load a pipeline serialized by save_pipeline.
 
@@ -699,8 +691,8 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
     if kind not in MODEL_KINDS:
         raise DataFormatError(f"{path}:{reader.pos}: unknown model kind "
                               f"{kind!r}")
-    lam = reader.section("lambda", _finite)
-    sizes = {1: 1, "features": reader.section("features", _count),
+    lam = reader.section("lambda", at_least(-math.inf, float))
+    sizes = {1: 1, "features": reader.section("features", at_least(1, int)),
              "classes": _N_CLASSES}
     first = reader.pos + 1
     names = tuple(reader.line() for _ in range(sizes["features"]))
@@ -708,7 +700,7 @@ def load_pipeline(path: str | Path) -> TrainedPipeline:
         raise DataFormatError(f"{path}:{first + defect[0]}: {defect[1]}")
     arrays = []
     for name, rows, width in _SECTIONS + _MODEL_SECTIONS[kind == "logistic"]:
-        count = reader.section(name, None if rows == 1 else _count)
+        count = reader.section(name, None if rows == 1 else at_least(1, int))
         if count is not None and sizes.setdefault(rows, count) != count:
             raise DataFormatError(f"{path}:{reader.pos}: {count} {rows}, "
                                   f"expected {sizes[rows]}")

@@ -415,6 +415,58 @@ class TestReportCommand:
             assert md_line[2:-2].split(" | ") == tsv_line.split("\t")
 
 
+class TestSplitFlags:
+    """Which of --train and --test each command needs, and the labels."""
+
+    @pytest.mark.parametrize("command", ["features", "report"])
+    def test_train_or_test_is_required(self, capsys, command):
+        assert run(command) == 1
+        assert capsys.readouterr().err == \
+            f"tseval: error: {command} requires --train and/or --test\n"
+
+    @pytest.mark.parametrize("command,flag", [
+        ("rank", "--train"), ("train", "--train"), ("evaluate", "--test"),
+    ])
+    def test_missing_split_flag_is_named(self, capsys, command, flag):
+        assert run(command) == 1
+        assert capsys.readouterr().err == \
+            f"tseval: error: the {command} command requires {flag}\n"
+
+    @pytest.mark.parametrize("command,split,message", [
+        ("rank", "train", "rank requires a labeled train dataset"),
+        ("report", "train", "train dataset carries no labels"),
+        ("report", "test", "test dataset carries no labels"),
+    ])
+    def test_unlabeled_split_is_data_error(self, synthetic_dataset_dir,
+                                           workflow_dir, tmp_path, capsys,
+                                           command, split, message):
+        lines = (synthetic_dataset_dir / f"{split}.tsv").read_text() \
+            .splitlines()
+        unlabeled = tmp_path / f"{split}.tsv"
+        unlabeled.write_text("".join(
+            "\t".join(line.split("\t")[:2]) + "\n" for line in lines))
+        (tmp_path / "features_train.tsv").write_bytes(
+            (workflow_dir / "features_train.tsv").read_bytes())
+        other = "test" if split == "train" else "train"
+        assert run(command, f"--{split}", str(unlabeled),
+                   f"--{other}", str(synthetic_dataset_dir / f"{other}.tsv"),
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"tseval: error: {message}\n"
+
+    def test_features_of_the_test_split_alone(self, synthetic_dataset_dir,
+                                              workflow_dir, tmp_path):
+        base = synthetic_dataset_dir
+        assert run("features", "--test", str(base / "test.tsv"),
+                   "--freq-table", str(base / "freq.txt"),
+                   "--concreteness", str(base / "concreteness.tsv"),
+                   "--vectors", str(base / "vectors.txt"),
+                   "--lm-corpus", str(base / "lm_corpus.txt"),
+                   "--out", str(tmp_path)) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["features_test.tsv"]
+        assert (tmp_path / "features_test.tsv").read_bytes() == \
+            (workflow_dir / "features_test.tsv").read_bytes()
+
+
 class TestConfigFileAndErrors:
     def test_config_file_supplies_settings(self, synthetic_dataset_dir,
                                            tmp_path):
@@ -614,7 +666,7 @@ class TestConfigFileAndErrors:
             in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
-        assert run("features") == 1  # --train missing
+        assert run("features") == 1  # neither --train nor --test
 
     def test_unknown_subcommand_exit_code(self):
         assert run("frobnicate") == 1

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tseval
-from tseval.errors import DataFormatError, parse_row, parse_rows, read_input
+from tseval.errors import (DataFormatError, at_least, parse_row, parse_rows,
+                           read_input)
 
 SRC = Path(tseval.__file__).parent
 
@@ -64,6 +65,39 @@ def test_row_check_reports_first_defect_in_order(line, defect):
 def test_row_check_returns_the_floats():
     assert parse_row(["1", "-0.5", "2e3"], 3, "data.txt", 1, "cell") == [
         1.0, -0.5, 2000.0]
+
+
+_SETTING_TEXTS = ["0", "-0.0", "1", "2", "-1", "0.5", "1e308", "1e999",
+                  "-1e999", "nan", "inf", "-inf", "1" + "0" * 400]
+
+
+@pytest.mark.parametrize("convert", [int, float])
+@pytest.mark.parametrize("low", [0, 0.0, 1, 2])
+def test_at_least_keeps_the_settings_rule(convert, low):
+    # the rule the settings were checked by before it moved here
+    for text in _SETTING_TEXTS:
+        try:
+            value = convert(text)
+        except ValueError:
+            continue
+        if low <= value < math.inf:
+            assert at_least(low, convert)(text) == value
+        else:
+            with pytest.raises(ValueError) as info:
+                at_least(low, convert)(text)
+            assert str(info.value) == \
+                f"must be a finite value >= {low:g}, got {value}"
+
+
+def test_at_least_minus_inf_takes_any_finite_float():
+    check = at_least(-math.inf, float)
+    assert [check(t) for t in ("-1e308", "-0.5", "0", "1e308")] == [
+        -1e308, -0.5, 0.0, 1e308]
+    for text in ("nan", "inf", "-inf", "-1e999"):
+        with pytest.raises(ValueError, match="must be a finite value >= -inf"):
+            check(text)
+    with pytest.raises(ValueError, match="could not convert"):
+        check("x")
 
 
 # numbers that numpy's reader and float() both read the same

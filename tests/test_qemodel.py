@@ -1,5 +1,6 @@
 """Standardizer, PCA, linear learners, pipeline, CV and persistence."""
 
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -234,9 +235,14 @@ class TestRegressors:
         assert float(model.intercept) == pytest.approx(float(plain.intercept),
                                                        abs=1e-12)
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            fit_regressor(np.ones((3, 1)), [1, 2, 3], lam=-1.0)
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["linreg", "ridge", "lasso"])
+    def test_negative_lambda_rejected(self, capfd, kind, lam):
+        rng = np.random.default_rng(32)
+        with pytest.raises(ValueError, match="regularization strength"):
+            fit_regressor(rng.normal(size=(30, 4)), rng.normal(size=30),
+                          kind=kind, lam=lam)
+        assert capfd.readouterr().err == ""
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -340,10 +346,13 @@ class TestClassifier:
             model = fit_classifier(X, y, lam=lam, n_classes=3)
         assert _gradient_norm(model, X, y) <= 1e-6
 
-    def test_negative_lambda_rejected(self):
+    @pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf, -math.inf])
+    def test_negative_lambda_rejected(self, capfd, lam):
+        # a NaN used to reach LAPACK, which printed to stderr
         X, y, _ = _probe_inputs()
-        with pytest.raises(ValueError):
-            fit_classifier(X, y, lam=-0.1)
+        with pytest.raises(ValueError, match="regularization strength"):
+            fit_classifier(X, y, lam=lam)
+        assert capfd.readouterr().err == ""
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(16)
@@ -676,11 +685,15 @@ class TestPipeline:
          "expected 4 values, found 1"),
         (r"\nkind ridge\n", r"\nkind bogus\n", "unknown model kind"),
         (r"\nlambda [^\n]*", r"\nlambda", "bad value"),
+        (r"\nlambda [^\n]*", r"\nlambda inf", "bad value"),
+        (r"\nfeatures \d+", r"\nfeatures 0", "bad value"),
+        (r"\ncomponents \d+", r"\ncomponents 4.0", "bad value"),
         (r"(\nstds\n)", r"\1-", "negative value in stds"),
         (r"(\nexplained_variance\n\S+ )", r"\1-",
          "negative value in explained_variance"),
     ], ids=["extra-weight", "nan-weights", "non-numeric", "short-variance",
-            "unknown-kind", "lambda-missing", "negative-std",
+            "unknown-kind", "lambda-missing", "lambda-inf", "no-features",
+            "fractional-components", "negative-std",
             "negative-variance"])
     def test_malformed_model_file_rejected(self, tmp_path, pattern,
                                            replacement, message):
@@ -857,6 +870,14 @@ class TestSelectLambda:
                                      folds=3, seed=6)
         assert lam == 0.0
         assert list(results) == [0.0]
+
+    @pytest.mark.parametrize("grid", [(), np.array([])])
+    def test_empty_grid_rejected(self, grid):
+        X = np.random.default_rng(33).normal(size=(12, 3))
+        with pytest.raises(ValueError, match="the lambda grid is empty"):
+            select_lambda(matrix_from(X), np.arange(12.0),
+                          PipelineConfig(kind="ridge", pca_k=2), grid=grid,
+                          folds=3)
 
     def test_more_folds_than_rows_is_a_data_error(self):
         with pytest.raises(DegenerateDataError,
